@@ -2,8 +2,8 @@
 delta-locus evolutionary multi-objective clusterer."""
 
 from .data import (Dataset, Partition, DataError, load_dataset,
-                   write_dataset_csv, pairwise_distances, knn_index,
-                   centroids, minimum_spanning_tree, canonical_labels)
+                   write_dataset_csv, centroids, minimum_spanning_tree,
+                   canonical_labels)
 from .criteria import (ObjectiveSpec, ObjectiveVector, CriterionError,
                        KTooSmallError, DegenerateError, ZeroVectorError,
                        MINIMIZE, MAXIMIZE, ALL_IDS, objective, objectives,

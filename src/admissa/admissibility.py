@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import (MINIMIZE, ObjectiveSpec, ObjectiveVector,
-                       CriterionError, ABS_FLOOR, REL_TOL, evaluate,
-                       strictly_better)
+                       CriterionError, evaluate)
 from .data import Dataset, Partition
 from .initializers import InitPopulation, generate_population
 
@@ -33,16 +32,29 @@ ADMISSIBLE = "admissible"
 
 SYMBOLS = {INADMISSIBLE: "×", OPTIMAL_IN_INIT: "✓", ADMISSIBLE: ""}
 
+# Shared strictness tolerance for every "strictly better" comparison.
+REL_TOL = 1e-9
+ABS_FLOOR = 1e-12
+
+
+def dominance(a, b) -> np.ndarray:
+    """Tolerant Pareto dominance of ``a`` over ``b``, broadcast over the
+    leading axes; the last axis holds objective values in minimization
+    form. ``a`` dominates ``b`` when it is no worse on every objective and
+    strictly better on some, each beyond the shared tolerance: REL_TOL
+    relative to the larger magnitude, and at least ABS_FLOOR. With one
+    objective this is the plain "strictly better" test."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    tol = np.maximum(REL_TOL * np.maximum(np.abs(a), np.abs(b)), ABS_FLOOR)
+    return np.all(a <= b + tol, axis=-1) & np.any(a < b - tol, axis=-1)
+
 
 def dominates(u: ObjectiveVector, v: ObjectiveVector) -> bool:
-    """Pareto dominance: u no worse everywhere and strictly better
-    somewhere, under the shared strictness tolerance."""
+    """Does ``u`` dominate ``v`` (see ``dominance``)?"""
     if u.specs != v.specs:
         raise ValueError("objective vectors have different spec lists")
-    a = u.minimized()
-    b = v.minimized()
-    tol = np.maximum(REL_TOL * np.maximum(np.abs(a), np.abs(b)), ABS_FLOOR)
-    return bool(np.all(a <= b + tol) and np.any(a < b - tol))
+    return bool(dominance(u.minimized(), v.minimized()))
 
 
 @dataclass(frozen=True)
@@ -71,7 +83,8 @@ def classify_objective(values, true_value: float, direction: str,
     else:
         best_idx = int(np.argmax(values))
         margin = values[best_idx] - true_value
-    if strictly_better(values[best_idx], true_value, direction):
+    sign = 1.0 if direction == MINIMIZE else -1.0
+    if dominance([sign * values[best_idx]], [sign * true_value]):
         return INADMISSIBLE, best_idx, margin
     if truth_found:
         return OPTIMAL_IN_INIT, None, margin

@@ -291,22 +291,21 @@ def _load_population(out: Path, dataset: str, initializer: str) -> InitPopulatio
 def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
     specs = [cfg.spec_for(c) for c in cfg.objectives]
     datasets = [resolve_dataset(out, e) for e in cfg.datasets]
-    tables = []
-    for init in cfg.initializers:
-        pops = [_load_population(out, e.name, init) for e in cfg.datasets]
-        tables.append(build_admissibility_table(datasets, init, specs,
-                                                master_seed=cfg.seed,
-                                                populations=pops))
+    pops = {init: [_load_population(out, e.name, init) for e in cfg.datasets]
+            for init in cfg.initializers}
+    tables = [build_admissibility_table(datasets, init, specs,
+                                        master_seed=cfg.seed,
+                                        populations=pops[init])
+              for init in cfg.initializers]
     for fmt in cfg.formats:
         for name, text in evaluation.render_tables(tables, [], fmt).items():
             _write_if_missing(out / "admissibility" / name, lambda t=text: t)
     # box-plot data: ARI of base partitions vs truth, per initializer
-    for entry, ds in zip(cfg.datasets, datasets):
+    for i, (entry, ds) in enumerate(zip(cfg.datasets, datasets)):
         truth = ds.true_partition()
         doc = {}
         for init in cfg.initializers:
-            pop = _load_population(out, entry.name, init)
-            values = [ari(pi, truth) for pi in pop.partitions]
+            values = [ari(pi, truth) for pi in pops[init][i].partitions]
             doc[init] = five_number_summary(values)
         _write_if_missing(out / "admissibility" / "boxplots" / f"{entry.name}.json",
                           lambda d=doc: _json_text(d))
@@ -316,24 +315,11 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
     return 0
 
 
-def _optimize_cell(out_str: str, entry_doc: dict, pair, runs: int,
-                   cfg_doc: dict) -> None:
+def _optimize_cell(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
+                   pair) -> None:
     """Worker: all seeded runs for one (dataset, pair) cell. Reads the
     materialized CSV and population file; writes one JSON per run."""
-    out = Path(out_str)
-    cfg = CampaignConfig(
-        datasets=[], initializers=list(ALGORITHMS),
-        runs=runs, seed=cfg_doc["seed"],
-        optimize_initializer=cfg_doc["optimize_initializer"],
-        emoc=cfg_doc["emoc"], criteria_params=cfg_doc["criteria_params"])
-    entry = DatasetEntry(name=entry_doc["name"], group=entry_doc["group"],
-                         csv=entry_doc["csv"],
-                         label_column=entry_doc["label_column"])
-    if entry.csv is None:
-        entry.csv = str(dataset_csv_path(out, entry))
-        entry.label_column = "label"
-    ds = load_dataset(entry.csv, label_column=entry.label_column,
-                      name=entry.name)
+    ds = resolve_dataset(out, entry)
     truth = ds.true_partition()
     pop = _load_population(out, entry.name, cfg.optimize_initializer)
     specs = tuple(cfg.spec_for(c) for c in pair)
@@ -341,7 +327,7 @@ def _optimize_cell(out_str: str, entry_doc: dict, pair, runs: int,
         truth_vec = evaluate_vector(ds, truth, specs)
     except CriterionError:
         truth_vec = None
-    for run_idx in range(runs):
+    for run_idx in range(cfg.runs):
         path = run_path(out, entry.name, pair, run_idx)
         if path.exists():
             continue
@@ -376,14 +362,8 @@ def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
         resolve_dataset(out, entry)  # materialize; also validates CSVs
         _load_population(out, entry.name, cfg.optimize_initializer)
 
-    cfg_doc = {"seed": cfg.seed, "optimize_initializer": cfg.optimize_initializer,
-               "emoc": cfg.emoc, "criteria_params": cfg.criteria_params}
-    cells = []
-    for entry in cfg.datasets:
-        entry_doc = {"name": entry.name, "group": entry.group,
-                     "csv": entry.csv, "label_column": entry.label_column}
-        for pair in cfg.pairs:
-            cells.append((str(out), entry_doc, pair, cfg.runs, cfg_doc))
+    cells = [(out, cfg, entry, pair)
+             for entry in cfg.datasets for pair in cfg.pairs]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -395,7 +375,9 @@ def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
             _optimize_cell(*cell)
 
     summaries = []
+    boxplots = []  # per dataset: best ARI of every run, per pair
     for entry in cfg.datasets:
+        box = {}
         for pair in cfg.pairs:
             runs = []
             flags = []
@@ -406,17 +388,14 @@ def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
             summaries.append(RunSummary(dataset=entry.name, group=entry.group,
                                         pair=pair_label(pair), run_aris=runs,
                                         truth_dominated_runs=flags))
+            box[pair_label(pair)] = five_number_summary(runs)
+        boxplots.append((entry.name, box))
     for fmt in cfg.formats:
         for name, text in evaluation.render_tables([], summaries, fmt).items():
             _write_if_missing(out / "optimize" / name, lambda t=text: t)
-    for entry in cfg.datasets:
-        doc = {}
-        for pair in cfg.pairs:
-            values = [json.loads(run_path(out, entry.name, pair, i).read_text())["best_ari"]
-                      for i in range(cfg.runs)]
-            doc[pair_label(pair)] = five_number_summary(values)
-        _write_if_missing(out / "optimize" / "boxplots" / f"{entry.name}.json",
-                          lambda d=doc: _json_text(d))
+    for name, box in boxplots:
+        _write_if_missing(out / "optimize" / "boxplots" / f"{name}.json",
+                          lambda d=box: _json_text(d))
     _write_manifest(out, "optimize", cfg)
     print(f"optimize: {len(cells)} cells x {cfg.runs} runs under {out / 'optimize'}")
     return 0

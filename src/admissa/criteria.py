@@ -23,14 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Partition, centroids
+from .data import Dataset, Partition, UnionFind, centroids
 
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
-
-# Shared strictness tolerance for every "strictly better" comparison.
-REL_TOL = 1e-9
-ABS_FLOOR = 1e-12
 
 
 class CriterionError(ValueError):
@@ -51,26 +47,6 @@ class DegenerateError(CriterionError):
 
 class ZeroVectorError(CriterionError):
     """Cosine similarity is undefined for a zero vector."""
-
-
-def strict_margin(a: float, b: float) -> float:
-    return max(REL_TOL * max(abs(a), abs(b)), ABS_FLOOR)
-
-
-def strictly_better(a: float, b: float, direction: str) -> bool:
-    """Is value a strictly better than b in the given direction, beyond
-    the shared tolerance?"""
-    tol = strict_margin(a, b)
-    if direction == MINIMIZE:
-        return a < b - tol
-    return a > b + tol
-
-
-def no_worse(a: float, b: float, direction: str) -> bool:
-    tol = strict_margin(a, b)
-    if direction == MINIMIZE:
-        return a <= b + tol
-    return a >= b - tol
 
 
 # --------------------------------------------------------------------------
@@ -109,9 +85,6 @@ class ObjectiveSpec:
             raise ValueError("fuzzy exponent m must be >= 1")
         if self.con_penalty not in ("paper", "rank"):
             raise ValueError("con_penalty must be 'paper' or 'rank'")
-
-    def label(self) -> str:
-        return self.id
 
 
 def objective(crit_id: str, **params) -> ObjectiveSpec:
@@ -264,21 +237,10 @@ def eval_dcd(ds: Dataset, pi: Partition, k_size: int = 10) -> float:
     edges, weights = ksize_graph(ds, k_size)
     labels = pi.assignment
     same = labels[edges[:, 0]] == labels[edges[:, 1]]
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    uf = UnionFind(ds.n)
     total = 0.0
     for (a, b), w in zip(edges[same].tolist(), weights[same].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        if uf.union(a, b):
             total += w
     return total / pi.k
 

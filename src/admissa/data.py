@@ -182,22 +182,6 @@ class Dataset:
                        name=self.name, label_names=self.label_names)
 
 
-def pairwise_distances(ds: Dataset) -> np.ndarray:
-    return ds.distances
-
-
-def knn_index(dm: np.ndarray) -> np.ndarray:
-    """Neighbor lists from a raw distance matrix (see Dataset.neighbor_index)."""
-    n = dm.shape[0]
-    idx = np.arange(n)
-    order = np.lexsort((np.tile(idx, (n, 1)), dm), axis=1)
-    out = np.empty((n, n - 1), dtype=np.int64)
-    for a in range(n):
-        row = order[a]
-        out[a] = row[row != a]
-    return out
-
-
 def centroids(ds: Dataset, pi: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster mean vectors plus the overall dataset centroid."""
     if pi.n != ds.n:
@@ -208,7 +192,9 @@ def centroids(ds: Dataset, pi: Partition) -> tuple[np.ndarray, np.ndarray]:
     return cents, ds.points.mean(axis=0)
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets over 0..n-1; the smaller index is always the root."""
+
     __slots__ = ("parent",)
 
     def __init__(self, n: int):
@@ -232,6 +218,12 @@ class _UnionFind:
         self.parent[rb] = ra
         return True
 
+    def roots(self) -> np.ndarray:
+        """The root of every node, as an array."""
+        n = len(self.parent)
+        return np.fromiter((self.find(i) for i in range(n)), dtype=np.int64,
+                           count=n)
+
 
 def minimum_spanning_tree(dm: np.ndarray) -> np.ndarray:
     """Kruskal over the dense matrix; ties prefer the lexicographically
@@ -242,7 +234,7 @@ def minimum_spanning_tree(dm: np.ndarray) -> np.ndarray:
     ii, jj = np.triu_indices(n, k=1)
     ww = dm[ii, jj]
     order = np.lexsort((jj, ii, ww))
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     edges = []
     for e in order:
         a, b = int(ii[e]), int(jj[e])

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissibility import dominates
-from .criteria import (ABS_FLOOR, REL_TOL, CriterionError, ObjectiveSpec,
-                       ObjectiveVector, evaluate_vector)
-from .data import Dataset, Partition, canonical_labels, _UnionFind
+from .admissibility import dominance, dominates
+from .criteria import (CriterionError, ObjectiveSpec, ObjectiveVector,
+                       evaluate_vector)
+from .data import Dataset, Partition, UnionFind, canonical_labels
 from .initializers import InitPopulation, interesting_mst_edges
 from .seeding import rng_for
 
@@ -37,7 +37,6 @@ class EmocConfig:
     L: int = 10
     delta_percent: float | None = None  # default locus count: ceil(5*sqrt(n))
     track_history: bool = False
-    debug_invariants: bool = False
 
     def __post_init__(self):
         self.objectives = tuple(self.objectives)
@@ -50,6 +49,13 @@ class EmocConfig:
         for p in (self.crossover_prob, self.mutation_prob):
             if p is not None and not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
+
+    def mutation_rate(self, n_loci: int) -> float:
+        """Per-locus mutation probability: ``mutation_prob``, or
+        1/|relevant loci| when unset."""
+        if self.mutation_prob is None:
+            return 1.0 / max(1, n_loci)
+        return self.mutation_prob
 
 
 @dataclass(eq=False)
@@ -65,9 +71,6 @@ class DeltaScheme:
     domains: list[np.ndarray]  # per relevant locus: {i, parent, NN_L(i)}
     base_labels: np.ndarray  # components of the fixed-edge subgraph
     n_base: int
-
-    def locus_pos(self, point: int) -> int:
-        return int(np.searchsorted(self.relevant_loci, point))
 
 
 def _root_mst(ds: Dataset) -> np.ndarray:
@@ -121,11 +124,10 @@ def delta_relevant_loci(ds: Dataset, delta_percent: float | None = None,
         dom.extend(int(v) for v in ds.neighbor_index[i, :L_eff])
         domains.append(np.array(list(dict.fromkeys(dom)), dtype=np.int64))
 
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     for a, b in fixed:
         uf.union(a, b)
-    base = canonical_labels(np.fromiter((uf.find(i) for i in range(n)),
-                                        dtype=np.int64))
+    base = canonical_labels(uf.roots())
     return DeltaScheme(n=n, relevant_loci=np.array(relevant, dtype=np.int64),
                        fixed_edges=fixed, parent=parent, domains=domains,
                        base_labels=base, n_base=int(base.max()) + 1)
@@ -139,27 +141,17 @@ class Genotype:
     def copy(self) -> "Genotype":
         return Genotype(self.scheme, self.genes.copy())
 
-    @property
-    def relevant_loci(self) -> np.ndarray:
-        return self.scheme.relevant_loci
-
-    @property
-    def fixed_edges(self) -> list[tuple[int, int]]:
-        return self.scheme.fixed_edges
-
 
 def decode(g: Genotype, ds: Dataset) -> Partition:
     """Connected components of fixed links plus the non-self gene links."""
     if ds.n != g.scheme.n:
         raise ValueError("genotype and dataset sizes differ")
     sch = g.scheme
-    uf = _UnionFind(sch.n_base)
+    uf = UnionFind(sch.n_base)
     for locus, gene in zip(sch.relevant_loci.tolist(), g.genes.tolist()):
         if gene != locus:
             uf.union(int(sch.base_labels[locus]), int(sch.base_labels[gene]))
-    comp = np.fromiter((uf.find(int(c)) for c in sch.base_labels),
-                       dtype=np.int64, count=sch.n)
-    return Partition(canonical_labels(comp))
+    return Partition(canonical_labels(uf.roots()[sch.base_labels]))
 
 
 def encode(pi: Partition, scheme: DeltaScheme) -> Genotype:
@@ -185,18 +177,14 @@ def variation(parent1: Genotype, parent2: Genotype, config: EmocConfig,
     swap = rng.random(n_loci) < config.crossover_prob
     child1 = np.where(swap, parent2.genes, parent1.genes)
     child2 = np.where(swap, parent1.genes, parent2.genes)
-    mut_prob = config.mutation_prob
-    if mut_prob is None:
-        mut_prob = 1.0 / max(1, n_loci)
-    for genes in (child1, child2):
-        hits = np.flatnonzero(rng.random(n_loci) < mut_prob)
-        for pos in hits:
-            dom = sch.domains[pos]
-            genes[pos] = dom[rng.integers(len(dom))]
-    return Genotype(sch, child1), Genotype(sch, child2)
+    prob = config.mutation_rate(n_loci)
+    return (mutate(Genotype(sch, child1), prob, rng),
+            mutate(Genotype(sch, child2), prob, rng))
 
 
 def mutate(g: Genotype, prob: float, rng: np.random.Generator) -> Genotype:
+    """Uniform domain-reset mutation: each locus, with probability
+    ``prob``, takes a random value from its gene domain."""
     genes = g.genes.copy()
     hits = np.flatnonzero(rng.random(len(genes)) < prob)
     for pos in hits:
@@ -209,27 +197,24 @@ def mutate(g: Genotype, prob: float, rng: np.random.Generator) -> Genotype:
 # Non-dominated sorting machinery
 
 
-def domination_matrix(values: np.ndarray) -> np.ndarray:
-    """dom[i, j] is True when row i dominates row j (rows already
-    normalized to minimization), with the shared tolerance."""
-    a = values[:, None, :]
-    b = values[None, :, :]
-    tol = np.maximum(REL_TOL * np.maximum(np.abs(a), np.abs(b)), ABS_FLOOR)
-    no_worse = a <= b + tol
-    better = a < b - tol
-    return no_worse.all(axis=2) & better.any(axis=2)
-
-
 def fast_nondominated_sort(values: np.ndarray) -> list[np.ndarray]:
-    """Fronts (arrays of row indices) from best to worst."""
-    dom = domination_matrix(values)
+    """Fronts (arrays of row indices) from best to worst; rows are
+    objective vectors in minimization form.
+
+    Tolerant dominance is not transitive, so with three or more objectives
+    the remaining rows can all dominate each other in a cycle. The next
+    front then holds the remaining rows with the fewest remaining
+    dominators. Two objectives cannot form a cycle: counted in tolerance
+    steps, a dominated row is more than one step worse on one objective
+    and at most one step better on the other, so the sum of both strictly
+    grows along every domination."""
+    dom = dominance(values[:, None, :], values[None, :, :])
     dominated_by = dom.sum(axis=0)
     fronts = []
     remaining = np.ones(len(values), dtype=bool)
     while remaining.any():
-        front = np.flatnonzero(remaining & (dominated_by == 0))
-        if front.size == 0:  # tolerance produced a cycle; take the rest
-            front = np.flatnonzero(remaining)
+        fewest = dominated_by[remaining].min()
+        front = np.flatnonzero(remaining & (dominated_by == fewest))
         fronts.append(front)
         remaining[front] = False
         dominated_by = dominated_by - dom[front].sum(axis=0)
@@ -350,9 +335,7 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
     specs = config.objectives
 
     genotypes = [encode(pi, scheme) for pi in init.partitions]
-    mut_prob = config.mutation_prob
-    if mut_prob is None:
-        mut_prob = 1.0 / max(1, len(scheme.relevant_loci))
+    mut_prob = config.mutation_rate(len(scheme.relevant_loci))
     i = 0
     while len(genotypes) < config.population_size:
         genotypes.append(mutate(genotypes[i % len(init.partitions)], mut_prob, rng))
@@ -368,7 +351,7 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
     history: list[dict] = []
 
     def record():
-        if not (config.track_history or config.debug_invariants):
+        if not config.track_history:
             return
         feas = [ind for ind in pop if ind.vector is not None]
         values = np.array([ind.vector.minimized() for ind in feas])
@@ -377,12 +360,6 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
                  "front_size": len(front_values),
                  "front_values": front_values}
         history.append(entry)
-        if config.debug_invariants:
-            front = [ind for ind in feas if ind.rank == 0]
-            for x in range(len(front)):
-                for y in range(len(front)):
-                    if x != y and dominates(front[x].vector, front[y].vector):
-                        raise AssertionError("front members must be mutually non-dominated")
 
     record()
     for _gen in range(config.generations):
@@ -401,8 +378,7 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
 
     members = _front_members(pop)
     return ParetoFront(members=members,
-                       history=history if (config.track_history or
-                                           config.debug_invariants) else None)
+                       history=history if config.track_history else None)
 
 
 def truth_dominated(front: ParetoFront, truth_vector: ObjectiveVector) -> bool:

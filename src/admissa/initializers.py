@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Partition, canonical_labels, _UnionFind
+from .data import Dataset, Partition, canonical_labels, UnionFind
 from .seeding import derive_seed, rng_for
 
 SNN_GRID = {
@@ -177,7 +177,7 @@ def snn_cluster(ds: Dataset, knn_k: int, eps: float, min_pts: int) -> Partition:
     density = strong.sum(axis=1)
     core = density >= min_pts
 
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     ca, cb = np.nonzero(strong & core[:, None] & core[None, :])
     for a, b in zip(ca.tolist(), cb.tolist()):
         if a < b:
@@ -232,21 +232,16 @@ def _mst_partition_sweep(ds: Dataset, wanted: set[int]) -> dict[int, Partition]:
     most interesting and snapshot whenever the component count hits a
     wanted k."""
     ranked = interesting_mst_edges(ds)
-    uf = _UnionFind(ds.n)
+    uf = UnionFind(ds.n)
     count = ds.n
     out: dict[int, Partition] = {}
-
-    def snapshot() -> Partition:
-        labels = np.fromiter((uf.find(i) for i in range(ds.n)), dtype=np.int64)
-        return Partition(canonical_labels(labels))
-
     if count in wanted:
-        out[count] = snapshot()
+        out[count] = Partition(canonical_labels(uf.roots()))
     for a, b in reversed(ranked):
         if uf.union(a, b):
             count -= 1
             if count in wanted:
-                out[count] = snapshot()
+                out[count] = Partition(canonical_labels(uf.roots()))
     return out
 
 

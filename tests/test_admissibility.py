@@ -7,9 +7,32 @@ from admissa import (ADMISSIBLE, INADMISSIBLE, OPTIMAL_IN_INIT, Partition,
                      build_admissibility_table, classify_objective, dominates,
                      gen_blobs, generate_population, objective, objectives)
 from admissa.criteria import MAXIMIZE, MINIMIZE, ObjectiveVector
-from admissa.admissibility import classify_cell
+from admissa.admissibility import ABS_FLOOR, REL_TOL, classify_cell, dominance
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+# near zero ABS_FLOOR sets the tolerance, elsewhere REL_TOL does
+centers = st.one_of(st.just(0.0), st.floats(-1e-11, 1e-11), finite)
+
+
+def near(center):
+    """Values within two tolerances of ``center``."""
+    tol = max(REL_TOL * abs(center), ABS_FLOOR)
+    return st.floats(-2.0, 2.0).map(lambda k: center + k * tol)
+
+
+@st.composite
+def close_values(draw):
+    """Rows of 1-3 objective values, each near a shared center or
+    anywhere in range."""
+    cs = [draw(centers) for _ in range(draw(st.integers(1, 3)))]
+    m = draw(st.integers(1, 6))
+    return [[draw(st.one_of(near(c), finite)) for c in cs] for _ in range(m)]
+
+
+def strictly_better(a, b, direction):
+    """Reference scalar rule: a beats b beyond the shared tolerance."""
+    tol = max(REL_TOL * max(abs(a), abs(b)), ABS_FLOOR)
+    return a < b - tol if direction == MINIMIZE else a > b + tol
 
 
 def vec(values, specs=None):
@@ -47,6 +70,31 @@ class TestDominates:
             assert not (dominates(u, v) and dominates(v, u))
             if dominates(u, v) and dominates(v, w):
                 assert dominates(u, w)
+
+
+class TestDominanceKernel:
+    @given(close_values())
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_form_equals_pairwise_dominates(self, rows):
+        specs = objectives("var", "sep_cl", "con")[:len(rows[0])]  # min, max, min
+        vecs = [vec(r, specs) for r in rows]
+        mins = np.array([v.minimized() for v in vecs])
+        dom = dominance(mins[:, None, :], mins[None, :, :])
+        assert dom.shape == (len(rows), len(rows))
+        for i, u in enumerate(vecs):
+            for j, v in enumerate(vecs):
+                assert dom[i, j] == dominates(u, v)
+
+    @given(centers.flatmap(lambda c: st.tuples(
+        st.one_of(near(c), finite), st.one_of(near(c), finite))))
+    @settings(max_examples=300, deadline=None)
+    def test_single_objective_form_agrees_with_classifier(self, pair):
+        a, b = pair
+        for direction, sign in ((MINIMIZE, 1.0), (MAXIMIZE, -1.0)):
+            better = bool(dominance([sign * a], [sign * b]))
+            assert better == strictly_better(a, b, direction)
+            verdict, _, _ = classify_objective([a], b, direction, False)
+            assert (verdict == INADMISSIBLE) == better
 
 
 class TestClassifyObjective:

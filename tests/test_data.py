@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admissa import (DataError, Dataset, Partition, canonical_labels,
-                     centroids, knn_index, load_dataset, minimum_spanning_tree,
-                     pairwise_distances, write_dataset_csv)
+                     centroids, load_dataset, minimum_spanning_tree,
+                     write_dataset_csv)
 from oracles import oracle_mst_weight
 
 
@@ -74,7 +74,7 @@ class TestPartition:
 
 class TestDistances:
     def test_fix4_values(self, fix4):
-        dm = pairwise_distances(fix4)
+        dm = fix4.distances
         assert dm[0, 0] == 0.0
         assert dm[0, 1] == 1.0
         assert dm[0, 3] == pytest.approx(np.sqrt(101), rel=1e-12)
@@ -109,7 +109,7 @@ class TestKnnIndex:
     def test_permutation_and_sorted(self):
         rng = np.random.default_rng(1)
         ds = Dataset(rng.normal(size=(15, 2)))
-        nn = knn_index(ds.distances)
+        nn = ds.neighbor_index
         for a in range(15):
             assert sorted(nn[a].tolist()) == [i for i in range(15) if i != a]
             dists = ds.distances[a, nn[a]]

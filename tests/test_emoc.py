@@ -5,6 +5,7 @@ from admissa import (Dataset, EmocConfig, Partition, ari, best_ari, decode,
                      delta_relevant_loci, encode, evolve, gen_blobs,
                      gen_elongated, generate_population, objectives,
                      truth_dominated, variation)
+from admissa.admissibility import dominance
 from admissa.criteria import ObjectiveVector, evaluate_vector
 from admissa.emoc import (EmocError, Genotype, crowding_distance,
                           fast_nondominated_sort, mutate)
@@ -134,6 +135,18 @@ class TestSortingMachinery:
         assert sorted(fronts[0].tolist()) == [0, 1, 2]
         assert fronts[1].tolist() == [3]
 
+    def test_tolerance_cycle_keeps_dominated_row_out(self):
+        t = 1e-12  # ABS_FLOOR sets the tolerance this close to zero
+        values = np.array([[0.0, .8 * t, 1.5 * t],
+                           [1.5 * t, 0.0, .8 * t],
+                           [.8 * t, 1.5 * t, 0.0],
+                           [1.0, 1.0, 1.0]])
+        dom = dominance(values[:, None, :], values[None, :, :])
+        assert dom[0, 1] and dom[1, 2] and dom[2, 0]  # a dominance cycle
+        assert dom[:3, 3].all()
+        fronts = fast_nondominated_sort(values)
+        assert [f.tolist() for f in fronts] == [[0, 1, 2], [3]]
+
     def test_crowding_extremes_infinite(self):
         values = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
         dist = crowding_distance(values)
@@ -168,9 +181,17 @@ class TestEvolve:
     def test_front_mutually_nondominated_each_generation(self):
         ds = gen_blobs(3, 15, 8.0, seed=6)
         pop = generate_population(ds, "mst", master_seed=0)
-        cfg = small_config(generations=6, debug_invariants=True)
-        front = evolve(ds, cfg, pop)  # raises AssertionError on violation
+        cfg = small_config(generations=6, track_history=True)
+        front = evolve(ds, cfg, pop)
         assert len(front) >= 1
+        assert len(front.history) == cfg.generations + 1
+        for entry in front.history:
+            members = [ObjectiveVector(specs=cfg.objectives, values=tuple(v))
+                       for v in entry["front_values"]]
+            assert members
+            for u in members:
+                for v in members:
+                    assert not _dominates(u, v)
 
     def test_elitism_best_never_worsens(self):
         ds = gen_blobs(3, 15, 8.0, seed=7)
