@@ -2,9 +2,11 @@
 the admissibility analysis and the objective-pair optimization, and render
 reports.
 
-All commands are idempotent: existing output files are left untouched, so
-interrupted campaigns can be resumed and reruns with the same config and
-seed are byte-identical.
+All commands are idempotent: population and run files that already exist
+are left untouched, so interrupted campaigns can be resumed, and the
+derived documents (dataset manifest, tables, summaries, box-plot data) are
+rebuilt from the current config and rewritten only when their bytes
+change, so reruns with the same config and seed are byte-identical.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal
 invariant violation.
@@ -17,7 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import evaluation
@@ -26,7 +28,7 @@ from .criteria import ALL_IDS, CriterionError, evaluate_vector, objective
 from .data import DataError, Dataset, load_dataset, write_dataset_csv
 from .datagen import GeneratorSpec
 from .emoc import EmocConfig, EmocError, evolve, truth_dominated
-from .evaluation import RunSummary, ari, best_ari, five_number_summary
+from .evaluation import RunSummary, ari, five_number_summary
 from .initializers import ALGORITHMS, InitPopulation, generate_population
 from .seeding import derive_seed
 
@@ -100,6 +102,13 @@ class CampaignConfig:
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown format {fmt!r}")
+        try:
+            for crit in self.objectives:
+                self.spec_for(crit)
+            for pair in self.pairs:
+                self.emoc_config(pair, self.seed)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad criteria_params or emoc ({err})") from None
 
     def spec_for(self, crit_id: str):
         return objective(crit_id, **self.criteria_params)
@@ -111,27 +120,7 @@ class CampaignConfig:
         return EmocConfig(objectives=specs, seed=seed, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "datasets": [
-                {
-                    "name": e.name,
-                    "group": e.group,
-                    "generator": e.generator.to_dict() if e.generator else None,
-                    "csv": e.csv,
-                    "label_column": e.label_column,
-                }
-                for e in self.datasets
-            ],
-            "initializers": self.initializers,
-            "objectives": self.objectives,
-            "pairs": self.pairs,
-            "runs": self.runs,
-            "seed": self.seed,
-            "optimize_initializer": self.optimize_initializer,
-            "emoc": self.emoc,
-            "criteria_params": self.criteria_params,
-            "formats": self.formats,
-        }
+        return asdict(self)
 
 
 def load_config(path: str, seed_override: int | None = None) -> CampaignConfig:
@@ -179,15 +168,6 @@ def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     tmp.write_text(text)
     os.replace(tmp, path)
-
-
-def _write_if_missing(path: Path, make_text) -> bool:
-    """Write ``make_text()`` unless the file already exists. Returns True
-    when something was written."""
-    if path.exists():
-        return False
-    _atomic_write(path, make_text())
-    return True
 
 
 def _write_if_changed(path: Path, text: str):
@@ -255,8 +235,7 @@ def cmd_gen(cfg: CampaignConfig, out: Path) -> int:
             "source": "csv" if entry.csv else "generated",
             "generator": entry.generator.to_dict() if entry.generator else None,
         })
-    _write_if_missing(out / "datasets" / "manifest.json",
-                      lambda: _json_text(manifest))
+    _write_if_changed(out / "datasets" / "manifest.json", _json_text(manifest))
     _write_manifest(out, "gen", cfg)
     print(f"gen: {len(manifest)} datasets ready under {out / 'datasets'}")
     return 0
@@ -299,7 +278,7 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
               for init in cfg.initializers]
     for fmt in cfg.formats:
         for name, text in evaluation.render_tables(tables, [], fmt).items():
-            _write_if_missing(out / "admissibility" / name, lambda t=text: t)
+            _write_if_changed(out / "admissibility" / name, text)
     # box-plot data: ARI of base partitions vs truth, per initializer
     for i, (entry, ds) in enumerate(zip(cfg.datasets, datasets)):
         truth = ds.true_partition()
@@ -307,8 +286,8 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
         for init in cfg.initializers:
             values = [ari(pi, truth) for pi in pops[init][i].partitions]
             doc[init] = five_number_summary(values)
-        _write_if_missing(out / "admissibility" / "boxplots" / f"{entry.name}.json",
-                          lambda d=doc: _json_text(d))
+        _write_if_changed(out / "admissibility" / "boxplots" / f"{entry.name}.json",
+                          _json_text(doc))
     _write_manifest(out, "admissibility", cfg)
     print(f"admissibility: {len(tables)} initializer tables under "
           f"{out / 'admissibility'}")
@@ -392,10 +371,10 @@ def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
         boxplots.append((entry.name, box))
     for fmt in cfg.formats:
         for name, text in evaluation.render_tables([], summaries, fmt).items():
-            _write_if_missing(out / "optimize" / name, lambda t=text: t)
+            _write_if_changed(out / "optimize" / name, text)
     for name, box in boxplots:
-        _write_if_missing(out / "optimize" / "boxplots" / f"{name}.json",
-                          lambda d=box: _json_text(d))
+        _write_if_changed(out / "optimize" / "boxplots" / f"{name}.json",
+                          _json_text(box))
     _write_manifest(out, "optimize", cfg)
     print(f"optimize: {len(cells)} cells x {cfg.runs} runs under {out / 'optimize'}")
     return 0

@@ -12,7 +12,7 @@ Conventions baked in here (see README for the reasoning):
     exists if either endpoint lists the other),
   - graph separation is the per-cluster mean cross-edge weight averaged
     over clusters,
-  - memberships are hard everywhere (the fuzzy exponent is inert),
+  - memberships are hard everywhere, so ``xb`` takes no fuzzy exponent,
   - modularity sums ordered pairs consistently in all three ratios and is
     maximized.
 """
@@ -71,7 +71,6 @@ class ObjectiveSpec:
     direction: str
     L: int = 10
     k_size: int = 10
-    m: float = 2.0
     con_penalty: str = "paper"
 
     def __post_init__(self):
@@ -81,8 +80,6 @@ class ObjectiveSpec:
             raise ValueError(f"{self.id} must be {DIRECTIONS[self.id]}d")
         if self.L < 1 or self.k_size < 1:
             raise ValueError("L and k_size must be positive")
-        if self.m < 1:
-            raise ValueError("fuzzy exponent m must be >= 1")
         if self.con_penalty not in ("paper", "rank"):
             raise ValueError("con_penalty must be 'paper' or 'rank'")
 
@@ -405,7 +402,7 @@ def eval_pbm(ds: Dataset, pi: Partition) -> float:
     return (e0 / ek) * dk / pi.k
 
 
-def eval_xb(ds: Dataset, pi: Partition, m: float = 2.0) -> float:
+def eval_xb(ds: Dataset, pi: Partition) -> float:
     """Xie-Beni-style ratio with hard memberships and non-squared
     distances; minimized."""
     _require_k_at_least_2(pi, "xb")
@@ -416,7 +413,6 @@ def eval_xb(ds: Dataset, pi: Partition, m: float = 2.0) -> float:
     min_sep = float(sep[iu].min())
     if min_sep == 0.0:
         raise DegenerateError("xb: coincident centroids", "xb")
-    # memberships are hard, so mu**m == mu for any m >= 1
     return float(dists.sum()) / (ds.n * min_sep)
 
 
@@ -440,7 +436,7 @@ _EVALUATORS = {
     "mod": lambda ds, pi, s: eval_mod(ds, pi),
     "sil": lambda ds, pi, s: eval_sil(ds, pi),
     "pbm": lambda ds, pi, s: eval_pbm(ds, pi),
-    "xb": lambda ds, pi, s: eval_xb(ds, pi, m=s.m),
+    "xb": lambda ds, pi, s: eval_xb(ds, pi),
 }
 
 

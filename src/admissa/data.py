@@ -150,13 +150,9 @@ class Dataset:
     def neighbor_index(self) -> np.ndarray:
         """(n, n-1) index array: row a lists the other points by ascending
         distance from a, ties broken by ascending point index."""
-        n = self.n
-        idx = np.arange(n)
-        order = np.lexsort((np.tile(idx, (n, 1)), self.distances), axis=1)
-        out = np.empty((n, n - 1), dtype=np.int64)
-        for a in range(n):
-            row = order[a]
-            out[a] = row[row != a]
+        dm = self.distances.copy()
+        np.fill_diagonal(dm, -1.0)  # self sorts first even among duplicates
+        out = np.argsort(dm, axis=1, kind="stable")[:, 1:]
         out.setflags(write=False)
         return out
 
@@ -164,10 +160,8 @@ class Dataset:
     def neighbor_rank(self) -> np.ndarray:
         """(n, n) matrix: rank[a, b] = 1-based position of b in a's neighbor
         list (0 on the diagonal)."""
-        n = self.n
-        rank = np.zeros((n, n), dtype=np.int64)
-        rows = np.repeat(np.arange(n), n - 1)
-        rank[rows, self.neighbor_index.ravel()] = np.tile(np.arange(1, n), n)
+        rank = np.zeros((self.n, self.n), dtype=np.int64)
+        np.put_along_axis(rank, self.neighbor_index, np.arange(1, self.n), axis=1)
         rank.setflags(write=False)
         return rank
 

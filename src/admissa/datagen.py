@@ -8,7 +8,7 @@ benchmark point sets can be fed to the same pipeline as CSV files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -235,8 +235,7 @@ class GeneratorSpec:
                          n=p.get("n"), name=self.name)
 
     def to_dict(self) -> dict:
-        return {"archetype": self.archetype, "seed": self.seed,
-                "params": dict(self.params), "name": self.name}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorSpec":

@@ -105,15 +105,15 @@ def _linkage_snapshots(ds: Dataset, mode: str, wanted: set[int]) -> dict[int, Pa
     """Merge from singletons down to min(wanted); snapshot each wanted k.
 
     Cluster slots keep the smallest member index, so the tie rule "smallest
-    involved indices" is the row-major argmin over the active matrix.
+    involved indices" is the row-major argmin over the active matrix. The
+    matrix stays symmetric, and the first row-major minimum of a symmetric
+    matrix is the same (a < b) pair as the first one in its upper triangle.
     """
     if mode not in ("single", "average"):
         raise ValueError(f"linkage mode must be 'single' or 'average', got {mode!r}")
     n = ds.n
     M = ds.distances.copy()
     np.fill_diagonal(M, np.inf)
-    M[np.tril_indices(n)] = np.inf
-    alive = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=np.int64)
     labels = np.arange(n)
     out: dict[int, Partition] = {}
@@ -121,24 +121,18 @@ def _linkage_snapshots(ds: Dataset, mode: str, wanted: set[int]) -> dict[int, Pa
     if k in wanted:
         out[k] = Partition(canonical_labels(labels))
     while k > max(1, min(wanted, default=1)):
-        flat = int(M.argmin())
-        a, b = divmod(flat, n)  # a < b, smallest tied pair in row-major order
+        a, b = divmod(int(M.argmin()), n)
         # merge b into a
-        mask = alive.copy()
-        mask[[a, b]] = False
-        cols = np.flatnonzero(mask)
-        da = np.where(cols > a, M[a, cols], M[cols, a])
-        db_ = np.where(cols > b, M[b, cols], M[cols, b])
         if mode == "single":
-            merged = np.minimum(da, db_)
+            merged = np.minimum(M[a], M[b])
         else:
-            merged = (sizes[a] * da + sizes[b] * db_) / (sizes[a] + sizes[b])
-        M[a, cols[cols > a]] = merged[cols > a]
-        M[cols[cols < a], a] = merged[cols < a]
+            merged = (sizes[a] * M[a] + sizes[b] * M[b]) / (sizes[a] + sizes[b])
+        M[a, :] = merged
+        M[:, a] = merged
+        M[a, a] = np.inf
         M[b, :] = np.inf
         M[:, b] = np.inf
         sizes[a] += sizes[b]
-        alive[b] = False
         labels[labels == labels[b]] = labels[a]
         k -= 1
         if k in wanted:
@@ -183,27 +177,13 @@ def snn_cluster(ds: Dataset, knn_k: int, eps: float, min_pts: int) -> Partition:
         if a < b:
             uf.union(a, b)
 
-    labels = np.full(n, -1, dtype=np.int64)
-    next_label = 0
-    roots: dict[int, int] = {}
-    for p in range(n):
-        if core[p]:
-            r = uf.find(p)
-            if r not in roots:
-                roots[r] = next_label
-                next_label += 1
-            labels[p] = roots[r]
-    for p in range(n):
-        if labels[p] >= 0:
-            continue
+    labels = np.where(core, uf.roots(), -1)
+    for p in np.flatnonzero(~core):
         candidates = np.flatnonzero(strong[p] & core)
         if candidates.size:
-            nearest = candidates[np.argmin(ds.distances[p, candidates])]
-            labels[p] = labels[nearest]
-    for p in range(n):
-        if labels[p] < 0:  # noise: its own singleton cluster
-            labels[p] = next_label
-            next_label += 1
+            labels[p] = labels[candidates[np.argmin(ds.distances[p, candidates])]]
+    noise = np.flatnonzero(labels < 0)  # each its own singleton cluster
+    labels[noise] = n + np.arange(noise.size)
     return Partition(canonical_labels(labels))
 
 
@@ -222,9 +202,8 @@ def interesting_mst_edges(ds: Dataset) -> list[tuple[int, int]]:
     rank = ds.neighbor_rank
     di = np.minimum(rank[edges[:, 0], edges[:, 1]], rank[edges[:, 1], edges[:, 0]])
     w = ds.distances[edges[:, 0], edges[:, 1]]
-    order = sorted(range(len(edges)),
-                   key=lambda e: (-di[e], -w[e], int(edges[e, 0]), int(edges[e, 1])))
-    return [(int(edges[e, 0]), int(edges[e, 1])) for e in order]
+    order = np.lexsort((edges[:, 1], edges[:, 0], -w, -di))
+    return [tuple(e) for e in edges[order].tolist()]
 
 
 def _mst_partition_sweep(ds: Dataset, wanted: set[int]) -> dict[int, Partition]:

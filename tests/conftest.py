@@ -32,3 +32,16 @@ def random_instance(rng, n_max=20, k_max=5):
     labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
     rng.shuffle(labels)
     return Dataset(pts, name="rand"), Partition(labels)
+
+
+def tie_grids(seed, draws=20):
+    """Tie-heavy point sets: draws from {0..3}^2 (duplicate points
+    included) and randomly permuted g x g unit grids."""
+    rng = np.random.default_rng(seed)
+    sets = [rng.integers(0, 4, size=(int(rng.integers(2, 17)), 2)).astype(float)
+            for _ in range(draws)]
+    for g in (2, 3, 4):
+        gx, gy = np.meshgrid(np.arange(g), np.arange(g))
+        grid = np.c_[gx.ravel(), gy.ravel()].astype(float)
+        sets += [grid[rng.permutation(g * g)] for _ in range(draws // 4)]
+    return sets

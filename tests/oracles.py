@@ -1,4 +1,5 @@
-"""Independent brute-force oracles for every criterion, ARI and the MST.
+"""Independent brute-force oracles for every criterion, ARI, the MST and
+single linkage.
 
 Everything here is written with plain Python loops over raw point arrays,
 deliberately sharing no code with the library so the two routes can check
@@ -283,7 +284,7 @@ ORACLES = {
 
 
 # --------------------------------------------------------------------------
-# ARI and MST
+# ARI, MST and single linkage
 
 
 def oracle_ari_paircount(la, lb) -> float:
@@ -333,3 +334,29 @@ def oracle_mst_weight(points) -> float:
         if ok:
             best = min(best, sum(dist(points[a], points[b]) for a, b in combo))
     return best
+
+
+def oracle_single_linkage(points):
+    """Single-linkage partitions for every k, as {k: one label per point}.
+    Each step merges the two clusters at the smallest closest-member
+    distance; ties go to the smallest (min member, min member) pair."""
+    clusters = [[i] for i in range(len(points))]
+    out = {}
+    while True:
+        labels = [0] * len(points)
+        for c, idx in enumerate(clusters):
+            for a in idx:
+                labels[a] = c
+        out[len(clusters)] = labels
+        if len(clusters) == 1:
+            return out
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                d = min(dist(points[a], points[b])
+                        for a in clusters[i] for b in clusters[j])
+                key = (d, *sorted((min(clusters[i]), min(clusters[j]))))
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        _, i, j = best
+        clusters[i] += clusters.pop(j)

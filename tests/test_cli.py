@@ -75,6 +75,19 @@ class TestPipeline:
         for p, t in mtimes.items():
             assert p.stat().st_mtime_ns == t
 
+    def test_config_change_rewrites_derived_documents(self, tmp_path):
+        out = tmp_path / "out"
+        small = dict(initializers=["mst"], pairs=[["var", "con"]])
+        run_all(tiny_config(tmp_path, objectives=["var", "con"], runs=1,
+                            **small), out)
+        run_all(tiny_config(tmp_path, objectives=["var", "con", "sil"],
+                            runs=3, **small), out)
+        header = (out / "admissibility" / "admissibility_mst.csv").read_text()
+        assert header.splitlines()[0] == "dataset,var,con,sil"
+        summary = json.loads(
+            (out / "optimize" / "optimization_summary.json").read_text())
+        assert [len(s["runs"]) for s in summary] == [3]
+
     def test_seed_changes_outputs(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         cfg = tiny_config(tmp_path)
@@ -138,6 +151,18 @@ class TestErrors:
         out.mkdir()
         assert main(["report", "--out", str(out)]) == 0
         assert "WARNING" in (out / "report.md").read_text()
+
+    @pytest.mark.parametrize("key, value", [
+        ("criteria_params", {"L": 0}),
+        ("criteria_params", {"foo": 1}),
+        ("emoc", {"population_size": 3}),
+        ("emoc", {"populaton_size": 8}),
+    ])
+    def test_bad_criteria_params_or_emoc(self, tmp_path, capsys, key, value):
+        cfg = tiny_config(tmp_path, **{key: value})
+        assert main(["optimize", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_bad_format_flag(self, tmp_path):
         cfg = tiny_config(tmp_path)

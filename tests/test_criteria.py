@@ -283,8 +283,6 @@ class TestEvaluateVector:
         with pytest.raises(ValueError):
             objective("con", L=0)
         with pytest.raises(ValueError):
-            objective("xb", m=0.5)
-        with pytest.raises(ValueError):
             objective("con", con_penalty="nope")
         with pytest.raises(ValueError):
             objective("nope")

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from admissa import (DataError, Dataset, Partition, canonical_labels,
                      centroids, load_dataset, minimum_spanning_tree,
                      write_dataset_csv)
-from oracles import oracle_mst_weight
+from conftest import tie_grids
+from oracles import neighbor_list, oracle_mst_weight
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -114,6 +115,18 @@ class TestKnnIndex:
             assert sorted(nn[a].tolist()) == [i for i in range(15) if i != a]
             dists = ds.distances[a, nn[a]]
             assert np.all(np.diff(dists) >= 0)
+
+    def test_tie_grids_match_oracle_and_rank_inverts(self):
+        for pts in tie_grids(seed=4):
+            ds = Dataset(pts)
+            n = ds.n
+            for a in range(n):
+                assert ds.neighbor_index[a].tolist() == neighbor_list(pts.tolist(), a)
+            rank = ds.neighbor_rank
+            assert np.all(np.diag(rank) == 0)
+            rows = np.arange(n)[:, None]
+            assert np.array_equal(rank[rows, ds.neighbor_index],
+                                  np.broadcast_to(np.arange(1, n), (n, n - 1)))
 
 
 class TestCentroids:

@@ -9,6 +9,8 @@ from admissa import (Dataset, Partition, ari, gen_blobs, gen_elongated,
 from admissa.initializers import (InitPopulation, interesting_mst_edges,
                                   lloyd_run)
 from admissa.seeding import rng_for
+from conftest import tie_grids
+from oracles import oracle_single_linkage
 
 
 def enumerate_bipartitions(n):
@@ -70,6 +72,25 @@ class TestLinkage:
     def test_bad_mode_rejected(self, fix4):
         with pytest.raises(ValueError):
             linkage(fix4, 2, "complete")
+
+    def test_single_matches_oracle_on_tie_grids(self):
+        for pts in tie_grids(seed=5):
+            ds = Dataset(pts)
+            want = oracle_single_linkage(pts.tolist())
+            for k in range(1, ds.n + 1):
+                assert linkage(ds, k, "single").same_as(Partition(want[k]))
+
+    def test_single_is_not_the_kruskal_prefix_under_ties(self):
+        # 3x3 unit grid, point 3y+x. Every side edge weighs 1, so the
+        # second merge joins point 2 (row-major smallest slot pair (0, 2)),
+        # while the second MST edge in Kruskal order, (0, 3), joins point 3.
+        gx, gy = np.meshgrid(np.arange(3), np.arange(3))
+        ds = Dataset(np.c_[gx.ravel(), gy.ravel()].astype(float))
+        assert linkage(ds, 7, "single").members[0].tolist() == [0, 1, 2]
+        edges = ds.mst_edges
+        w = ds.distances[edges[:, 0], edges[:, 1]]
+        kruskal = edges[np.lexsort((edges[:, 1], edges[:, 0], w))]
+        assert kruskal[:2].tolist() == [[0, 1], [0, 3]]
 
     def test_average_matches_naive_cross_mean(self):
         rng = np.random.default_rng(2)
