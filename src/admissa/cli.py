@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import evaluation
@@ -41,6 +41,12 @@ class ConfigError(ValueError):
     pass
 
 
+def _reject_unknown_keys(cls, doc: dict, where: str) -> None:
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {', '.join(unknown)}")
+
+
 @dataclass
 class DatasetEntry:
     name: str
@@ -51,23 +57,22 @@ class DatasetEntry:
 
     @classmethod
     def from_dict(cls, doc: dict, master_seed: int) -> "DatasetEntry":
-        name = doc.get("name")
-        if not name:
+        if not isinstance(doc, dict) or not doc.get("name"):
             raise ConfigError("every dataset entry needs a name")
-        gen = None
-        if "generator" in doc:
-            gdoc = dict(doc["generator"])
-            gdoc.setdefault("seed", derive_seed(master_seed, "datagen", name))
-            gdoc.setdefault("name", name)
+        _reject_unknown_keys(cls, doc, f"dataset {doc['name']!r}")
+        entry = cls(**doc)
+        if entry.generator is not None:
             try:
-                gen = GeneratorSpec.from_dict(gdoc)
-            except (ValueError, KeyError) as err:
-                raise ConfigError(f"dataset {name!r}: bad generator spec ({err})")
-        csv_path = doc.get("csv")
-        if gen is None and csv_path is None:
-            raise ConfigError(f"dataset {name!r} needs a generator or a csv path")
-        return cls(name=name, group=doc.get("group", ""), generator=gen,
-                   csv=csv_path, label_column=doc.get("label_column", "label"))
+                gdoc = dict(entry.generator)
+                gdoc.setdefault("seed", derive_seed(master_seed, "datagen", entry.name))
+                gdoc.setdefault("name", entry.name)
+                entry.generator = GeneratorSpec.from_dict(gdoc)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"dataset {entry.name!r}: bad generator spec "
+                                  f"({err})") from None
+        elif entry.csv is None:
+            raise ConfigError(f"dataset {entry.name!r} needs a generator or a csv path")
+        return entry
 
 
 @dataclass
@@ -132,29 +137,16 @@ def load_config(path: str, seed_override: int | None = None) -> CampaignConfig:
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}")
 
-    seed = doc.get("seed", 0)
-    env_seed = os.environ.get("ADMISSA_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"ADMISSA_SEED must be an integer, got {env_seed!r}")
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    _reject_unknown_keys(CampaignConfig, doc, "config")
     if seed_override is not None:
-        seed = seed_override
-
-    datasets = [DatasetEntry.from_dict(d, seed) for d in doc.get("datasets", [])]
-    cfg = CampaignConfig(
-        datasets=datasets,
-        initializers=list(doc.get("initializers", ALGORITHMS)),
-        objectives=list(doc.get("objectives", ALL_IDS)),
-        pairs=[list(p) for p in doc.get("pairs", DEFAULT_PAIRS)],
-        runs=int(doc.get("runs", 30)),
-        seed=int(seed),
-        optimize_initializer=doc.get("optimize_initializer", "mst"),
-        emoc=dict(doc.get("emoc", {})),
-        criteria_params=dict(doc.get("criteria_params", {})),
-        formats=list(doc.get("formats", FORMATS)),
-    )
+        doc["seed"] = seed_override
+    cfg = CampaignConfig(**{"datasets": [], **doc})
+    for key, default in vars(CampaignConfig(datasets=[])).items():
+        if not isinstance(getattr(cfg, key), type(default)):
+            raise ConfigError(f"{key} must be of type {type(default).__name__}")
+    cfg.datasets = [DatasetEntry.from_dict(d, cfg.seed) for d in cfg.datasets]
     cfg.validate()
     return cfg
 
@@ -296,8 +288,13 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
 
 def _optimize_cell(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
                    pair) -> None:
-    """Worker: all seeded runs for one (dataset, pair) cell. Reads the
-    materialized CSV and population file; writes one JSON per run."""
+    """Worker: the missing seeded runs of one (dataset, pair) cell. Reads
+    the materialized CSV and population file only when a run is missing;
+    writes one JSON per run."""
+    todo = [r for r in range(cfg.runs)
+            if not run_path(out, entry.name, pair, r).exists()]
+    if not todo:
+        return
     ds = resolve_dataset(out, entry)
     truth = ds.true_partition()
     pop = _load_population(out, entry.name, cfg.optimize_initializer)
@@ -306,10 +303,7 @@ def _optimize_cell(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
         truth_vec = evaluate_vector(ds, truth, specs)
     except CriterionError:
         truth_vec = None
-    for run_idx in range(cfg.runs):
-        path = run_path(out, entry.name, pair, run_idx)
-        if path.exists():
-            continue
+    for run_idx in todo:
         seed = derive_seed(cfg.seed, "optimize", entry.name,
                            pair_label(pair), run_idx)
         front = evolve(ds, cfg.emoc_config(pair, seed), pop)
@@ -333,7 +327,7 @@ def _optimize_cell(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
             "truth_dominated": bool(dominated),
             "selection_rule": "best-ari-on-front",
         }
-        _atomic_write(path, _json_text(doc))
+        _atomic_write(run_path(out, entry.name, pair, run_idx), _json_text(doc))
 
 
 def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
@@ -447,12 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Admissibility analysis of clustering objectives and "
                     "delta-locus evolutionary multi-objective clustering.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("gen", True), ("init", True),
-                               ("admissibility", True), ("optimize", True),
-                               ("report", False)):
+    for name in ("gen", "init", "admissibility", "optimize"):
         p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("--config", required=True, help="campaign config JSON")
+        p.add_argument("--config", required=True, help="campaign config JSON")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")
@@ -460,6 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parallel workers for campaign cells")
         p.add_argument("--format", default=None,
                        help="comma-separated subset of csv,json,markdown")
+    sub.add_parser("report").add_argument("--out", required=True,
+                                          help="output directory")
     return parser
 
 

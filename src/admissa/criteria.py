@@ -65,10 +65,9 @@ ALL_IDS = tuple(DIRECTIONS)
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A criterion id plus direction and evaluation parameters."""
+    """A criterion id plus evaluation parameters."""
 
     id: str
-    direction: str
     L: int = 10
     k_size: int = 10
     con_penalty: str = "paper"
@@ -76,19 +75,20 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.id not in DIRECTIONS:
             raise ValueError(f"unknown criterion {self.id!r}")
-        if self.direction != DIRECTIONS[self.id]:
-            raise ValueError(f"{self.id} must be {DIRECTIONS[self.id]}d")
         if self.L < 1 or self.k_size < 1:
             raise ValueError("L and k_size must be positive")
         if self.con_penalty not in ("paper", "rank"):
             raise ValueError("con_penalty must be 'paper' or 'rank'")
 
+    @property
+    def direction(self) -> str:
+        """The criterion's fixed direction, MINIMIZE or MAXIMIZE."""
+        return DIRECTIONS[self.id]
+
 
 def objective(crit_id: str, **params) -> ObjectiveSpec:
-    """Factory that fills in the fixed direction for a criterion id."""
-    if crit_id not in DIRECTIONS:
-        raise ValueError(f"unknown criterion {crit_id!r}")
-    return ObjectiveSpec(id=crit_id, direction=DIRECTIONS[crit_id], **params)
+    """Spec for a criterion id with the given evaluation parameters."""
+    return ObjectiveSpec(id=crit_id, **params)
 
 
 def objectives(*ids: str, **params) -> tuple[ObjectiveSpec, ...]:

@@ -166,9 +166,19 @@ class Dataset:
         return rank
 
     @cached_property
+    def mst_parent(self) -> np.ndarray:
+        """MST parent of every point on its path to point 0 (the root is
+        its own parent)."""
+        return minimum_spanning_tree(self.distances)
+
+    @cached_property
     def mst_edges(self) -> np.ndarray:
         """(n-1, 2) array of MST edges (a < b), sorted lexicographically."""
-        return minimum_spanning_tree(self.distances)
+        edges = np.sort(np.column_stack([np.arange(1, self.n),
+                                         self.mst_parent[1:]]), axis=1)
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        edges.setflags(write=False)
+        return edges
 
     def translated(self, vector) -> "Dataset":
         return Dataset(self.points + np.asarray(vector, dtype=np.float64),
@@ -220,26 +230,37 @@ class UnionFind:
 
 
 def minimum_spanning_tree(dm: np.ndarray) -> np.ndarray:
-    """Kruskal over the dense matrix; ties prefer the lexicographically
-    smaller edge, so the tree is unique given the matrix."""
+    """Dense Prim grown from point 0; returns the parent array, with
+    ``parent[0] == 0``.
+
+    Edges are ordered by (weight, min end, max end). The order is strict,
+    so the tree is unique given the matrix: it is the tree Kruskal builds
+    in that order. Each outside point keeps its smallest edge into the
+    tree; of two edges to one point with equal weight, the one to the
+    smaller tree point is smaller in that order.
+    """
     n = dm.shape[0]
     if n < 2:
         raise DataError("MST needs at least 2 points")
-    ii, jj = np.triu_indices(n, k=1)
-    ww = dm[ii, jj]
-    order = np.lexsort((jj, ii, ww))
-    uf = UnionFind(n)
-    edges = []
-    for e in order:
-        a, b = int(ii[e]), int(jj[e])
-        if uf.union(a, b):
-            edges.append((a, b))
-            if len(edges) == n - 1:
-                break
-    edges.sort()
-    arr = np.array(edges, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
+    parent = np.zeros(n, dtype=np.int64)
+    inside = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)  # weight of each outside point's pending edge
+    v = 0
+    for _ in range(n - 1):
+        inside[v] = True
+        best[v] = np.inf
+        d = dm[v]
+        take = ~inside & ((d < best) | ((d == best) & (v < parent)))
+        best[take] = d[take]
+        parent[take] = v
+        v = int(np.argmin(best))
+        tied = np.flatnonzero(best == best[v])
+        if tied.size > 1:
+            lo = np.minimum(tied, parent[tied])
+            hi = np.maximum(tied, parent[tied])
+            v = int(tied[np.lexsort((hi, lo))[0]])
+    parent.setflags(write=False)
+    return parent
 
 
 def load_dataset(path, label_column: str | None = None, name: str | None = None) -> Dataset:

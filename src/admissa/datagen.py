@@ -8,13 +8,12 @@ benchmark point sets can be fed to the same pipeline as CSV files.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-
-ARCHETYPES = ("gaussian_blobs", "elongated", "nested", "mixed")
 
 
 def _grid_centers(k: int, spacing: float) -> np.ndarray:
@@ -37,8 +36,8 @@ def _split_sizes(n: int, weights) -> list[int]:
     return sizes.tolist()
 
 
-def gen_blobs(k_star: int, per_cluster_n: int, separation: float,
-              seed: int, name: str | None = None) -> Dataset:
+def gen_blobs(k_star: int = 4, per_cluster_n: int = 50, separation: float = 10.0,
+              *, seed: int, name: str | None = None) -> Dataset:
     """Isotropic unit-variance Gaussian clusters on a grid with centers
     ``separation`` standard deviations apart."""
     if k_star < 2:
@@ -66,7 +65,7 @@ def _spiral_arm(rng, n, phase, b=1.0, noise=0.08,
     return np.column_stack([x, y])
 
 
-def gen_elongated(kind: str, n: int, seed: int,
+def gen_elongated(kind: str = "long", n: int = 1000, *, seed: int,
                   name: str | None = None) -> Dataset:
     """Two interleaved elongated structures (k* = 2): parallel stretched
     Gaussians or a pair of spiral arms."""
@@ -101,7 +100,7 @@ _NESTED_TREE = (
 )
 
 
-def gen_nested(level: int, seed: int, n: int = 588,
+def gen_nested(level: int = 1, *, seed: int, n: int = 588,
                name: str | None = None) -> Dataset:
     """One point set with three nested label sets: level 1 labels the 2
     super-groups, level 2 the 5 mid-groups, level 3 all 13 blobs. The
@@ -150,7 +149,7 @@ MIXED_RECIPES = ("3mc", "aggregation", "spiralsquare")
 _MIXED_DEFAULT_N = {"3mc": 400, "aggregation": 788, "spiralsquare": 2000}
 
 
-def gen_mixed(recipe: str, seed: int, n: int | None = None,
+def gen_mixed(recipe: str = "3mc", *, seed: int, n: int | None = None,
               name: str | None = None) -> Dataset:
     """Composites of different cluster types:
 
@@ -204,6 +203,10 @@ def gen_mixed(recipe: str, seed: int, n: int | None = None,
     return Dataset(points, labels=labels, name=name or recipe)
 
 
+GENERATORS = {"gaussian_blobs": gen_blobs, "elongated": gen_elongated,
+              "nested": gen_nested, "mixed": gen_mixed}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Declarative dataset recipe used in config files and manifests."""
@@ -214,30 +217,23 @@ class GeneratorSpec:
     name: str | None = None
 
     def __post_init__(self):
-        if self.archetype not in ARCHETYPES:
+        """Reject an unknown archetype and params its generator does not
+        take; each param's default lives in the generator's signature."""
+        if self.archetype not in GENERATORS:
             raise ValueError(f"unknown archetype {self.archetype!r}")
+        try:
+            inspect.signature(GENERATORS[self.archetype]).bind(
+                seed=self.seed, name=self.name, **self.params)
+        except TypeError as err:
+            raise ValueError(f"bad {self.archetype} params ({err})") from None
 
     def build(self) -> Dataset:
-        p = dict(self.params)
-        if self.archetype == "gaussian_blobs":
-            return gen_blobs(k_star=p.get("k_star", 4),
-                             per_cluster_n=p.get("per_cluster_n", 50),
-                             separation=p.get("separation", 10.0),
-                             seed=self.seed, name=self.name)
-        if self.archetype == "elongated":
-            return gen_elongated(kind=p.get("kind", "long"),
-                                 n=p.get("n", 1000), seed=self.seed,
-                                 name=self.name)
-        if self.archetype == "nested":
-            return gen_nested(level=p.get("level", 1), seed=self.seed,
-                              n=p.get("n", 588), name=self.name)
-        return gen_mixed(recipe=p.get("recipe", "3mc"), seed=self.seed,
-                         n=p.get("n"), name=self.name)
+        return GENERATORS[self.archetype](seed=self.seed, name=self.name,
+                                          **self.params)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorSpec":
-        return cls(archetype=doc["archetype"], seed=doc["seed"],
-                   params=dict(doc.get("params", {})), name=doc.get("name"))
+        return cls(**doc)

@@ -73,27 +73,6 @@ class DeltaScheme:
     n_base: int
 
 
-def _root_mst(ds: Dataset) -> np.ndarray:
-    """Parent array from a BFS rooted at node 0, visiting lower-index
-    neighbors first."""
-    adj: list[list[int]] = [[] for _ in range(ds.n)]
-    for a, b in ds.mst_edges:
-        adj[a].append(int(b))
-        adj[b].append(int(a))
-    for lst in adj:
-        lst.sort()
-    parent = np.full(ds.n, -1, dtype=np.int64)
-    parent[0] = 0
-    queue = [0]
-    while queue:
-        node = queue.pop(0)
-        for nb in adj[node]:
-            if parent[nb] < 0:
-                parent[nb] = node
-                queue.append(nb)
-    return parent
-
-
 def delta_relevant_loci(ds: Dataset, delta_percent: float | None = None,
                         L: int = 10) -> DeltaScheme:
     """Pick the evolvable loci: child endpoints of the most interesting
@@ -107,19 +86,16 @@ def delta_relevant_loci(ds: Dataset, delta_percent: float | None = None,
     else:
         count = int(np.ceil(delta_percent / 100.0 * n))
     count = min(count, n - 1)
-    ranked = interesting_mst_edges(ds)
-    parent = _root_mst(ds)
-
-    def child_of(a: int, b: int) -> int:
-        return a if parent[a] == b else b
-
-    relevant = sorted(child_of(a, b) for a, b in ranked[:count])
-    fixed = [(child_of(a, b), int(parent[child_of(a, b)]))
-             for a, b in ranked[count:]]
+    ranked = np.array(interesting_mst_edges(ds), dtype=np.int64)
+    parent = ds.mst_parent
+    child = np.where(parent[ranked[:, 0]] == ranked[:, 1],
+                     ranked[:, 0], ranked[:, 1])
+    relevant = np.sort(child[:count])
+    fixed = [(c, int(parent[c])) for c in child[count:].tolist()]
 
     L_eff = max(1, min(int(L), n - 1))
     domains = []
-    for i in relevant:
+    for i in relevant.tolist():
         dom = [i, int(parent[i])]
         dom.extend(int(v) for v in ds.neighbor_index[i, :L_eff])
         domains.append(np.array(list(dict.fromkeys(dom)), dtype=np.int64))
@@ -128,7 +104,7 @@ def delta_relevant_loci(ds: Dataset, delta_percent: float | None = None,
     for a, b in fixed:
         uf.union(a, b)
     base = canonical_labels(uf.roots())
-    return DeltaScheme(n=n, relevant_loci=np.array(relevant, dtype=np.int64),
+    return DeltaScheme(n=n, relevant_loci=relevant,
                        fixed_edges=fixed, parent=parent, domains=domains,
                        base_labels=base, n_base=int(base.max()) + 1)
 
@@ -158,12 +134,10 @@ def encode(pi: Partition, scheme: DeltaScheme) -> Genotype:
     """Genotype whose loci follow the MST parent when co-clustered with it
     and cut otherwise. Decoding reproduces ``pi`` exactly when all of its
     cut MST edges are relevant loci."""
-    genes = np.empty(len(scheme.relevant_loci), dtype=np.int64)
+    loci = scheme.relevant_loci
+    par = scheme.parent[loci]
     labels = pi.assignment
-    for pos, locus in enumerate(scheme.relevant_loci.tolist()):
-        par = int(scheme.parent[locus])
-        genes[pos] = par if labels[locus] == labels[par] else locus
-    return Genotype(scheme, genes)
+    return Genotype(scheme, np.where(labels[loci] == labels[par], par, loci))
 
 
 def variation(parent1: Genotype, parent2: Genotype, config: EmocConfig,

@@ -336,6 +336,28 @@ def oracle_mst_weight(points) -> float:
     return best
 
 
+def oracle_mst_edges(points):
+    """Kruskal over all pairs sorted by (distance, a, b); the sorted list
+    of (a, b) edges with a < b."""
+    n = len(points)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pairs = sorted((dist(points[a], points[b]), a, b)
+                   for a in range(n) for b in range(a + 1, n))
+    edges = []
+    for _, a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            edges.append([a, b])
+    return sorted(edges)
+
+
 def oracle_single_linkage(points):
     """Single-linkage partitions for every k, as {k: one label per point}.
     Each step merges the two clusters at the smallest closest-member

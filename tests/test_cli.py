@@ -1,8 +1,9 @@
+import functools
 import json
-import os
 
 import pytest
 
+from admissa import Dataset
 from admissa.cli import main
 
 
@@ -96,13 +97,22 @@ class TestPipeline:
         run_all(cfg2, out2)
         assert tree_bytes(out1) != tree_bytes(out2)
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    def test_resume_optimize_builds_no_geometry(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
-        run_all(cfg, out1)
-        monkeypatch.setenv("ADMISSA_SEED", "8")
-        run_all(cfg, out2)
-        assert tree_bytes(out1) != tree_bytes(out2)
+        out = tmp_path / "out"
+        run_all(cfg, out)
+        built = []
+
+        def counting(ds):
+            built.append(ds.name)
+            return distances.func(ds)
+
+        distances = Dataset.__dict__["distances"]
+        prop = functools.cached_property(counting)
+        prop.__set_name__(Dataset, "distances")
+        monkeypatch.setattr(Dataset, "distances", prop)
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert built == []
 
     def test_optimize_with_jobs(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -163,6 +173,26 @@ class TestErrors:
         assert main(["optimize", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("over", [
+        {"run": 3},
+        {"datasets": [{"name": "blobs3", "lable_column": "label",
+                       "generator": {"archetype": "gaussian_blobs"}}]},
+        {"datasets": [{"name": "blobs3",
+                       "generator": {"archetype": "gaussian_blobs",
+                                     "params": {"k_star": 3,
+                                                "per_clustr_n": 12}}}]},
+    ])
+    def test_unknown_config_keys(self, tmp_path, capsys, over):
+        cfg = tiny_config(tmp_path, **over)
+        assert main(["gen", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_report_takes_only_out(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--out", str(tmp_path), "--seed", "3"])
+        assert exc.value.code == 1
 
     def test_bad_format_flag(self, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -7,7 +7,7 @@ from admissa import (DataError, Dataset, Partition, canonical_labels,
                      centroids, load_dataset, minimum_spanning_tree,
                      write_dataset_csv)
 from conftest import tie_grids
-from oracles import neighbor_list, oracle_mst_weight
+from oracles import neighbor_list, oracle_mst_edges, oracle_mst_weight
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -189,4 +189,28 @@ class TestMst:
         ds = Dataset(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
         assert ds.mst_edges.tolist() == [[0, 1], [0, 2], [1, 3]]
         again = minimum_spanning_tree(ds.distances)
-        assert np.array_equal(ds.mst_edges, again)
+        assert np.array_equal(ds.mst_parent, again)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tie_grids_and_random_match_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        sets = tie_grids(seed) + [rng.normal(size=(int(rng.integers(2, 30)), 2))
+                                  for _ in range(10)]
+        for pts in sets:
+            ds = Dataset(pts)
+            assert ds.mst_edges.tolist() == oracle_mst_edges(pts.tolist())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_parent_array_roots_the_tree_at_0(self, seed):
+        for pts in tie_grids(seed):
+            ds = Dataset(pts)
+            parent = ds.mst_parent
+            assert parent[0] == 0
+            for v in range(ds.n):
+                for _ in range(ds.n):
+                    v = int(parent[v])
+                assert v == 0
+            child = np.arange(1, ds.n)
+            pairs = sorted(zip(np.minimum(child, parent[1:]).tolist(),
+                               np.maximum(child, parent[1:]).tolist()))
+            assert [list(p) for p in pairs] == ds.mst_edges.tolist()
