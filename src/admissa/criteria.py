@@ -366,10 +366,16 @@ def eval_sil(ds: Dataset, pi: Partition) -> float:
     contribute 0."""
     _require_k_at_least_2(pi, "sil")
     D = ds.distances
-    n, k = ds.n, pi.k
-    sums = np.zeros((n, k))
+    sums = np.zeros((ds.n, pi.k))
     for i, idx in enumerate(pi.members):
         sums[:, i] = D[:, idx].sum(axis=1)
+    return silhouette(sums, pi)
+
+
+def silhouette(sums: np.ndarray, pi: Partition) -> float:
+    """Mean silhouette width from the (n, k) summed distances of each point
+    to each cluster."""
+    n = pi.n
     own = pi.assignment
     own_size = pi.sizes[own]
     rows = np.arange(n)
@@ -449,15 +455,17 @@ def evaluate(ds: Dataset, pi: Partition, spec: ObjectiveSpec) -> float:
         raise
 
 
-def evaluate_vector(ds: Dataset, pi: Partition,
-                    specs) -> ObjectiveVector:
+def evaluate_vector(ds: Dataset, pi: Partition, specs,
+                    evaluator=evaluate) -> ObjectiveVector:
     """Evaluate a list of objectives; the first criterion error aborts,
-    annotated with the offending criterion id."""
+    annotated with the offending criterion id. ``evaluator`` computes one
+    criterion; the evolutionary clusterer passes the component-level
+    ``ComponentGeometry.evaluate``."""
     specs = tuple(specs)
     values = []
     for spec in specs:
         try:
-            values.append(evaluate(ds, pi, spec))
+            values.append(evaluator(ds, pi, spec))
         except CriterionError as err:
             raise type(err)(f"[{spec.id}] {err}", spec.id) from None
     return ObjectiveVector(specs=specs, values=tuple(values))

@@ -137,8 +137,14 @@ class Dataset:
     @cached_property
     def distances(self) -> np.ndarray:
         """Symmetric n x n Euclidean distance matrix with zero diagonal."""
-        sq = np.sum(self.points ** 2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (self.points @ self.points.T)
+        # The Gram trick cancels in proportion to the squared norms, so the
+        # points are centred first: far from the origin it would otherwise
+        # lose the small distances. The centre of the bounding box is a
+        # half-integer on integer data, where the arithmetic stays exact
+        # and tied distances stay tied; the mean is not.
+        x = self.points - (self.points.min(axis=0) + self.points.max(axis=0)) / 2.0
+        sq = np.sum(x ** 2, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
         np.maximum(d2, 0.0, out=d2)
         dm = np.sqrt(d2)
         dm = 0.5 * (dm + dm.T)  # enforce exact symmetry

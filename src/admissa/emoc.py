@@ -5,7 +5,10 @@ links as evolvable loci: gene i may cut its link (g_i = i), keep the MST
 parent, or redirect to one of i's L nearest neighbors. Selection is
 elitist non-dominated sorting with crowding-distance tie-breaks; all
 comparisons reuse the shared strictness tolerance so fronts agree with
-the admissibility dominance operator.
+the admissibility dominance operator. Every decoded partition is a union
+of the components of the fixed links, so individuals are evaluated on
+those components (``components.ComponentGeometry``), once per distinct
+partition in a run.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissibility import dominance, dominates
+from .components import ComponentGeometry
 from .criteria import (CriterionError, ObjectiveSpec, ObjectiveVector,
                        evaluate_vector)
 from .data import Dataset, Partition, UnionFind, canonical_labels
@@ -123,11 +127,17 @@ def decode(g: Genotype, ds: Dataset) -> Partition:
     if ds.n != g.scheme.n:
         raise ValueError("genotype and dataset sizes differ")
     sch = g.scheme
+    linked = g.genes != sch.relevant_loci
     uf = UnionFind(sch.n_base)
-    for locus, gene in zip(sch.relevant_loci.tolist(), g.genes.tolist()):
-        if gene != locus:
-            uf.union(int(sch.base_labels[locus]), int(sch.base_labels[gene]))
-    return Partition(canonical_labels(uf.roots()[sch.base_labels]))
+    for a, b in zip(sch.base_labels[sch.relevant_loci[linked]].tolist(),
+                    sch.base_labels[g.genes[linked]].tolist()):
+        uf.union(a, b)
+    # Components are numbered by their smallest point and a root is the
+    # smallest component of its set, so the dense rank of the roots numbers
+    # the clusters by their smallest point: the canonical labels.
+    roots = uf.roots()
+    rank = np.cumsum(roots == np.arange(sch.n_base)) - 1
+    return Partition(rank[roots][sch.base_labels])
 
 
 def encode(pi: Partition, scheme: DeltaScheme) -> Genotype:
@@ -239,13 +249,21 @@ class ParetoFront:
         return [m.vector for m in self.members]
 
 
-def _evaluate_individual(ds: Dataset, g: Genotype, specs) -> Individual:
+def _evaluate_individual(ds: Dataset, g: Genotype, specs,
+                         geometry: ComponentGeometry,
+                         memo: dict[bytes, ObjectiveVector | None]) -> Individual:
+    """Decode ``g`` and evaluate its partition on the base components. The
+    vector is a pure function of the partition, so a partition met before
+    in the run takes its vector from ``memo``, keyed on the cluster of each
+    component."""
     pi = decode(g, ds)
-    try:
-        vec = evaluate_vector(ds, pi, specs)
-    except CriterionError:
-        vec = None
-    return Individual(g, pi, vec)
+    key = pi.assignment[geometry.first].tobytes()
+    if key not in memo:
+        try:
+            memo[key] = evaluate_vector(ds, pi, specs, geometry.evaluate)
+        except CriterionError:
+            memo[key] = None
+    return Individual(g, pi, memo[key])
 
 
 def _rank_population(pop: list[Individual]) -> list[list[Individual]]:
@@ -305,6 +323,8 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
     if not init.partitions:
         raise EmocError("initial population is empty")
     scheme = delta_relevant_loci(ds, config.delta_percent, L=config.L)
+    geometry = ComponentGeometry(ds, scheme.base_labels, scheme.n_base)
+    memo: dict[bytes, ObjectiveVector | None] = {}
     rng = rng_for(config.seed, "emoc")
     specs = config.objectives
 
@@ -315,7 +335,8 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
         genotypes.append(mutate(genotypes[i % len(init.partitions)], mut_prob, rng))
         i += 1
 
-    pop = [_evaluate_individual(ds, g, specs) for g in genotypes]
+    pop = [_evaluate_individual(ds, g, specs, geometry, memo)
+           for g in genotypes]
     if all(ind.vector is None for ind in pop):
         raise EmocError("every initial individual was disqualified")
     _rank_population(pop)
@@ -342,8 +363,8 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
             p1 = _tournament(pop, rng)
             p2 = _tournament(pop, rng)
             c1, c2 = variation(p1.genotype, p2.genotype, config, rng)
-            offspring.append(_evaluate_individual(ds, c1, specs))
-            offspring.append(_evaluate_individual(ds, c2, specs))
+            offspring.append(_evaluate_individual(ds, c1, specs, geometry, memo))
+            offspring.append(_evaluate_individual(ds, c2, specs, geometry, memo))
         combined = pop + offspring
         _rank_population(combined)
         pop = _truncate(combined, config.population_size)

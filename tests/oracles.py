@@ -6,6 +6,7 @@ deliberately sharing no code with the library so the two routes can check
 each other.
 """
 
+import collections
 import itertools
 import math
 
@@ -382,3 +383,34 @@ def oracle_single_linkage(points):
                     best = (key, i, j)
         _, i, j = best
         clusters[i] += clusters.pop(j)
+
+
+# --------------------------------------------------------------------------
+# Delta-locus decoding
+
+
+def oracle_decode(n, fixed_edges, loci, genes):
+    """Cluster of every point under a delta-locus genotype: breadth-first
+    search over the points, linked by the fixed MST edges and by each
+    locus's edge to its gene unless the gene is the locus itself. Clusters
+    are numbered in order of their smallest point."""
+    adjacent = [[] for _ in range(n)]
+    links = list(fixed_edges) + [(i, g) for i, g in zip(loci, genes) if i != g]
+    for a, b in links:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    labels = [-1] * n
+    k = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = k
+        queue = collections.deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adjacent[v]:
+                if labels[w] < 0:
+                    labels[w] = k
+                    queue.append(w)
+        k += 1
+    return labels

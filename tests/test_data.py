@@ -129,6 +129,20 @@ class TestKnnIndex:
                                   np.broadcast_to(np.arange(1, n), (n, n - 1)))
 
 
+class TestFarFromOrigin:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_translation_keeps_neighbors_and_mst(self, seed):
+        rng = np.random.default_rng(seed)
+        sets = tie_grids(seed, draws=4) + [
+            rng.normal(size=(int(rng.integers(2, 40)), int(rng.integers(1, 4))))]
+        for pts in sets:
+            ds = Dataset(pts)
+            far = ds.translated(np.full(ds.dim, 1e7))
+            assert np.array_equal(far.neighbor_index, ds.neighbor_index)
+            assert np.array_equal(far.mst_parent, ds.mst_parent)
+
+
 class TestCentroids:
     def test_fix4(self, fix4, fix4_truth):
         cents, gbar = centroids(fix4, fix4_truth)

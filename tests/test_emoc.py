@@ -1,16 +1,24 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admissa import (Dataset, EmocConfig, Partition, ari, best_ari, decode,
                      delta_relevant_loci, encode, evolve, gen_blobs,
-                     gen_elongated, generate_population, objectives,
-                     truth_dominated, variation)
+                     gen_elongated, generate_population, objective,
+                     objectives, truth_dominated, variation)
 from admissa.admissibility import dominance
-from admissa.criteria import ObjectiveVector, evaluate_vector
+from admissa.components import ComponentGeometry
+from admissa.criteria import CriterionError, ObjectiveVector, evaluate_vector
 from admissa.emoc import (EmocError, Genotype, crowding_distance,
                           fast_nondominated_sort, mutate)
 from admissa.initializers import InitPopulation, mst_cluster
 from admissa.seeding import rng_for
+from conftest import tie_grids
+from oracles import oracle_decode
 
 
 def small_config(**over):
@@ -74,12 +82,83 @@ class TestDecodeEncode:
             pi = mst_cluster(ds, k)
             assert decode(encode(pi, scheme), ds).same_as(pi)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for pts in tie_grids(seed) + [rng.normal(size=(30, 2))]:
+            ds = Dataset(pts)
+            scheme = delta_relevant_loci(ds, delta_percent=float(rng.uniform(10, 100)),
+                                         L=int(rng.integers(1, 5)))
+            loci = scheme.relevant_loci
+            genotypes = [loci.copy(), scheme.parent[loci]]  # all self, all parent
+            genotypes += [np.array([d[rng.integers(len(d))] for d in scheme.domains])
+                          for _ in range(4)]
+            for genes in genotypes:
+                pi = decode(Genotype(scheme, genes), ds)
+                assert pi.assignment.tolist() == oracle_decode(
+                    ds.n, scheme.fixed_edges, loci.tolist(), genes.tolist())
+
     def test_size_mismatch_rejected(self, fix4):
         ds = gen_blobs(2, 10, 5.0, seed=1)
         scheme = delta_relevant_loci(ds)
         g = Genotype(scheme, scheme.relevant_loci.copy())
         with pytest.raises(ValueError):
             decode(g, fix4)
+
+
+def _outcome(evaluate):
+    """The value, or the type of the criterion error raised."""
+    try:
+        return evaluate()
+    except CriterionError as err:
+        return type(err)
+
+
+class TestComponentGeometry:
+    COARSE_SPECS = [objective("sep_cl"), objective("mod"), objective("sil"),
+                    objective("dunn"), objective("con", L=1),
+                    objective("con", L=3, con_penalty="rank"),
+                    objective("con", L=7)]
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from(["random", "ties", "duplicates"]))
+    @settings(max_examples=60, deadline=None)
+    def test_coarse_kernels_match_point_level(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        if kind == "random":
+            pts = rng.normal(size=(n, int(rng.integers(1, 4))))
+        elif kind == "ties":
+            sets = tie_grids(seed % 1000, draws=4)
+            pts = sets[int(rng.integers(len(sets)))]
+        else:
+            pts = rng.normal(size=(n // 3 + 1, 2))[rng.integers(0, n // 3 + 1, n)]
+        ds = Dataset(pts)
+        scheme = delta_relevant_loci(ds, delta_percent=float(rng.uniform(1, 100)),
+                                     L=int(rng.integers(1, 6)))
+        geometry = ComponentGeometry(ds, scheme.base_labels, scheme.n_base)
+        for _ in range(3):
+            genes = np.array([d[rng.integers(len(d))] for d in scheme.domains])
+            pi = decode(Genotype(scheme, genes), ds)
+            for spec in self.COARSE_SPECS:
+                want = _outcome(lambda: evaluate_vector(ds, pi, [spec]).values[0])
+                got = _outcome(lambda: evaluate_vector(
+                    ds, pi, [spec], geometry.evaluate).values[0])
+                exact = spec.id == "dunn" or (spec.id == "con"
+                                              and spec.con_penalty == "paper")
+                if isinstance(want, type):
+                    assert got is want, spec
+                elif exact:
+                    assert got == want, spec
+                else:
+                    assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), spec
+
+    def test_other_criteria_are_point_level(self, fix4, fix4_truth):
+        scheme = delta_relevant_loci(fix4, delta_percent=100.0)
+        geometry = ComponentGeometry(fix4, scheme.base_labels, scheme.n_base)
+        specs = objectives("var", "ch", "dcd", "xb")
+        assert (evaluate_vector(fix4, fix4_truth, specs, geometry.evaluate)
+                == evaluate_vector(fix4, fix4_truth, specs))
 
 
 class TestVariation:
@@ -216,6 +295,34 @@ class TestEvolve:
             for values in entry["front_values"]:
                 member = ObjectiveVector(specs=specs, values=tuple(values))
                 assert not _dominates(member, truth_vec)
+
+    # sha256 of the front's partition keys, recorded from the point-level
+    # evaluation; the component-level evaluation and the partition memo must
+    # leave the fronts unchanged.
+    GOLDEN_FRONTS = {
+        (("var", "con"), 11): "1ce88917f435239ca7d4df8dd4543b3188d9c5701c1f7de09e0e934d4ea0b0f3",
+        (("var", "con"), 12): "6bd7dd1cdb3c0b6f85a481187787bbebfa28cfdb00ba492f60e399a1adcee203",
+        (("var", "sep_cl"), 11): "84e03fa8a0e274d9effd31bf8d6c9a26fa6e6944134eaa11867504826ee3a5af",
+        (("var", "sep_cl"), 12): "19a066962f6e0e0c05c6b5bab04f54020d3a027738e078417f9f20a3b08a8903",
+    }
+
+    @pytest.mark.parametrize("pair, seed", list(GOLDEN_FRONTS))
+    def test_golden_fronts(self, pair, seed):
+        ds = gen_elongated("spiral", 300, seed=3)
+        pop = generate_population(ds, "mst", master_seed=0)
+        specs = objectives(*pair)
+        cfg = EmocConfig(objectives=specs, population_size=20, generations=10,
+                         seed=seed)
+        front = evolve(ds, cfg, pop)
+        keys = b"".join(m.partition.key() for m in front.members)
+        assert hashlib.sha256(keys).hexdigest() == self.GOLDEN_FRONTS[pair, seed]
+        for m in front.members:
+            want = evaluate_vector(ds, m.partition, specs).values
+            if pair == ("var", "con"):
+                assert m.vector.values == want
+            else:
+                assert all(math.isclose(a, b, rel_tol=1e-9)
+                           for a, b in zip(m.vector.values, want))
 
     def test_empty_init_rejected(self, fix4):
         pop = InitPopulation(source="mst", dataset="fix4", k_star=2,
