@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Partition, UnionFind, centroids
+from .data import Dataset, Partition, centroids, components
 
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
@@ -230,16 +230,34 @@ def eval_con(ds: Dataset, pi: Partition, L: int = 10,
 def eval_dcd(ds: Dataset, pi: Partition, k_size: int = 10) -> float:
     """Data continuity degree: summed MST weight of every connected
     component each cluster induces on the k_size-graph, divided by k;
-    maximized."""
+    maximized.
+
+    The forest comes from Borůvka's rounds over the same-cluster edges:
+    each component takes its first outgoing edge in the graph's strict
+    (weight, a, b) order. Under a strict order the minimum spanning forest
+    is unique, so it is the edge set Kruskal's scan would keep, and its
+    weights are added one by one in that order, as the scan adds them.
+    """
     edges, weights = ksize_graph(ds, k_size)
     labels = pi.assignment
     same = labels[edges[:, 0]] == labels[edges[:, 1]]
-    uf = UnionFind(ds.n)
-    total = 0.0
-    for (a, b), w in zip(edges[same].tolist(), weights[same].tolist()):
-        if uf.union(a, b):
-            total += w
-    return total / pi.k
+    a, b = edges[same, 0], edges[same, 1]
+    m = a.size
+    chosen = np.zeros(m, dtype=bool)
+    label = np.arange(ds.n)
+    while True:
+        la, lb = label[a], label[b]
+        out = np.flatnonzero(la != lb)
+        if out.size == 0:
+            break
+        first = np.full(ds.n, m)
+        np.minimum.at(first, la[out], out)
+        np.minimum.at(first, lb[out], out)
+        take = first[first < m]
+        chosen[take] = True
+        label = components(ds.n, la[take], lb[take])[label]
+    w = weights[same][chosen]
+    return float(np.cumsum(w)[-1]) / pi.k if w.size else 0.0
 
 
 # --------------------------------------------------------------------------

@@ -202,37 +202,26 @@ def centroids(ds: Dataset, pi: Partition) -> tuple[np.ndarray, np.ndarray]:
     return cents, ds.points.mean(axis=0)
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1; the smaller index is always the root."""
+def components(n: int, a, b) -> np.ndarray:
+    """Smallest member of each node's connected component in the
+    undirected graph on 0..n-1 with edges (a[i], b[i]).
 
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:  # keep the smaller index as root
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def roots(self) -> np.ndarray:
-        """The root of every node, as an array."""
-        n = len(self.parent)
-        return np.fromiter((self.find(i) for i in range(n)), dtype=np.int64,
-                           count=n)
+    Min-hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms
+    1982): each round, every edge hooks the larger of its two labels onto
+    the smaller and every label jumps once to its label's label, until no
+    edge joins two labels and every label is its own label. A label is
+    always a node of the same component and never larger than its node,
+    so each component ends on its smallest member.
+    """
+    label = np.arange(n)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb) and np.array_equal(label[label], label):
+            return label
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        label = label[label]
 
 
 def minimum_spanning_tree(dm: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .admissibility import dominance, dominates
 from .components import ComponentGeometry
 from .criteria import (CriterionError, ObjectiveSpec, ObjectiveVector,
                        evaluate_vector)
-from .data import Dataset, Partition, UnionFind, canonical_labels
+from .data import Dataset, Partition, canonical_labels, components
 from .initializers import InitPopulation, interesting_mst_edges
 from .seeding import rng_for
 
@@ -70,7 +70,7 @@ class DeltaScheme:
 
     n: int
     relevant_loci: np.ndarray  # child endpoints of the top-DI MST edges
-    fixed_edges: list[tuple[int, int]]
+    fixed_edges: np.ndarray  # (m, 2): (child, parent) of every other MST edge
     parent: np.ndarray  # MST parent per node (root -> itself)
     domains: list[np.ndarray]  # per relevant locus: {i, parent, NN_L(i)}
     base_labels: np.ndarray  # components of the fixed-edge subgraph
@@ -90,12 +90,12 @@ def delta_relevant_loci(ds: Dataset, delta_percent: float | None = None,
     else:
         count = int(np.ceil(delta_percent / 100.0 * n))
     count = min(count, n - 1)
-    ranked = np.array(interesting_mst_edges(ds), dtype=np.int64)
+    ranked = interesting_mst_edges(ds)
     parent = ds.mst_parent
     child = np.where(parent[ranked[:, 0]] == ranked[:, 1],
                      ranked[:, 0], ranked[:, 1])
     relevant = np.sort(child[:count])
-    fixed = [(c, int(parent[c])) for c in child[count:].tolist()]
+    fixed = np.column_stack([child[count:], parent[child[count:]]])
 
     L_eff = max(1, min(int(L), n - 1))
     domains = []
@@ -104,10 +104,7 @@ def delta_relevant_loci(ds: Dataset, delta_percent: float | None = None,
         dom.extend(int(v) for v in ds.neighbor_index[i, :L_eff])
         domains.append(np.array(list(dict.fromkeys(dom)), dtype=np.int64))
 
-    uf = UnionFind(n)
-    for a, b in fixed:
-        uf.union(a, b)
-    base = canonical_labels(uf.roots())
+    base = canonical_labels(components(n, fixed[:, 0], fixed[:, 1]))
     return DeltaScheme(n=n, relevant_loci=relevant,
                        fixed_edges=fixed, parent=parent, domains=domains,
                        base_labels=base, n_base=int(base.max()) + 1)
@@ -128,14 +125,11 @@ def decode(g: Genotype, ds: Dataset) -> Partition:
         raise ValueError("genotype and dataset sizes differ")
     sch = g.scheme
     linked = g.genes != sch.relevant_loci
-    uf = UnionFind(sch.n_base)
-    for a, b in zip(sch.base_labels[sch.relevant_loci[linked]].tolist(),
-                    sch.base_labels[g.genes[linked]].tolist()):
-        uf.union(a, b)
+    roots = components(sch.n_base, sch.base_labels[sch.relevant_loci[linked]],
+                       sch.base_labels[g.genes[linked]])
     # Components are numbered by their smallest point and a root is the
     # smallest component of its set, so the dense rank of the roots numbers
     # the clusters by their smallest point: the canonical labels.
-    roots = uf.roots()
     rank = np.cumsum(roots == np.arange(sch.n_base)) - 1
     return Partition(rank[roots][sch.base_labels])
 

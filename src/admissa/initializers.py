@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Partition, canonical_labels, UnionFind
+from .data import Dataset, Partition, canonical_labels, components
 from .seeding import derive_seed, rng_for
 
 SNN_GRID = {
@@ -171,13 +171,8 @@ def snn_cluster(ds: Dataset, knn_k: int, eps: float, min_pts: int) -> Partition:
     density = strong.sum(axis=1)
     core = density >= min_pts
 
-    uf = UnionFind(n)
     ca, cb = np.nonzero(strong & core[:, None] & core[None, :])
-    for a, b in zip(ca.tolist(), cb.tolist()):
-        if a < b:
-            uf.union(a, b)
-
-    labels = np.where(core, uf.roots(), -1)
+    labels = np.where(core, components(n, ca, cb), -1)
     for p in np.flatnonzero(~core):
         candidates = np.flatnonzero(strong[p] & core)
         if candidates.size:
@@ -191,8 +186,9 @@ def snn_cluster(ds: Dataset, knn_k: int, eps: float, min_pts: int) -> Partition:
 # MST clustering
 
 
-def interesting_mst_edges(ds: Dataset) -> list[tuple[int, int]]:
-    """MST edges ordered by descending degree of interestingness.
+def interesting_mst_edges(ds: Dataset) -> np.ndarray:
+    """(n-1, 2) array of MST edges (a < b) ordered by descending degree
+    of interestingness.
 
     DI(a, b) = min(rank of b among a's neighbors, rank of a among b's);
     a high value means neither endpoint is a near neighbor of the other.
@@ -203,25 +199,16 @@ def interesting_mst_edges(ds: Dataset) -> list[tuple[int, int]]:
     di = np.minimum(rank[edges[:, 0], edges[:, 1]], rank[edges[:, 1], edges[:, 0]])
     w = ds.distances[edges[:, 0], edges[:, 1]]
     order = np.lexsort((edges[:, 1], edges[:, 0], -w, -di))
-    return [tuple(e) for e in edges[order].tolist()]
+    return edges[order]
 
 
 def _mst_partition_sweep(ds: Dataset, wanted: set[int]) -> dict[int, Partition]:
-    """Partitions for several k in one pass: add MST edges from least to
-    most interesting and snapshot whenever the component count hits a
-    wanted k."""
+    """Partitions for several k in [1, n]. The MST is a tree, so keeping
+    its n-k least interesting edges leaves exactly k components."""
     ranked = interesting_mst_edges(ds)
-    uf = UnionFind(ds.n)
-    count = ds.n
-    out: dict[int, Partition] = {}
-    if count in wanted:
-        out[count] = Partition(canonical_labels(uf.roots()))
-    for a, b in reversed(ranked):
-        if uf.union(a, b):
-            count -= 1
-            if count in wanted:
-                out[count] = Partition(canonical_labels(uf.roots()))
-    return out
+    return {k: Partition(canonical_labels(
+                components(ds.n, ranked[k - 1:, 0], ranked[k - 1:, 1])))
+            for k in wanted}
 
 
 def mst_cluster(ds: Dataset, k: int) -> Partition:

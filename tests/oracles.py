@@ -1,5 +1,5 @@
-"""Independent brute-force oracles for every criterion, ARI, the MST and
-single linkage.
+"""Independent brute-force oracles for every criterion, ARI, the MST,
+single linkage, connected components and SNN clustering.
 
 Everything here is written with plain Python loops over raw point arrays,
 deliberately sharing no code with the library so the two routes can check
@@ -389,14 +389,12 @@ def oracle_single_linkage(points):
 # Delta-locus decoding
 
 
-def oracle_decode(n, fixed_edges, loci, genes):
-    """Cluster of every point under a delta-locus genotype: breadth-first
-    search over the points, linked by the fixed MST edges and by each
-    locus's edge to its gene unless the gene is the locus itself. Clusters
-    are numbered in order of their smallest point."""
+def oracle_components(n, edges):
+    """Cluster of every node of the undirected graph (range(n), edges):
+    breadth-first search, with clusters numbered in order of their
+    smallest node."""
     adjacent = [[] for _ in range(n)]
-    links = list(fixed_edges) + [(i, g) for i, g in zip(loci, genes) if i != g]
-    for a, b in links:
+    for a, b in edges:
         adjacent[a].append(b)
         adjacent[b].append(a)
     labels = [-1] * n
@@ -414,3 +412,47 @@ def oracle_decode(n, fixed_edges, loci, genes):
                     queue.append(w)
         k += 1
     return labels
+
+
+def oracle_decode(n, fixed_edges, loci, genes):
+    """Cluster of every point under a delta-locus genotype: the components
+    of the fixed MST edges plus each locus's edge to its gene, unless the
+    gene is the locus itself. Clusters are numbered in order of their
+    smallest point."""
+    links = list(fixed_edges) + [(i, g) for i, g in zip(loci, genes) if i != g]
+    return oracle_components(n, links)
+
+
+# --------------------------------------------------------------------------
+# Shared nearest neighbor clustering
+
+
+def oracle_snn(points, knn_k, eps, min_pts):
+    """SNN clustering: mutual kNN links, similarity = shared neighbor
+    count, core points by link density, clusters = components of the core
+    links, border points to their nearest qualifying core (ties to the
+    smaller index), noise as singletons. Clusters are numbered in order of
+    their smallest point."""
+    n = len(points)
+    knn_k = max(1, min(knn_k, n - 1))
+    nn = [set(neighbor_list(points, a)[:knn_k]) for a in range(n)]
+    strong = [[b for b in range(n)
+               if b in nn[a] and a in nn[b] and len(nn[a] & nn[b]) >= eps]
+              for a in range(n)]
+    core = [len(strong[a]) >= min_pts for a in range(n)]
+    core_links = [(a, b) for a in range(n) if core[a]
+                  for b in strong[a] if core[b]]
+    cluster = oracle_components(n, core_links)
+    labels = [cluster[a] if core[a] else None for a in range(n)]
+    for p in range(n):
+        if core[p]:
+            continue
+        cores = [c for c in strong[p] if core[c]]
+        if cores:
+            labels[p] = cluster[min(cores, key=lambda c: (dist(points[p], points[c]), c))]
+        else:
+            labels[p] = ("noise", p)
+    first = {}
+    for lab in labels:
+        first.setdefault(lab, len(first))
+    return [first[lab] for lab in labels]

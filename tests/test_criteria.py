@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from admissa import (Dataset, DegenerateError, KTooSmallError, Partition,
-                     ZeroVectorError, evaluate, evaluate_vector, objective,
-                     objectives)
+                     ZeroVectorError, canonical_labels, evaluate,
+                     evaluate_vector, mst_cluster, objective, objectives)
 from admissa.criteria import (ALL_IDS, DIRECTIONS, MAXIMIZE, MINIMIZE,
                               eval_abgss, eval_ch, eval_con, eval_db,
                               eval_dcd, eval_dev, eval_dunn, eval_ent,
                               eval_mod, eval_pbm, eval_sep_al, eval_sep_cl,
                               eval_sep_graph, eval_sil, eval_twcv, eval_var,
                               eval_xb)
-from conftest import random_instance
-from oracles import ORACLES, oracle_ent
+from conftest import random_instance, tie_grids
+from oracles import ORACLES, oracle_dcd, oracle_ent
 
 # Frozen reference values for the fix4 fixture, re-derived with the
 # brute-force oracles in oracles.py before being frozen here.
@@ -255,6 +255,21 @@ class TestOracleEquivalence:
             want = ORACLES["con"](ds.points.tolist(), pi.assignment.tolist(),
                                   {"L": 5, "con_penalty": "rank"})
             assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_dcd_matches_oracle_on_tie_grids(self, seed):
+        # Under tied weights a tie rule that is not one strict order lets
+        # Borůvka's rounds close a cycle and keep a heavier forest.
+        rng = np.random.default_rng(seed)
+        for pts in tie_grids(seed):
+            ds = Dataset(pts)
+            labelings = [mst_cluster(ds, k).assignment for k in range(1, ds.n + 1)]
+            labelings += [rng.integers(0, 3, ds.n) for _ in range(3)]
+            for labels in labelings:
+                pi = Partition(canonical_labels(labels))
+                for k_size in (1, 3, 10):
+                    want = oracle_dcd(pts.tolist(), pi.assignment.tolist(), k_size)
+                    assert eval_dcd(ds, pi, k_size) == pytest.approx(want, rel=1e-9)
 
 
 class TestEvaluateVector:

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from admissa import (DataError, Dataset, Partition, canonical_labels,
                      centroids, load_dataset, minimum_spanning_tree,
                      write_dataset_csv)
+from admissa.data import components
 from conftest import tie_grids
-from oracles import neighbor_list, oracle_mst_edges, oracle_mst_weight
+from oracles import (neighbor_list, oracle_components, oracle_mst_edges,
+                     oracle_mst_weight)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -228,3 +230,50 @@ class TestMst:
             pairs = sorted(zip(np.minimum(child, parent[1:]).tolist(),
                                np.maximum(child, parent[1:]).tolist()))
             assert [list(p) for p in pairs] == ds.mst_edges.tolist()
+
+
+@st.composite
+def graphs(draw):
+    """Edge lists on 1..40 nodes with self-loops, duplicate and reversed
+    edges, plus part of a path through a random node order, in random
+    edge order."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    if draw(st.booleans()):
+        edges += [(b, a) for a, b in edges]
+    path = draw(st.permutations(range(n)))
+    edges += list(zip(path, path[1:]))[:draw(st.integers(0, n))]
+    return n, draw(st.permutations(edges))
+
+
+def smallest_members(n, edges):
+    labels = oracle_components(n, edges)
+    first = {}
+    for v, lab in enumerate(labels):
+        first.setdefault(lab, v)
+    return [first[lab] for lab in labels]
+
+
+class TestComponents:
+    @given(graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_smallest_member_of_bfs_component(self, graph):
+        n, edges = graph
+        a = [e[0] for e in edges]
+        b = [e[1] for e in edges]
+        assert components(n, a, b).tolist() == smallest_members(n, edges)
+
+    @pytest.mark.parametrize("n, edges", [
+        (1, []),
+        (1, [(0, 0)]),
+        (5, []),
+        (4, [(2, 2), (3, 1), (1, 3), (3, 1)]),
+        (50, [(i, i - 1) for i in range(49, 0, -1)]),
+        (50, [(i - 1, i) for i in range(49, 0, -1)]),
+        (50, [(i, 49) for i in range(49)]),
+    ])
+    def test_edge_cases(self, n, edges):
+        a = np.array([e[0] for e in edges], dtype=np.int64)
+        b = np.array([e[1] for e in edges], dtype=np.int64)
+        assert components(n, a, b).tolist() == smallest_members(n, edges)

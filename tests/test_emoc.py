@@ -37,7 +37,7 @@ class TestDeltaScheme:
     def test_delta_100_percent_all_edges(self, fix4):
         scheme = delta_relevant_loci(fix4, delta_percent=100.0)
         assert len(scheme.relevant_loci) == fix4.n - 1
-        assert scheme.fixed_edges == []
+        assert scheme.fixed_edges.shape == (0, 2)
 
     def test_fix4_single_relevant_is_cross_edge(self, fix4):
         scheme = delta_relevant_loci(fix4, delta_percent=25.0)  # 1 edge
@@ -96,7 +96,7 @@ class TestDecodeEncode:
             for genes in genotypes:
                 pi = decode(Genotype(scheme, genes), ds)
                 assert pi.assignment.tolist() == oracle_decode(
-                    ds.n, scheme.fixed_edges, loci.tolist(), genes.tolist())
+                    ds.n, scheme.fixed_edges.tolist(), loci.tolist(), genes.tolist())
 
     def test_size_mismatch_rejected(self, fix4):
         ds = gen_blobs(2, 10, 5.0, seed=1)

@@ -6,11 +6,11 @@ import pytest
 from admissa import (Dataset, Partition, ari, gen_blobs, gen_elongated,
                      generate_population, kmeans, linkage, mst_cluster,
                      snn_cluster)
-from admissa.initializers import (InitPopulation, interesting_mst_edges,
-                                  lloyd_run)
+from admissa.initializers import (SNN_GRID, InitPopulation,
+                                  interesting_mst_edges, lloyd_run)
 from admissa.seeding import rng_for
 from conftest import tie_grids
-from oracles import oracle_single_linkage
+from oracles import oracle_single_linkage, oracle_snn
 
 
 def enumerate_bipartitions(n):
@@ -124,11 +124,22 @@ class TestSnn:
         pi = snn_cluster(ds, 15, 1, 3)
         assert ari(pi, ds.true_partition()) == 1.0
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        sets = tie_grids(seed) + [rng.normal(size=(int(rng.integers(8, 40)), 2))
+                                  for _ in range(5)]
+        for pts in sets:
+            ds = Dataset(pts)
+            for knn_k, eps, min_pts in itertools.product(*SNN_GRID.values()):
+                want = oracle_snn(pts.tolist(), knn_k, eps, min_pts)
+                assert snn_cluster(ds, knn_k, eps, min_pts).assignment.tolist() == want
+
 
 class TestMstCluster:
     def test_fix4_cut(self, fix4, fix4_truth):
         assert mst_cluster(fix4, 2).same_as(fix4_truth)
-        assert interesting_mst_edges(fix4)[0] == (0, 2)
+        assert interesting_mst_edges(fix4)[0].tolist() == [0, 2]
 
     def test_k_equals_n(self, fix4):
         assert mst_cluster(fix4, 4).same_as(Partition(np.arange(4)))
