@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the full desk-scale analysis campaign: a 10-dataset suite spanning
+"""Run the full desk-scale analysis campaign: a 12-dataset suite spanning
 the four benchmark families, all five initializers, the 17-objective
 admissibility matrix, and the six objective-pair optimization study.
 

@@ -172,16 +172,18 @@ def classify_cell(ds: Dataset, pop: InitPopulation, spec: ObjectiveSpec,
 
     values: list[float] = []
     origin: list[int] = []
-    truth_found = False
+    truth_idx: int | None = None  # the first base partition equal to the truth
     for idx, pi in enumerate(pop.partitions):
         if pi.same_as(truth):
-            truth_found = True
+            if truth_idx is None:
+                truth_idx = idx
             continue
         try:
             values.append(evaluate(ds, pi, spec))
             origin.append(idx)
         except CriterionError as err:
             skips.append(f"{ds.name}/{spec.id}: partition {idx} skipped ({err})")
+    truth_found = truth_idx is not None
     if not values:
         skips.append(f"{ds.name}/{spec.id}: no evaluable base partition")
         if truth_found:
@@ -196,8 +198,7 @@ def classify_cell(ds: Dataset, pop: InitPopulation, spec: ObjectiveSpec,
     if verdict_kind == INADMISSIBLE:
         witness_idx = origin[witness]
     elif verdict_kind == OPTIMAL_IN_INIT:
-        witness_idx = next(i for i, pi in enumerate(pop.partitions)
-                           if pi.same_as(truth))
+        witness_idx = truth_idx
     return AdmissibilityVerdict(spec.id, ds.name, initializer, verdict_kind,
                                 witness_idx, margin), skips
 

@@ -39,19 +39,23 @@ class Partition:
 
     assignment: np.ndarray
     k: int = field(default=0)
+    sizes: np.ndarray = field(init=False, repr=False)  # points per cluster
 
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=np.int64)
         if self.assignment.ndim != 1 or self.assignment.size == 0:
             raise DataError("assignment must be a non-empty 1-d array")
-        present = np.unique(self.assignment)
-        if self.k == 0:
-            self.k = int(present.size)
-        if present[0] < 0 or present[-1] >= self.k:
-            raise DataError(f"cluster ids must lie in [0, {self.k - 1}]")
-        if present.size != self.k:
+        # The ids are bounded before bincount sizes its output by them; a
+        # given k then is the length of the counts.
+        bound = self.k or self.n
+        if self.assignment.min() < 0 or self.assignment.max() >= bound:
+            raise DataError(f"cluster ids must lie in [0, {bound - 1}]")
+        self.sizes = np.bincount(self.assignment, minlength=self.k)
+        self.k = self.sizes.size
+        if not self.sizes.all():
             raise DataError("every cluster id in [0, k-1] must be non-empty")
         self.assignment.setflags(write=False)
+        self.sizes.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -64,19 +68,16 @@ class Partition:
         bounds = np.searchsorted(self.assignment[order], np.arange(self.k + 1))
         return [order[bounds[i]:bounds[i + 1]] for i in range(self.k)]
 
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.k)
-
     def canonical(self) -> "Partition":
         return Partition(canonical_labels(self.assignment))
 
+    @cached_property
     def key(self) -> bytes:
         """Hashable identity up to cluster relabeling."""
         return canonical_labels(self.assignment).tobytes()
 
     def same_as(self, other: "Partition") -> bool:
-        return self.n == other.n and self.key() == other.key()
+        return self.n == other.n and self.key == other.key
 
 
 @dataclass(eq=False)

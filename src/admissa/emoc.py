@@ -68,7 +68,6 @@ class DeltaScheme:
     each locus's gene domain, and the components induced by the fixed
     links."""
 
-    n: int
     relevant_loci: np.ndarray  # child endpoints of the top-DI MST edges
     fixed_edges: np.ndarray  # (m, 2): (child, parent) of every other MST edge
     parent: np.ndarray  # MST parent per node (root -> itself)
@@ -105,70 +104,57 @@ def delta_relevant_loci(ds: Dataset, delta_percent: float | None = None,
         domains.append(np.array(list(dict.fromkeys(dom)), dtype=np.int64))
 
     base = canonical_labels(components(n, fixed[:, 0], fixed[:, 1]))
-    return DeltaScheme(n=n, relevant_loci=relevant,
-                       fixed_edges=fixed, parent=parent, domains=domains,
-                       base_labels=base, n_base=int(base.max()) + 1)
+    return DeltaScheme(relevant_loci=relevant, fixed_edges=fixed,
+                       parent=parent, domains=domains, base_labels=base,
+                       n_base=int(base.max()) + 1)
 
 
-@dataclass(eq=False)
-class Genotype:
-    scheme: DeltaScheme
-    genes: np.ndarray  # one target point index per relevant locus
-
-    def copy(self) -> "Genotype":
-        return Genotype(self.scheme, self.genes.copy())
-
-
-def decode(g: Genotype, ds: Dataset) -> Partition:
+def decode(scheme: DeltaScheme, genes: np.ndarray) -> Partition:
     """Connected components of fixed links plus the non-self gene links."""
-    if ds.n != g.scheme.n:
-        raise ValueError("genotype and dataset sizes differ")
-    sch = g.scheme
-    linked = g.genes != sch.relevant_loci
-    roots = components(sch.n_base, sch.base_labels[sch.relevant_loci[linked]],
-                       sch.base_labels[g.genes[linked]])
+    linked = genes != scheme.relevant_loci
+    roots = components(scheme.n_base,
+                       scheme.base_labels[scheme.relevant_loci[linked]],
+                       scheme.base_labels[genes[linked]])
     # Components are numbered by their smallest point and a root is the
     # smallest component of its set, so the dense rank of the roots numbers
     # the clusters by their smallest point: the canonical labels.
-    rank = np.cumsum(roots == np.arange(sch.n_base)) - 1
-    return Partition(rank[roots][sch.base_labels])
+    rank = np.cumsum(roots == np.arange(scheme.n_base)) - 1
+    return Partition(rank[roots][scheme.base_labels])
 
 
-def encode(pi: Partition, scheme: DeltaScheme) -> Genotype:
-    """Genotype whose loci follow the MST parent when co-clustered with it
-    and cut otherwise. Decoding reproduces ``pi`` exactly when all of its
-    cut MST edges are relevant loci."""
+def encode(pi: Partition, scheme: DeltaScheme) -> np.ndarray:
+    """Genes whose loci follow the MST parent when co-clustered with it and
+    cut otherwise. Decoding reproduces ``pi`` exactly when all of its cut
+    MST edges are relevant loci."""
     loci = scheme.relevant_loci
     par = scheme.parent[loci]
     labels = pi.assignment
-    return Genotype(scheme, np.where(labels[loci] == labels[par], par, loci))
+    return np.where(labels[loci] == labels[par], par, loci)
 
 
-def variation(parent1: Genotype, parent2: Genotype, config: EmocConfig,
-              rng: np.random.Generator) -> tuple[Genotype, Genotype]:
+def variation(scheme: DeltaScheme, genes1: np.ndarray, genes2: np.ndarray,
+              config: EmocConfig,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Per-locus uniform crossover followed by uniform domain-reset
     mutation."""
-    if parent1.scheme is not parent2.scheme:
-        raise ValueError("parents use different locus schemes")
-    sch = parent1.scheme
-    n_loci = len(sch.relevant_loci)
+    n_loci = len(scheme.relevant_loci)
     swap = rng.random(n_loci) < config.crossover_prob
-    child1 = np.where(swap, parent2.genes, parent1.genes)
-    child2 = np.where(swap, parent1.genes, parent2.genes)
+    child1 = np.where(swap, genes2, genes1)
+    child2 = np.where(swap, genes1, genes2)
     prob = config.mutation_rate(n_loci)
-    return (mutate(Genotype(sch, child1), prob, rng),
-            mutate(Genotype(sch, child2), prob, rng))
+    return mutate(scheme, child1, prob, rng), mutate(scheme, child2, prob, rng)
 
 
-def mutate(g: Genotype, prob: float, rng: np.random.Generator) -> Genotype:
+def mutate(scheme: DeltaScheme, genes: np.ndarray, prob: float,
+           rng: np.random.Generator) -> np.ndarray:
     """Uniform domain-reset mutation: each locus, with probability
     ``prob``, takes a random value from its gene domain."""
-    genes = g.genes.copy()
+    genes = genes.copy()
     hits = np.flatnonzero(rng.random(len(genes)) < prob)
     for pos in hits:
-        dom = g.scheme.domains[pos]
+        dom = scheme.domains[pos]
         genes[pos] = dom[rng.integers(len(dom))]
-    return Genotype(g.scheme, genes)
+    return genes
 
 
 # --------------------------------------------------------------------------
@@ -215,18 +201,8 @@ def crowding_distance(values: np.ndarray) -> np.ndarray:
     return dist
 
 
-@dataclass(eq=False)
-class Individual:
-    genotype: Genotype
-    partition: Partition
-    vector: ObjectiveVector | None  # None when a criterion error disqualified it
-    rank: int = 0
-    crowding: float = 0.0
-
-
 @dataclass
 class FrontMember:
-    genotype: Genotype
     partition: Partition
     vector: ObjectiveVector
 
@@ -239,135 +215,102 @@ class ParetoFront:
     def __len__(self) -> int:
         return len(self.members)
 
-    def vectors(self) -> list[ObjectiveVector]:
-        return [m.vector for m in self.members]
+
+def _rank_population(vectors: list[ObjectiveVector | None]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Front rank and crowding distance per member. Disqualified members
+    (``None``) rank after every front, with zero crowding."""
+    size = len(vectors)
+    rank = np.full(size, size)
+    crowding = np.zeros(size)
+    feasible = np.flatnonzero([v is not None for v in vectors])
+    if feasible.size:
+        values = np.array([vectors[i].minimized() for i in feasible])
+        for r, front in enumerate(fast_nondominated_sort(values)):
+            rank[feasible[front]] = r
+            crowding[feasible[front]] = crowding_distance(values[front])
+    return rank, crowding
 
 
-def _evaluate_individual(ds: Dataset, g: Genotype, specs,
-                         geometry: ComponentGeometry,
-                         memo: dict[bytes, ObjectiveVector | None]) -> Individual:
-    """Decode ``g`` and evaluate its partition on the base components. The
-    vector is a pure function of the partition, so a partition met before
-    in the run takes its vector from ``memo``, keyed on the cluster of each
-    component."""
-    pi = decode(g, ds)
-    key = pi.assignment[geometry.first].tobytes()
-    if key not in memo:
-        try:
-            memo[key] = evaluate_vector(ds, pi, specs, geometry.evaluate)
-        except CriterionError:
-            memo[key] = None
-    return Individual(g, pi, memo[key])
+def _truncate(rank: np.ndarray, crowding: np.ndarray, size: int) -> np.ndarray:
+    """Indices of the ``size`` best members by (rank, -crowding, index);
+    lexsort is stable, so the index breaks the remaining ties."""
+    return np.lexsort((-crowding, rank))[:size]
 
 
-def _rank_population(pop: list[Individual]) -> list[list[Individual]]:
-    """Assign ranks and crowding; disqualified members get the worst rank.
-    Returns the feasible fronts."""
-    feasible = [ind for ind in pop if ind.vector is not None]
-    infeasible = [ind for ind in pop if ind.vector is None]
-    fronts_out: list[list[Individual]] = []
-    if feasible:
-        values = np.array([ind.vector.minimized() for ind in feasible])
-        fronts = fast_nondominated_sort(values)
-        for r, front in enumerate(fronts):
-            dist = crowding_distance(values[front])
-            for pos, idx in enumerate(front):
-                feasible[idx].rank = r
-                feasible[idx].crowding = float(dist[pos])
-            fronts_out.append([feasible[i] for i in front])
-    for ind in infeasible:
-        ind.rank = len(fronts_out) + len(pop)
-        ind.crowding = 0.0
-    return fronts_out
-
-
-def _truncate(pop: list[Individual], size: int) -> list[Individual]:
-    order = sorted(range(len(pop)),
-                   key=lambda i: (pop[i].rank, -pop[i].crowding, i))
-    return [pop[i] for i in order[:size]]
-
-
-def _tournament(pop: list[Individual], rng: np.random.Generator) -> Individual:
-    i, j = rng.integers(len(pop), size=2)
-    a, b = pop[int(i)], pop[int(j)]
-    if (a.rank, -a.crowding) <= (b.rank, -b.crowding):
-        return a
-    return b
-
-
-def _front_members(pop: list[Individual]) -> list[FrontMember]:
-    best = [ind for ind in pop if ind.vector is not None and ind.rank == 0]
-    seen: set[bytes] = set()
-    members = []
-    for ind in best:
-        key = ind.partition.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        members.append(FrontMember(ind.genotype, ind.partition, ind.vector))
-    return members
+def _tournament(rank: np.ndarray, crowding: np.ndarray,
+                rng: np.random.Generator) -> int:
+    i, j = rng.integers(len(rank), size=2)
+    if (rank[i], -crowding[i]) <= (rank[j], -crowding[j]):
+        return int(i)
+    return int(j)
 
 
 def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront:
     """Run the evolutionary clusterer seeded from an initial population.
 
-    Individuals whose objective vector cannot be evaluated (criterion
-    errors such as k=1 under a separation index) are kept with worst-rank
-    fitness instead of aborting the run."""
+    The population is a (members x loci) gene array with each member's
+    partition, objective vector, front rank and crowding. Members whose
+    objective vector cannot be evaluated (criterion errors such as k=1
+    under a separation index) are kept with worst-rank fitness instead of
+    aborting the run."""
     if not init.partitions:
         raise EmocError("initial population is empty")
     scheme = delta_relevant_loci(ds, config.delta_percent, L=config.L)
     geometry = ComponentGeometry(ds, scheme.base_labels, scheme.n_base)
+    # The vector is a pure function of the partition, so a partition met
+    # before in the run takes its vector from the memo, keyed on the
+    # cluster of each base component.
     memo: dict[bytes, ObjectiveVector | None] = {}
     rng = rng_for(config.seed, "emoc")
-    specs = config.objectives
+    size = config.population_size
 
-    genotypes = [encode(pi, scheme) for pi in init.partitions]
+    rows = [encode(pi, scheme) for pi in init.partitions]
     mut_prob = config.mutation_rate(len(scheme.relevant_loci))
-    i = 0
-    while len(genotypes) < config.population_size:
-        genotypes.append(mutate(genotypes[i % len(init.partitions)], mut_prob, rng))
-        i += 1
+    rows += [mutate(scheme, rows[i % len(init.partitions)], mut_prob, rng)
+             for i in range(size - len(rows))]
+    genes = np.empty((0, len(scheme.relevant_loci)), dtype=np.int64)
+    parts: list[Partition] = []
+    vectors: list[ObjectiveVector | None] = []
+    history: list[dict] | None = [] if config.track_history else None
+    for gen in range(config.generations + 1):
+        if gen:
+            rows = []
+            for _ in range(size // 2):
+                p1 = _tournament(rank, crowding, rng)
+                p2 = _tournament(rank, crowding, rng)
+                rows.extend(variation(scheme, genes[p1], genes[p2], config, rng))
+        genes = np.concatenate([genes, rows])
+        for g in rows:
+            pi = decode(scheme, g)
+            key = pi.assignment[geometry.first].tobytes()
+            if key not in memo:
+                try:
+                    memo[key] = evaluate_vector(ds, pi, config.objectives,
+                                                geometry.evaluate)
+                except CriterionError:
+                    memo[key] = None
+            parts.append(pi)
+            vectors.append(memo[key])
+        if gen == 0 and all(v is None for v in vectors):
+            raise EmocError("every initial individual was disqualified")
+        rank, crowding = _rank_population(vectors)
+        keep = _truncate(rank, crowding, size)
+        genes = genes[keep]
+        parts = [parts[i] for i in keep]
+        vectors = [vectors[i] for i in keep]
+        rank, crowding = _rank_population(vectors)
+        best = np.flatnonzero(rank == 0)
+        if history is not None:
+            values = np.array([v.minimized() for v in vectors if v is not None])
+            history.append({"best": values.min(axis=0).tolist(),
+                            "front_size": len(best),
+                            "front_values": [list(vectors[i].values) for i in best]})
 
-    pop = [_evaluate_individual(ds, g, specs, geometry, memo)
-           for g in genotypes]
-    if all(ind.vector is None for ind in pop):
-        raise EmocError("every initial individual was disqualified")
-    _rank_population(pop)
-    pop = _truncate(pop, config.population_size)
-    _rank_population(pop)
-
-    history: list[dict] = []
-
-    def record():
-        if not config.track_history:
-            return
-        feas = [ind for ind in pop if ind.vector is not None]
-        values = np.array([ind.vector.minimized() for ind in feas])
-        front_values = [list(ind.vector.values) for ind in feas if ind.rank == 0]
-        entry = {"best": values.min(axis=0).tolist(),
-                 "front_size": len(front_values),
-                 "front_values": front_values}
-        history.append(entry)
-
-    record()
-    for _gen in range(config.generations):
-        offspring: list[Individual] = []
-        while len(offspring) < config.population_size:
-            p1 = _tournament(pop, rng)
-            p2 = _tournament(pop, rng)
-            c1, c2 = variation(p1.genotype, p2.genotype, config, rng)
-            offspring.append(_evaluate_individual(ds, c1, specs, geometry, memo))
-            offspring.append(_evaluate_individual(ds, c2, specs, geometry, memo))
-        combined = pop + offspring
-        _rank_population(combined)
-        pop = _truncate(combined, config.population_size)
-        _rank_population(pop)
-        record()
-
-    members = _front_members(pop)
-    return ParetoFront(members=members,
-                       history=history if config.track_history else None)
+    members: dict[bytes, FrontMember] = {}
+    for i in best:
+        members.setdefault(parts[i].key, FrontMember(parts[i], vectors[i]))
+    return ParetoFront(members=list(members.values()), history=history)
 
 
 def truth_dominated(front: ParetoFront, truth_vector: ObjectiveVector) -> bool:

@@ -242,8 +242,7 @@ class InitPopulation:
     out_of_range: list[bool] = field(default_factory=list)
 
     def add(self, pi: Partition, seed: int | None, params: dict, in_range: bool):
-        key = pi.key()
-        if any(p.key() == key for p in self.partitions):
+        if any(p.key == pi.key for p in self.partitions):
             return
         self.partitions.append(pi.canonical())
         self.seeds.append(seed)

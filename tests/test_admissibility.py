@@ -162,6 +162,15 @@ class TestClassifyCell:
         verdict2, _ = classify_cell(ds, pop, objective("dunn"), "mst")
         assert verdict2.verdict == verdict.verdict
 
+    def test_optimal_witness_is_first_truth_copy(self):
+        ds = gen_blobs(3, 20, 10.0, seed=1)
+        pop = generate_population(ds, "mst", master_seed=0)
+        truth = ds.true_partition()
+        pop.partitions.insert(0, truth)  # a second copy, ahead of the first
+        verdict, _ = classify_cell(ds, pop, objective("sil"), "mst")
+        assert verdict.verdict == OPTIMAL_IN_INIT
+        assert verdict.witness == 0
+
     def test_criterion_errors_recorded_not_fatal(self, fix4):
         pop = generate_population(fix4, "mst", master_seed=0)
         # the k=4 all-singletons member breaks dunn; the cell still resolves

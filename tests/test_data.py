@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from admissa import (DataError, Dataset, Partition, canonical_labels,
                      centroids, load_dataset, minimum_spanning_tree,
                      write_dataset_csv)
+from admissa import data
 from admissa.data import components
 from conftest import tie_grids
 from oracles import (neighbor_list, oracle_components, oracle_mst_edges,
@@ -73,6 +74,37 @@ class TestPartition:
         b = Partition(np.array([1, 1, 0, 0]))
         assert a.same_as(b)
         assert canonical_labels(b.assignment).tolist() == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("labels", [[0, -1, 1], [0, 2], [0, 10 ** 12]])
+    def test_rejects_ids_outside_range(self, labels):
+        with pytest.raises(DataError, match="cluster ids"):
+            Partition(np.array(labels))
+
+    @pytest.mark.parametrize("labels, k", [([0, 0, 1, 1], 3), ([0, 1, 2], 2),
+                                           ([0, 1], 5), ([0, 1], -1)])
+    def test_rejects_mismatched_k(self, labels, k):
+        with pytest.raises(DataError):
+            Partition(np.array(labels), k=k)
+
+    def test_explicit_k_matches_inferred(self):
+        pi = Partition(np.array([1, 0, 1]), k=2)
+        assert pi.k == Partition(np.array([1, 0, 1])).k == 2
+        assert pi.sizes.tolist() == [1, 2]
+
+    def test_key_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(assignment):
+            calls.append(1)
+            return canonical_labels(assignment)
+
+        monkeypatch.setattr(data, "canonical_labels", counting)
+        a = Partition(np.array([0, 0, 1, 1]))
+        b = Partition(np.array([1, 1, 0, 0]))
+        c = Partition(np.array([0, 1, 1, 1]))
+        for _ in range(5):
+            assert a.same_as(b) and not a.same_as(c)
+        assert len(calls) == 3
 
 
 class TestDistances:

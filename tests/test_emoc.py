@@ -13,8 +13,9 @@ from admissa import (Dataset, EmocConfig, Partition, ari, best_ari, decode,
 from admissa.admissibility import dominance
 from admissa.components import ComponentGeometry
 from admissa.criteria import CriterionError, ObjectiveVector, evaluate_vector
-from admissa.emoc import (EmocError, Genotype, crowding_distance,
-                          fast_nondominated_sort, mutate)
+from admissa.emoc import (EmocError, FrontMember, ParetoFront,
+                          _rank_population, _tournament, _truncate,
+                          crowding_distance, fast_nondominated_sort, mutate)
 from admissa.initializers import InitPopulation, mst_cluster
 from admissa.seeding import rng_for
 from conftest import tie_grids
@@ -59,20 +60,19 @@ class TestDeltaScheme:
 class TestDecodeEncode:
     def test_all_self_genes_gives_fixed_components(self, fix4):
         scheme = delta_relevant_loci(fix4, delta_percent=25.0)
-        g = Genotype(scheme, scheme.relevant_loci.copy())
-        pi = decode(g, fix4)
+        pi = decode(scheme, scheme.relevant_loci.copy())
         assert pi.same_as(fix4.true_partition())  # only the bridge is cut
 
     def test_cut_cross_edge_gives_truth(self, fix4, fix4_truth):
         scheme = delta_relevant_loci(fix4, delta_percent=100.0)
-        g = encode(fix4_truth, scheme)
-        assert decode(g, fix4).same_as(fix4_truth)
+        genes = encode(fix4_truth, scheme)
+        assert decode(scheme, genes).same_as(fix4_truth)
 
     def test_all_parents_single_cluster(self, fix4):
         scheme = delta_relevant_loci(fix4, delta_percent=100.0)
         genes = np.array([int(scheme.parent[i])
                           for i in scheme.relevant_loci])
-        pi = decode(Genotype(scheme, genes), fix4)
+        pi = decode(scheme, genes)
         assert pi.k == 1
 
     def test_roundtrip_for_mst_partitions(self):
@@ -80,7 +80,7 @@ class TestDecodeEncode:
         scheme = delta_relevant_loci(ds)
         for k in range(2, 7):
             pi = mst_cluster(ds, k)
-            assert decode(encode(pi, scheme), ds).same_as(pi)
+            assert decode(scheme, encode(pi, scheme)).same_as(pi)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_oracle(self, seed):
@@ -94,16 +94,9 @@ class TestDecodeEncode:
             genotypes += [np.array([d[rng.integers(len(d))] for d in scheme.domains])
                           for _ in range(4)]
             for genes in genotypes:
-                pi = decode(Genotype(scheme, genes), ds)
+                pi = decode(scheme, genes)
                 assert pi.assignment.tolist() == oracle_decode(
                     ds.n, scheme.fixed_edges.tolist(), loci.tolist(), genes.tolist())
-
-    def test_size_mismatch_rejected(self, fix4):
-        ds = gen_blobs(2, 10, 5.0, seed=1)
-        scheme = delta_relevant_loci(ds)
-        g = Genotype(scheme, scheme.relevant_loci.copy())
-        with pytest.raises(ValueError):
-            decode(g, fix4)
 
 
 def _outcome(evaluate):
@@ -139,7 +132,7 @@ class TestComponentGeometry:
         geometry = ComponentGeometry(ds, scheme.base_labels, scheme.n_base)
         for _ in range(3):
             genes = np.array([d[rng.integers(len(d))] for d in scheme.domains])
-            pi = decode(Genotype(scheme, genes), ds)
+            pi = decode(scheme, genes)
             for spec in self.COARSE_SPECS:
                 want = _outcome(lambda: evaluate_vector(ds, pi, [spec]).values[0])
                 got = _outcome(lambda: evaluate_vector(
@@ -165,39 +158,31 @@ class TestVariation:
     def test_no_crossover_copies(self, fix4):
         scheme = delta_relevant_loci(fix4, delta_percent=100.0)
         rng = rng_for(0, "t")
-        p1 = Genotype(scheme, scheme.relevant_loci.copy())
+        p1 = scheme.relevant_loci.copy()
         p2 = encode(fix4.true_partition(), scheme)
         cfg = small_config(crossover_prob=0.0, mutation_prob=0.0)
-        c1, c2 = variation(p1, p2, cfg, rng)
-        assert np.array_equal(c1.genes, p1.genes)
-        assert np.array_equal(c2.genes, p2.genes)
+        c1, c2 = variation(scheme, p1, p2, cfg, rng)
+        assert np.array_equal(c1, p1)
+        assert np.array_equal(c2, p2)
 
     def test_singleton_domain_mutation_is_identity(self):
         ds = Dataset(np.array([[0.0], [1.0], [2.0]]))
         scheme = delta_relevant_loci(ds, delta_percent=100.0, L=1)
         # shrink every domain to just the current gene
-        g = Genotype(scheme, np.array([int(d[0]) for d in scheme.domains]))
+        genes = np.array([int(d[0]) for d in scheme.domains])
         scheme.domains = [d[:1] for d in scheme.domains]
-        out = mutate(g, 1.0, rng_for(0, "m"))
-        assert np.array_equal(out.genes, g.genes)
+        out = mutate(scheme, genes, 1.0, rng_for(0, "m"))
+        assert np.array_equal(out, genes)
 
     def test_fixed_seed_reproducible(self, fix4):
         scheme = delta_relevant_loci(fix4, delta_percent=100.0)
-        p1 = Genotype(scheme, scheme.relevant_loci.copy())
+        p1 = scheme.relevant_loci.copy()
         p2 = encode(fix4.true_partition(), scheme)
         cfg = small_config(mutation_prob=0.5)
-        a = variation(p1, p2, cfg, rng_for(7, "v"))
-        b = variation(p1, p2, cfg, rng_for(7, "v"))
-        assert np.array_equal(a[0].genes, b[0].genes)
-        assert np.array_equal(a[1].genes, b[1].genes)
-
-    def test_mismatched_schemes_rejected(self, fix4):
-        s1 = delta_relevant_loci(fix4, delta_percent=100.0)
-        s2 = delta_relevant_loci(fix4, delta_percent=100.0)
-        with pytest.raises(ValueError):
-            variation(Genotype(s1, s1.relevant_loci.copy()),
-                      Genotype(s2, s2.relevant_loci.copy()),
-                      small_config(), rng_for(0, "x"))
+        a = variation(scheme, p1, p2, cfg, rng_for(7, "v"))
+        b = variation(scheme, p1, p2, cfg, rng_for(7, "v"))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
 class TestSortingMachinery:
@@ -226,6 +211,35 @@ class TestSortingMachinery:
         fronts = fast_nondominated_sort(values)
         assert [f.tolist() for f in fronts] == [[0, 1, 2], [3]]
 
+    def test_disqualified_rank_after_every_front(self):
+        specs = objectives("var", "con")
+        vectors = [None] + [ObjectiveVector(specs=specs, values=v)
+                            for v in [(1.0, 1.0), (2.0, 2.0), (0.0, 3.0)]] + [None]
+        rank, crowding = _rank_population(vectors)
+        assert rank.tolist() == [5, 0, 1, 0, 5]
+        assert crowding[[0, 4]].tolist() == [0.0, 0.0]
+        assert np.isinf(crowding[1:4]).all()  # fronts of one or two members
+
+    def test_truncate_orders_by_rank_crowding_index(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            rank = rng.integers(0, 4, n)
+            crowding = rng.choice([0.0, 0.5, 1.0, np.inf], n)
+            want = sorted(range(n), key=lambda i: (rank[i], -crowding[i], i))
+            assert _truncate(rank, crowding, n).tolist() == want
+            assert _truncate(rank, crowding, 3).tolist() == want[:3]
+
+    def test_tournament_returns_better_of_two_draws(self):
+        rank = np.array([0, 1, 0])
+        crowding = np.array([1.0, np.inf, np.inf])
+        preference = [2, 0, 1]  # best first
+        rng, replay = rng_for(0, "t"), rng_for(0, "t")
+        for _ in range(30):
+            i, j = replay.integers(3, size=2)
+            want = min(int(i), int(j), key=preference.index)
+            assert _tournament(rank, crowding, rng) == want
+
     def test_crowding_extremes_infinite(self):
         values = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
         dist = crowding_distance(values)
@@ -253,8 +267,8 @@ class TestEvolve:
         cfg = small_config(generations=5, seed=99)
         a = evolve(ds, cfg, pop)
         b = evolve(ds, cfg, pop)
-        ser_a = [(m.partition.key(), m.vector.values) for m in a.members]
-        ser_b = [(m.partition.key(), m.vector.values) for m in b.members]
+        ser_a = [(m.partition.key, m.vector.values) for m in a.members]
+        ser_b = [(m.partition.key, m.vector.values) for m in b.members]
         assert ser_a == ser_b
 
     def test_front_mutually_nondominated_each_generation(self):
@@ -314,7 +328,7 @@ class TestEvolve:
         cfg = EmocConfig(objectives=specs, population_size=20, generations=10,
                          seed=seed)
         front = evolve(ds, cfg, pop)
-        keys = b"".join(m.partition.key() for m in front.members)
+        keys = b"".join(m.partition.key for m in front.members)
         assert hashlib.sha256(keys).hexdigest() == self.GOLDEN_FRONTS[pair, seed]
         for m in front.members:
             want = evaluate_vector(ds, m.partition, specs).values
@@ -359,14 +373,12 @@ class TestTruthDominated:
     def test_front_of_truth_itself(self, fix4, fix4_truth):
         specs = objectives("var", "con", L=1)
         tv = evaluate_vector(fix4, fix4_truth, specs)
-        from admissa.emoc import FrontMember, ParetoFront
-        front = ParetoFront(members=[FrontMember(None, fix4_truth, tv)])
+        front = ParetoFront(members=[FrontMember(fix4_truth, tv)])
         assert truth_dominated(front, tv) is False
 
     def test_dominating_member(self, fix4, fix4_truth):
         specs = objectives("var", "con", L=1)
-        from admissa.emoc import FrontMember, ParetoFront
         good = ObjectiveVector(specs=specs, values=(1.0, 1.0))
         truth = ObjectiveVector(specs=specs, values=(2.0, 2.0))
-        front = ParetoFront(members=[FrontMember(None, fix4_truth, good)])
+        front = ParetoFront(members=[FrontMember(fix4_truth, good)])
         assert truth_dominated(front, truth) is True

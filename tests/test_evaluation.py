@@ -83,7 +83,7 @@ class TestBestAri:
         members = []
         for i, pi in enumerate(parts):
             vec = ObjectiveVector(specs=specs, values=(float(i), float(i)))
-            members.append(FrontMember(None, pi, vec))
+            members.append(FrontMember(pi, vec))
         return ParetoFront(members=members)
 
     def test_truth_on_front(self, fix4, fix4_truth):

@@ -190,7 +190,7 @@ class TestGeneratePopulation:
         ds = gen_blobs(3, 20, 6.0, seed=9)
         for algo in ("km", "al", "sl", "snn", "mst"):
             pop = generate_population(ds, algo, master_seed=3)
-            keys = [p.key() for p in pop.partitions]
+            keys = [p.key for p in pop.partitions]
             assert len(keys) == len(set(keys))
             for p in pop.partitions:
                 assert p.n == ds.n
