@@ -110,9 +110,12 @@ class ObjectiveVector:
 
     def minimized(self) -> np.ndarray:
         """Values with maximized objectives negated, so smaller is better."""
-        signs = np.array([1.0 if s.direction == MINIMIZE else -1.0
-                          for s in self.specs])
-        return signs * np.asarray(self.values)
+        return minimize_signs(self.specs) * np.asarray(self.values)
+
+
+def minimize_signs(specs: tuple[ObjectiveSpec, ...]) -> np.ndarray:
+    """+1 for each minimized objective and -1 for each maximized one."""
+    return np.array([1.0 if s.direction == MINIMIZE else -1.0 for s in specs])
 
 
 # --------------------------------------------------------------------------

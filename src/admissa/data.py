@@ -193,14 +193,21 @@ class Dataset:
                        name=self.name, label_names=self.label_names)
 
 
+def cluster_means(points: np.ndarray, assignment: np.ndarray,
+                  sizes: np.ndarray) -> np.ndarray:
+    """Mean of each cluster's points. Each cluster's rows are added in
+    index order, as ``points[assignment == i].mean(axis=0)`` adds them
+    for two or more columns, so the means have the same bits."""
+    sums = np.zeros((sizes.size, points.shape[1]))
+    np.add.at(sums, assignment, points)
+    return sums / sizes[:, None]
+
+
 def centroids(ds: Dataset, pi: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster mean vectors plus the overall dataset centroid."""
     if pi.n != ds.n:
         raise DataError("partition size does not match dataset")
-    sums = np.zeros((pi.k, ds.dim))
-    np.add.at(sums, pi.assignment, ds.points)
-    cents = sums / pi.sizes[:, None]
-    return cents, ds.points.mean(axis=0)
+    return cluster_means(ds.points, pi.assignment, pi.sizes), ds.points.mean(axis=0)
 
 
 def components(n: int, a, b) -> np.ndarray:
@@ -219,7 +226,7 @@ def components(n: int, a, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.int64)
     while True:
         la, lb = label[a], label[b]
-        if np.array_equal(la, lb) and np.array_equal(label[label], label):
+        if (la == lb).all() and (label[label] == label).all():
             return label
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         label = label[label]

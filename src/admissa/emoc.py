@@ -20,7 +20,7 @@ import numpy as np
 from .admissibility import dominance, dominates
 from .components import ComponentGeometry
 from .criteria import (CriterionError, ObjectiveSpec, ObjectiveVector,
-                       evaluate_vector)
+                       evaluate_vector, minimize_signs)
 from .data import Dataset, Partition, canonical_labels, components
 from .initializers import InitPopulation, interesting_mst_edges
 from .seeding import rng_for
@@ -216,6 +216,12 @@ class ParetoFront:
         return len(self.members)
 
 
+def _minimized(vectors: list[ObjectiveVector]) -> np.ndarray:
+    """(members x objectives) values with maximized objectives negated.
+    Every vector of a run has the run's specs, so one sign row serves."""
+    return np.array([v.values for v in vectors]) * minimize_signs(vectors[0].specs)
+
+
 def _rank_population(vectors: list[ObjectiveVector | None]
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Front rank and crowding distance per member. Disqualified members
@@ -225,7 +231,7 @@ def _rank_population(vectors: list[ObjectiveVector | None]
     crowding = np.zeros(size)
     feasible = np.flatnonzero([v is not None for v in vectors])
     if feasible.size:
-        values = np.array([vectors[i].minimized() for i in feasible])
+        values = _minimized([vectors[i] for i in feasible])
         for r, front in enumerate(fast_nondominated_sort(values)):
             rank[feasible[front]] = r
             crowding[feasible[front]] = crowding_distance(values[front])
@@ -302,7 +308,7 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
         rank, crowding = _rank_population(vectors)
         best = np.flatnonzero(rank == 0)
         if history is not None:
-            values = np.array([v.minimized() for v in vectors if v is not None])
+            values = _minimized([v for v in vectors if v is not None])
             history.append({"best": values.min(axis=0).tolist(),
                             "front_size": len(best),
                             "front_values": [list(vectors[i].values) for i in best]})

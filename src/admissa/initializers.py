@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Partition, canonical_labels, components
+from .data import Dataset, Partition, canonical_labels, cluster_means, components
 from .seeding import derive_seed, rng_for
 
 SNN_GRID = {
@@ -28,7 +28,10 @@ SNN_GRID = {
 
 
 def _seed_centroids(ds: Dataset, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-squared weighted random seeding over the data points."""
+    """Distance-squared weighted random seeding over the data points
+    (k-means++). Each draw is ``rng.choice(n, p=d2 / total)`` written out:
+    one uniform variate located in the normalised cumulative weights, so
+    the index and the generator state are the ones ``choice`` gives."""
     n = ds.n
     chosen = [int(rng.integers(n))]
     d2 = ds.distances[chosen[0]] ** 2
@@ -40,7 +43,9 @@ def _seed_centroids(ds: Dataset, k: int, rng: np.random.Generator) -> np.ndarray
             mask[chosen] = False
             nxt = int(np.flatnonzero(mask)[0])
         else:
-            nxt = int(rng.choice(n, p=d2 / total))
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            nxt = int(cdf.searchsorted(rng.random(), side="right"))
         chosen.append(nxt)
         d2 = np.minimum(d2, ds.distances[nxt] ** 2)
     return ds.points[chosen].copy()
@@ -71,9 +76,9 @@ def lloyd_run(ds: Dataset, k: int, rng: np.random.Generator,
             new_assignment[far] = empty[0]
             d2[:, empty[0]] = np.einsum(
                 "nd,nd->n", ds.points - cents[empty[0]], ds.points - cents[empty[0]])
-        for i in range(k):
-            members = new_assignment == i
-            cents[i] = ds.points[members].mean(axis=0)
+        # the repair loop ends on a pass that found no empty cluster, so
+        # counts are the sizes of new_assignment
+        cents = cluster_means(ds.points, new_assignment, counts)
         sq = ds.points - cents[new_assignment]
         history.append(float(np.einsum("nd,nd->", sq, sq)))
         if assignment is not None and np.array_equal(assignment, new_assignment):
@@ -159,24 +164,36 @@ def snn_cluster(ds: Dataset, knn_k: int, eps: float, min_pts: int) -> Partition:
     >= ``eps`` are core. Clusters are the components of the core subgraph;
     border points attach to their nearest qualifying core and everything
     else becomes a singleton so the partition stays total.
+
+    Everything works on the n*knn_k pair list (a, nn[a, j]), looked up by
+    the sorted keys a*n + b, in O(n * knn_k**2) memory and no n x n
+    array. The list runs through each point's neighbors in (distance,
+    index) order, so a border point's first qualifying pair is its nearest
+    core, ties to the smaller index.
     """
     n = ds.n
     knn_k = max(1, min(int(knn_k), n - 1))
     nn = ds.neighbor_index[:, :knn_k]
-    is_nn = np.zeros((n, n), dtype=bool)
-    is_nn[np.repeat(np.arange(n), knn_k), nn.ravel()] = True
-    linked = is_nn & is_nn.T
-    shared = (is_nn.astype(np.int32) @ is_nn.T.astype(np.int32))
-    strong = linked & (shared >= eps)
-    density = strong.sum(axis=1)
-    core = density >= min_pts
+    a = np.repeat(np.arange(n), knn_k)
+    b = nn.ravel()
+    keys = np.sort(a * n + b)
 
-    ca, cb = np.nonzero(strong & core[:, None] & core[None, :])
-    labels = np.where(core, components(n, ca, cb), -1)
-    for p in np.flatnonzero(~core):
-        candidates = np.flatnonzero(strong[p] & core)
-        if candidates.size:
-            labels[p] = labels[candidates[np.argmin(ds.distances[p, candidates])]]
+    def listed(key):
+        """Is a*n + b a kNN pair, i.e. b among a's knn_k neighbors?"""
+        return keys[np.minimum(keys.searchsorted(key), keys.size - 1)] == key
+
+    mutual = listed(b * n + a)
+    a, b = a[mutual], b[mutual]
+    shared = listed(b[:, None] * n + nn[a]).sum(axis=1)
+    strong = shared >= eps
+    a, b = a[strong], b[strong]
+    core = np.bincount(a, minlength=n) >= min_pts
+
+    both = core[a] & core[b]
+    labels = np.where(core, components(n, a[both], b[both]), -1)
+    border = ~core[a] & core[b]
+    attached, first = np.unique(a[border], return_index=True)
+    labels[attached] = labels[b[border][first]]
     noise = np.flatnonzero(labels < 0)  # each its own singleton cluster
     labels[noise] = n + np.arange(noise.size)
     return Partition(canonical_labels(labels))

@@ -1,9 +1,12 @@
 """Independent brute-force oracles for every criterion, ARI, the MST,
-single linkage, connected components and SNN clustering.
+single linkage, connected components, SNN clustering and Lloyd's k-means.
 
 Everything here is written with plain Python loops over raw point arrays,
 deliberately sharing no code with the library so the two routes can check
-each other.
+each other. The exception is the k-means pair: it keeps the plain numpy
+form the library had (a ``rng.choice`` draw per seed, a per-cluster
+``mean`` per iteration) as the bit-level reference for the library's
+one-call draw and centroid step.
 """
 
 import collections
@@ -456,3 +459,62 @@ def oracle_snn(points, knn_k, eps, min_pts):
     for lab in labels:
         first.setdefault(lab, len(first))
     return [first[lab] for lab in labels]
+
+
+# --------------------------------------------------------------------------
+# k-means
+
+
+def oracle_seed_centroids(points, distances, k, rng):
+    """k-means++ seeding: a uniform first point, then each next point with
+    probability proportional to its squared distance to the nearest chosen
+    one, drawn by ``rng.choice``; when that mass is zero, the first
+    unchosen index."""
+    n = len(points)
+    chosen = [int(rng.integers(n))]
+    d2 = distances[chosen[0]] ** 2
+    while len(chosen) < k:
+        total = d2.sum()
+        if total <= 0.0:
+            nxt = min(set(range(n)) - set(chosen))
+        else:
+            nxt = int(rng.choice(n, p=d2 / total))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, distances[nxt] ** 2)
+    return points[chosen].copy()
+
+
+def oracle_lloyd(points, distances, k, rng, max_iter=100):
+    """Lloyd descent from ``oracle_seed_centroids``: each point to its
+    nearest centroid (first on ties), empty clusters reseeded at the
+    farthest point of a cluster with two or more members, each centroid
+    the mean of its cluster. Returns the final assignment and the TWCV
+    after each iteration."""
+    n = len(points)
+    cents = oracle_seed_centroids(points, distances, k, rng)
+    assignment = None
+    history = []
+    for _ in range(max_iter):
+        diff = points[:, None, :] - cents[None, :, :]
+        d2 = np.einsum("nkd,nkd->nk", diff, diff)
+        new_assignment = d2.argmin(axis=1)
+        for _repair in range(k):
+            counts = np.bincount(new_assignment, minlength=k)
+            empty = np.flatnonzero(counts == 0)
+            if empty.size == 0:
+                break
+            point_d2 = d2[np.arange(n), new_assignment]
+            movable = counts[new_assignment] > 1
+            far = int(np.where(movable, point_d2, -np.inf).argmax())
+            cents[empty[0]] = points[far]
+            new_assignment[far] = empty[0]
+            d2[:, empty[0]] = np.einsum(
+                "nd,nd->n", points - cents[empty[0]], points - cents[empty[0]])
+        for i in range(k):
+            cents[i] = points[new_assignment == i].mean(axis=0)
+        sq = points - cents[new_assignment]
+        history.append(float(np.einsum("nd,nd->", sq, sq)))
+        if assignment is not None and np.array_equal(assignment, new_assignment):
+            break
+        assignment = new_assignment
+    return assignment, history

@@ -7,7 +7,7 @@ from admissa import (DataError, Dataset, Partition, canonical_labels,
                      centroids, load_dataset, minimum_spanning_tree,
                      write_dataset_csv)
 from admissa import data
-from admissa.data import components
+from admissa.data import cluster_means, components
 from conftest import tie_grids
 from oracles import (neighbor_list, oracle_components, oracle_mst_edges,
                      oracle_mst_weight)
@@ -190,6 +190,15 @@ class TestCentroids:
     def test_singletons_are_points(self, fix4):
         cents, _ = centroids(fix4, Partition(np.arange(4)))
         assert np.array_equal(cents, fix4.points)
+
+    def test_cluster_means_match_per_cluster_mean_bits(self):
+        # two or more columns: rows are added in index order either way
+        rng = np.random.default_rng(7)
+        for d in (2, 3, 5):
+            pts = rng.normal(size=(300, d)) * 1e3
+            labels = np.concatenate([np.arange(9), rng.integers(0, 9, 291)])
+            want = np.array([pts[labels == i].mean(axis=0) for i in range(9)])
+            assert np.array_equal(cluster_means(pts, labels, np.bincount(labels)), want)
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.floats(min_value=-50, max_value=50),

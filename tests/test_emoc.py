@@ -12,8 +12,9 @@ from admissa import (Dataset, EmocConfig, Partition, ari, best_ari, decode,
                      objectives, truth_dominated, variation)
 from admissa.admissibility import dominance
 from admissa.components import ComponentGeometry
-from admissa.criteria import CriterionError, ObjectiveVector, evaluate_vector
-from admissa.emoc import (EmocError, FrontMember, ParetoFront,
+from admissa.criteria import (CriterionError, ObjectiveVector, evaluate_vector,
+                              minimize_signs)
+from admissa.emoc import (EmocError, FrontMember, ParetoFront, _minimized,
                           _rank_population, _tournament, _truncate,
                           crowding_distance, fast_nondominated_sort, mutate)
 from admissa.initializers import InitPopulation, mst_cluster
@@ -219,6 +220,16 @@ class TestSortingMachinery:
         assert rank.tolist() == [5, 0, 1, 0, 5]
         assert crowding[[0, 4]].tolist() == [0.0, 0.0]
         assert np.isinf(crowding[1:4]).all()  # fronts of one or two members
+
+    def test_minimized_rows_equal_each_vector_minimized(self):
+        specs = objectives("var", "sep_cl", "sil")
+        assert minimize_signs(specs).tolist() == [1.0, -1.0, -1.0]
+        rng = np.random.default_rng(3)
+        vectors = [ObjectiveVector(specs=specs, values=tuple(
+                       rng.normal(size=3) * 10.0 ** rng.integers(-5, 5, size=3)))
+                   for _ in range(20)]
+        assert np.array_equal(_minimized(vectors),
+                              np.array([v.minimized() for v in vectors]))
 
     def test_truncate_orders_by_rank_crowding_index(self):
         rng = np.random.default_rng(4)

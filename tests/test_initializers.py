@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,31 @@ import pytest
 from admissa import (Dataset, Partition, ari, gen_blobs, gen_elongated,
                      generate_population, kmeans, linkage, mst_cluster,
                      snn_cluster)
-from admissa.initializers import (SNN_GRID, InitPopulation,
+from admissa.initializers import (SNN_GRID, InitPopulation, _seed_centroids,
                                   interesting_mst_edges, lloyd_run)
 from admissa.seeding import rng_for
 from conftest import tie_grids
-from oracles import oracle_single_linkage, oracle_snn
+from oracles import (oracle_lloyd, oracle_seed_centroids,
+                     oracle_single_linkage, oracle_snn)
+
+
+def pcg64_with_second_output(x, hi):
+    """A PCG64 generator whose second 64-bit output is ``x``: the state
+    (hi, lo) outputs rotr64(hi ^ lo, hi >> 58), and one step is
+    state * multiplier + increment mod 2**128, which is inverted twice."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    doc = rng.bit_generator.state
+    inc = doc["state"]["inc"]
+    rot = hi >> 58
+    lo = hi ^ (((x << rot) | (x >> (64 - rot))) & (2 ** 64 - 1) if rot else x)
+    state = (hi << 64) | lo
+    inverse = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2 ** 128)
+    for _ in range(2):
+        state = (state - inc) * inverse % 2 ** 128
+    doc["state"]["state"] = state
+    doc["has_uint32"] = doc["uinteger"] = 0
+    rng.bit_generator.state = doc
+    return rng
 
 
 def enumerate_bipartitions(n):
@@ -54,6 +75,85 @@ class TestKmeans:
         a = kmeans(fix4, 2, seed=9)
         b = kmeans(fix4, 2, seed=9)
         assert np.array_equal(a.assignment, b.assignment)
+
+    @pytest.mark.parametrize("u", [0.0, 0.5])
+    def test_seeding_variate_on_a_cdf_step(self, u):
+        # After picking point 0 or 1 the weights are (0, 0, 1, 1), so the
+        # cumulative weights are exactly (0, 0, .5, 1). A variate equal to
+        # a step must take the next index with mass, as rng.choice does,
+        # never a zero-mass point. The first pick uses the first output and
+        # the variate the second, (x >> 11) / 2**53 for output x.
+        ds = Dataset(np.array([[0.0], [0.0], [1.0], [-1.0]]))
+        plateau = 0
+        for hi in range(1, 2 ** 64, 2 ** 60 - 7):
+            rng = pcg64_with_second_output(int(u * 2 ** 64), hi)
+            probe = np.random.Generator(np.random.PCG64())
+            probe.bit_generator.state = rng.bit_generator.state
+            plateau += int(probe.integers(ds.n)) < 2
+            assert probe.random() == u
+            replay = np.random.Generator(np.random.PCG64())
+            replay.bit_generator.state = rng.bit_generator.state
+            assert np.array_equal(_seed_centroids(ds, 2, rng),
+                                  oracle_seed_centroids(ds.points, ds.distances, 2, replay))
+            assert rng.bit_generator.state == replay.bit_generator.state
+        assert plateau >= 3
+
+    @staticmethod
+    def random_sets(rng, dims, count=10):
+        """Random sets of the given column counts and scales, plus integer
+        sets full of tied and duplicate points."""
+        sets = []
+        for _ in range(count):
+            n, d = int(rng.integers(5, 60)), int(rng.choice(dims))
+            sets.append(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 3))
+            sets.append(rng.integers(0, 4, size=(n, d)).astype(float))
+        return sets
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_lloyd_matches_oracle(self, seed):
+        # With two or more columns the centroid step adds each cluster's
+        # rows in index order, as the per-cluster mean does: every
+        # partition and every TWCV in the history agree to the bit.
+        rng = np.random.default_rng(seed)
+        for pts in tie_grids(seed) + self.random_sets(rng, (2, 3, 5)):
+            ds = Dataset(pts)
+            for k in sorted({2, 3, 7, ds.n} & set(range(2, ds.n + 1))):
+                for r in range(2):
+                    part, history = lloyd_run(ds, k, rng_for(r, "lloyd", k))
+                    want, want_history = oracle_lloyd(ds.points, ds.distances, k,
+                                                      rng_for(r, "lloyd", k))
+                    assert part.same_as(Partition(want))
+                    assert history == want_history
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_lloyd_one_column_partitions_match_oracle(self, seed):
+        # numpy sums a single column pairwise, so only the low bits of the
+        # history may differ from the per-cluster mean; the partitions agree.
+        rng = np.random.default_rng(seed + 20)
+        for pts in self.random_sets(rng, (1,), count=20):
+            ds = Dataset(pts)
+            for k in sorted({2, 3, 7, ds.n} & set(range(2, ds.n + 1))):
+                part, _ = lloyd_run(ds, k, rng_for(seed, "lloyd", k))
+                want, _ = oracle_lloyd(ds.points, ds.distances, k,
+                                       rng_for(seed, "lloyd", k))
+                assert part.same_as(Partition(want))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_seeding_draws_as_rng_choice(self, seed):
+        # Every chosen point has zero mass afterwards, and the tie grids'
+        # duplicates add more zero-mass entries. The normal sets have
+        # distinct points, so equal rows there mean equal indices.
+        rng = np.random.default_rng(seed + 40)
+        sets = tie_grids(seed) + [rng.normal(size=(int(rng.integers(2, 40)), 2))
+                                  for _ in range(10)]
+        for pts in sets:
+            ds = Dataset(pts)
+            for k in range(1, ds.n + 1):
+                got, want = rng_for(seed, "seeding", k), rng_for(seed, "seeding", k)
+                assert np.array_equal(_seed_centroids(ds, k, got),
+                                      oracle_seed_centroids(ds.points, ds.distances,
+                                                            k, want))
+                assert got.bit_generator.state == want.bit_generator.state
 
 
 class TestLinkage:
@@ -134,6 +234,33 @@ class TestSnn:
             for knn_k, eps, min_pts in itertools.product(*SNN_GRID.values()):
                 want = oracle_snn(pts.tolist(), knn_k, eps, min_pts)
                 assert snn_cluster(ds, knn_k, eps, min_pts).assignment.tolist() == want
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_oracle_at_extreme_settings(self, seed):
+        # one neighbor, k >= n-1 (everything mutual), no similarity bar,
+        # a bar no pair can reach, and every linked point core
+        rng = np.random.default_rng(seed + 10)
+        sets = tie_grids(seed, draws=8) + [rng.normal(size=(int(rng.integers(3, 30)), 2))
+                                           for _ in range(4)]
+        for pts in sets:
+            ds = Dataset(pts)
+            for knn_k in (1, 3, ds.n - 1, ds.n + 2):
+                for eps, min_pts in itertools.product((0, 1, knn_k + 1), (1, 3)):
+                    want = oracle_snn(pts.tolist(), knn_k, eps, min_pts)
+                    assert snn_cluster(ds, knn_k, eps, min_pts).assignment.tolist() == want
+
+    def test_memory_below_one_n_squared_int32(self):
+        # The pair list needs O(n * knn_k**2) bytes; one n x n int32 array
+        # alone would take 4 n^2.
+        ds = gen_blobs(3, 500, 5.0, seed=3)
+        ds.neighbor_index  # the cached geometry is built outside the window
+        tracemalloc.start()
+        try:
+            snn_cluster(ds, 10, 2, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * ds.n ** 2
 
 
 class TestMstCluster:
