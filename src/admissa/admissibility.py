@@ -24,6 +24,7 @@ import numpy as np
 from .criteria import (MINIMIZE, ObjectiveSpec, ObjectiveVector,
                        CriterionError, evaluate)
 from .data import Dataset, Partition
+from .evaluation import csv_grid, markdown_grid
 from .initializers import InitPopulation, generate_population
 
 INADMISSIBLE = "inadmissible"
@@ -112,21 +113,18 @@ class AdmissibilityTable:
             out[spec.id] = (n_in, n_op)
         return out
 
+    def grid(self) -> tuple[list[str], list[list[str]]]:
+        """Header and rows of the verdict symbols, one row per dataset."""
+        header = ["dataset"] + [s.id for s in self.specs]
+        rows = [[name] + [SYMBOLS[v.verdict] if v is not None else "skip" for v in row]
+                for name, row in zip(self.dataset_names, self.cells)]
+        return header, rows
+
     def to_csv(self) -> str:
-        lines = ["dataset," + ",".join(s.id for s in self.specs)]
-        for name, row in zip(self.dataset_names, self.cells):
-            symbols = [SYMBOLS[v.verdict] if v is not None else "skip" for v in row]
-            lines.append(name + "," + ",".join(symbols))
-        return "\n".join(lines) + "\n"
+        return csv_grid(*self.grid())
 
     def to_markdown(self) -> str:
-        head = "| dataset | " + " | ".join(s.id for s in self.specs) + " |"
-        sep = "|" + "---|" * (len(self.specs) + 1)
-        lines = [head, sep]
-        for name, row in zip(self.dataset_names, self.cells):
-            symbols = [SYMBOLS[v.verdict] if v is not None else "skip" for v in row]
-            lines.append("| " + name + " | " + " | ".join(symbols) + " |")
-        return "\n".join(lines) + "\n"
+        return markdown_grid(*self.grid())
 
     def to_records(self) -> dict:
         return {

@@ -61,6 +61,10 @@ class DatasetEntry:
             raise ConfigError("every dataset entry needs a name")
         _reject_unknown_keys(cls, doc, f"dataset {doc['name']!r}")
         entry = cls(**doc)
+        for key, types in (("name", str), ("group", str), ("csv", (str, type(None))),
+                           ("label_column", (str, type(None)))):
+            if not isinstance(getattr(entry, key), types):
+                raise ConfigError(f"dataset {entry.name!r}: {key} must be a string")
         if entry.generator is not None:
             try:
                 gdoc = dict(entry.generator)
@@ -102,7 +106,8 @@ class CampaignConfig:
             if crit not in ALL_IDS:
                 raise ConfigError(f"unknown objective {crit!r}")
         for pair in self.pairs:
-            if len(pair) != 2 or any(c not in ALL_IDS for c in pair):
+            if (not isinstance(pair, list) or len(pair) != 2
+                    or any(c not in ALL_IDS for c in pair)):
                 raise ConfigError(f"invalid objective pair {pair!r}")
         for fmt in self.formats:
             if fmt not in FORMATS:
@@ -144,7 +149,8 @@ def load_config(path: str, seed_override: int | None = None) -> CampaignConfig:
         doc["seed"] = seed_override
     cfg = CampaignConfig(**{"datasets": [], **doc})
     for key, default in vars(CampaignConfig(datasets=[])).items():
-        if not isinstance(getattr(cfg, key), type(default)):
+        # exact types: JSON true and false are bools, which are ints
+        if type(getattr(cfg, key)) is not type(default):
             raise ConfigError(f"{key} must be of type {type(default).__name__}")
     cfg.datasets = [DatasetEntry.from_dict(d, cfg.seed) for d in cfg.datasets]
     cfg.validate()
@@ -382,12 +388,10 @@ def cmd_report(out: Path) -> int:
     if manifest_path.exists():
         empty = False
         rows = json.loads(manifest_path.read_text())
-        sections += ["## Datasets", "",
-                     "| name | group | n | d | k* | source |", "|---|---|---|---|---|---|"]
-        for r in rows:
-            sections.append(f"| {r['name']} | {r['group']} | {r['n']} | "
-                            f"{r['d']} | {r['k_star']} | {r['source']} |")
-        sections.append("")
+        sections += ["## Datasets", "", evaluation.markdown_grid(
+            ["name", "group", "n", "d", "k*", "source"],
+            [[r["name"], r["group"], r["n"], r["d"], r["k_star"], r["source"]]
+             for r in rows])]
 
     adm_dir = out / "admissibility"
     if adm_dir.exists():

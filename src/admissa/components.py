@@ -3,11 +3,12 @@
 Every partition the evolutionary clusterer decodes is a union of the
 ``n_base`` components that the scheme's fixed MST links induce (about
 5*sqrt(n) of them, against n points). The criteria that read the n x n
-distance matrix need only its sums, minima and maxima over component
-pairs, and connectivity needs only the neighbor links that cross
-components. ``ComponentGeometry`` builds those aggregates once per scheme,
-each on first use, so an evaluation of sep_cl, mod, sil, dunn or con costs
-O(n_base^2) or O(n * n_base) instead of O(n^2).
+distance matrix need only its sums and maxima over component pairs,
+dunn's separation is the lightest MST edge the partition cuts, and
+connectivity needs only the neighbor links that cross components.
+``ComponentGeometry`` builds those aggregates once per scheme, each on
+first use, so an evaluation of sep_cl, mod, sil, dunn or con costs
+O(n_base^2 + n) or O(n * n_base) instead of O(n^2).
 
 ``criteria`` stays the point-level reference: each kernel here raises the
 same ``CriterionError`` subtype as its reference and agrees with it to
@@ -65,16 +66,13 @@ class ComponentGeometry:
         return self.sums.sum(axis=1)
 
     @cached_property
-    def extremes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n_base, n_base) minimum and maximum distance over the point pairs
-        of each component pair; the diagonal of the maximum holds each
-        component's diameter."""
-        lo = np.empty((self.n_base, self.n_base))
-        hi = np.empty((self.n_base, self.n_base))
+    def maxima(self) -> np.ndarray:
+        """(n_base, n_base) maximum distance over the point pairs of each
+        component pair; the diagonal holds each component's diameter."""
+        out = np.empty((self.n_base, self.n_base))
         for c, rows in enumerate(self._row_blocks()):
-            lo[c] = np.minimum.reduceat(rows.min(axis=0)[self._order], self._starts)
-            hi[c] = np.maximum.reduceat(rows.max(axis=0)[self._order], self._starts)
-        return lo, hi
+            out[c] = np.maximum.reduceat(rows.max(axis=0)[self._order], self._starts)
+        return out
 
     def links(self, L: int, penalty: str) -> tuple[np.ndarray, ...]:
         """Neighbor links between different components, as a sparse list of
@@ -141,12 +139,14 @@ def _sil(geo: ComponentGeometry, pi: Partition, cc, spec) -> float:
 
 def _dunn(geo: ComponentGeometry, pi: Partition, cc, spec) -> float:
     _require_k_at_least_2(pi, "dunn")
-    lo, hi = geo.extremes
-    same = cc[:, None] == cc[None, :]
-    max_diam = float(hi[same].max())
+    max_diam = float(geo.maxima[cc[:, None] == cc[None, :]].max())
     if max_diam == 0.0:
         raise DegenerateError("dunn: every cluster has zero diameter", "dunn")
-    return float(lo[~same].min()) / max_diam
+    # Cut property: the closest pair of points in different clusters is
+    # joined by an MST edge, so the separation is the lightest cut edge.
+    a, b = geo.ds.mst_edges.T
+    cut = cc[geo.labels[a]] != cc[geo.labels[b]]
+    return float(geo.ds.distances[a[cut], b[cut]].min()) / max_diam
 
 
 _KERNELS = {"sep_cl": _sep_cl, "con": _con, "mod": _mod, "sil": _sil,

@@ -357,15 +357,12 @@ def eval_dunn(ds: Dataset, pi: Partition) -> float:
     _require_k_at_least_2(pi, "dunn")
     D = ds.distances
     labels = pi.assignment
-    max_diam = 0.0
-    for idx in pi.members:
-        if idx.size > 1:
-            max_diam = max(max_diam, float(D[np.ix_(idx, idx)].max()))
+    same = labels[:, None] == labels[None, :]
+    max_diam = float(D.max(where=same, initial=0.0))
     if max_diam == 0.0:
         raise DegenerateError("dunn: every cluster has zero diameter", "dunn")
-    cross = labels[:, None] != labels[None, :]
-    min_cross = float(D[cross].min())
-    return min_cross / max_diam
+    cross = np.logical_not(same, out=same)  # in place: one n x n mask at a time
+    return float(D.min(where=cross, initial=np.inf)) / max_diam
 
 
 def eval_mod(ds: Dataset, pi: Partition) -> float:

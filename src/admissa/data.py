@@ -165,10 +165,12 @@ class Dataset:
 
     @cached_property
     def neighbor_rank(self) -> np.ndarray:
-        """(n, n) matrix: rank[a, b] = 1-based position of b in a's neighbor
-        list (0 on the diagonal)."""
-        rank = np.zeros((self.n, self.n), dtype=np.int64)
-        np.put_along_axis(rank, self.neighbor_index, np.arange(1, self.n), axis=1)
+        """(n-1, 2) array: for MST edge r = (a, b), the 1-based position of
+        b in a's neighbor list and of a in b's. Each position is found by
+        scanning one row, so no n x n array is built."""
+        nn = self.neighbor_index
+        rank = np.array([[(nn[a] == b).argmax(), (nn[b] == a).argmax()]
+                         for a, b in self.mst_edges.tolist()], dtype=np.int64) + 1
         rank.setflags(write=False)
         return rank
 

@@ -9,11 +9,14 @@ differently). Standard deviations are population (not sample) values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Partition
-from .emoc import ParetoFront
+
+if TYPE_CHECKING:  # admissibility imports the grid writers from here
+    from .emoc import ParetoFront
 
 
 def _comb2(x: np.ndarray) -> np.ndarray:
@@ -123,23 +126,30 @@ SUMMARY_CSV_COLUMNS = ("dataset", "group", "pair", "mean_ari", "std_ari",
                        "truth_dominated_freq")
 
 
-def summaries_to_csv(summaries) -> str:
-    lines = [",".join(SUMMARY_CSV_COLUMNS)]
-    for s in summaries:
-        lines.append(",".join([
-            s.dataset, s.group, s.pair,
-            repr(s.mean), repr(s.std), repr(s.truth_dominated_frequency),
-        ]))
+def csv_grid(header, rows) -> str:
+    """A header line and one line per row, cells joined by commas."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
+def markdown_grid(header, rows) -> str:
+    """A markdown table: header, separator and one line per row."""
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(map(str, row)) + " |" for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def summaries_to_csv(summaries) -> str:
+    return csv_grid(SUMMARY_CSV_COLUMNS, [
+        [s.dataset, s.group, s.pair,
+         repr(s.mean), repr(s.std), repr(s.truth_dominated_frequency)]
+        for s in summaries])
 
 
 def summaries_to_markdown(summaries) -> str:
-    lines = ["| dataset | group | pair | mean ARI | std | truth dominated |",
-             "|---|---|---|---|---|---|"]
-    for s in summaries:
-        lines.append(f"| {s.dataset} | {s.group} | {s.pair} "
-                     f"| {s.mean:.4f} | {s.std:.2e} | {s.truth_dominated_frequency:.2f} |")
-    return "\n".join(lines) + "\n"
+    return markdown_grid(
+        ["dataset", "group", "pair", "mean ARI", "std", "truth dominated"],
+        [[s.dataset, s.group, s.pair, f"{s.mean:.4f}", f"{s.std:.2e}",
+          f"{s.truth_dominated_frequency:.2f}"] for s in summaries])
 
 
 def render_tables(tables, summaries, fmt: str) -> dict[str, str]:
@@ -150,39 +160,22 @@ def render_tables(tables, summaries, fmt: str) -> dict[str, str]:
     if fmt not in ("csv", "json", "markdown"):
         raise ValueError(f"unknown format {fmt!r}")
     ext = {"csv": "csv", "json": "json", "markdown": "md"}[fmt]
+    grid = {"csv": csv_grid, "markdown": markdown_grid}.get(fmt)
     docs: dict[str, str] = {}
     for table in tables:
-        name = f"admissibility_{table.initializer}.{ext}"
-        if fmt == "csv":
-            docs[name] = table.to_csv()
-        elif fmt == "markdown":
-            docs[name] = table.to_markdown()
-        else:
-            docs[name] = json.dumps(table.to_records(), indent=1)
+        docs[f"admissibility_{table.initializer}.{ext}"] = (
+            grid(*table.grid()) if grid else json.dumps(table.to_records(), indent=1))
     if tables:
-        rows = []
-        for table in tables:
-            for crit_id, (n_in, n_op) in table.summary().items():
-                rows.append((table.initializer, crit_id, n_in, n_op))
-        if fmt == "csv":
-            body = "\n".join(f"{a},{b},{c},{d}" for a, b, c, d in rows)
-            docs[f"admissibility_summary.{ext}"] = (
-                "initializer,objective,IN,OP\n" + body + "\n")
-        elif fmt == "markdown":
-            lines = ["| initializer | objective | IN | OP |", "|---|---|---|---|"]
-            lines += [f"| {a} | {b} | {c} | {d} |" for a, b, c, d in rows]
-            docs[f"admissibility_summary.{ext}"] = "\n".join(lines) + "\n"
-        else:
-            docs[f"admissibility_summary.{ext}"] = json.dumps(
-                [{"initializer": a, "objective": b, "IN": c, "OP": d}
-                 for a, b, c, d in rows], indent=1)
+        header = ["initializer", "objective", "IN", "OP"]
+        rows = [(table.initializer, crit_id, n_in, n_op) for table in tables
+                for crit_id, (n_in, n_op) in table.summary().items()]
+        docs[f"admissibility_summary.{ext}"] = (
+            grid(header, rows) if grid
+            else json.dumps([dict(zip(header, row)) for row in rows], indent=1))
     summaries = list(summaries)
     if summaries:
-        name = f"optimization_summary.{ext}"
-        if fmt == "csv":
-            docs[name] = summaries_to_csv(summaries)
-        elif fmt == "markdown":
-            docs[name] = summaries_to_markdown(summaries)
-        else:
-            docs[name] = json.dumps([s.to_record() for s in summaries], indent=1)
+        write = {"csv": summaries_to_csv, "markdown": summaries_to_markdown}.get(fmt)
+        docs[f"optimization_summary.{ext}"] = (
+            write(summaries) if write
+            else json.dumps([s.to_record() for s in summaries], indent=1))
     return docs

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Partition, canonical_labels, cluster_means, components
+from .data import (DataError, Dataset, Partition, canonical_labels, cluster_means,
+                   components)
 from .seeding import derive_seed, rng_for
 
 SNN_GRID = {
@@ -212,8 +213,7 @@ def interesting_mst_edges(ds: Dataset) -> np.ndarray:
     Ties prefer the heavier edge, then the lexicographically smaller one.
     """
     edges = ds.mst_edges
-    rank = ds.neighbor_rank
-    di = np.minimum(rank[edges[:, 0], edges[:, 1]], rank[edges[:, 1], edges[:, 0]])
+    di = ds.neighbor_rank.min(axis=1)
     w = ds.distances[edges[:, 0], edges[:, 1]]
     order = np.lexsort((edges[:, 1], edges[:, 0], -w, -di))
     return edges[order]
@@ -311,7 +311,7 @@ def generate_population(ds: Dataset, algorithm: str, k_star: int | None = None,
         raise ValueError("k_star unknown: dataset has no labels and none was given")
     k_max = 2 * k_star
     if k_max > ds.n:
-        raise ValueError(f"2*k_star={k_max} exceeds n={ds.n}")
+        raise DataError(f"{ds.name}: 2*k_star={k_max} exceeds n={ds.n}")
     ks = list(range(2, k_max + 1)) or [2]
 
     pop = InitPopulation(source=algorithm, dataset=ds.name, k_star=k_star,

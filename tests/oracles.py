@@ -3,10 +3,12 @@ single linkage, connected components, SNN clustering and Lloyd's k-means.
 
 Everything here is written with plain Python loops over raw point arrays,
 deliberately sharing no code with the library so the two routes can check
-each other. The exception is the k-means pair: it keeps the plain numpy
-form the library had (a ``rng.choice`` draw per seed, a per-cluster
-``mean`` per iteration) as the bit-level reference for the library's
-one-call draw and centroid step.
+each other. The exceptions keep the plain numpy form the library had as
+the bit-level reference for its later form: the k-means pair (a
+``rng.choice`` draw per seed, a per-cluster ``mean`` per iteration) for
+the one-call draw and centroid step, and ``oracle_masked_dunn`` (a
+per-cluster diameter, a copy of the cross-cluster distances) for the
+masked reductions.
 """
 
 import collections
@@ -212,6 +214,22 @@ def oracle_dunn(points, labels):
                     for i in range(k) for j in range(i + 1, k)
                     for a in clusters[i] for b in clusters[j])
     return min_cross / max_diam
+
+
+def oracle_masked_dunn(distances, labels):
+    """Dunn from the distance matrix: the largest diameter over the
+    clusters of two or more points, the smallest of the copied
+    cross-cluster distances. None when every diameter is zero."""
+    labels = np.asarray(labels)
+    max_diam = 0.0
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        if idx.size > 1:
+            max_diam = max(max_diam, float(distances[np.ix_(idx, idx)].max()))
+    if max_diam == 0.0:
+        return None
+    cross = labels[:, None] != labels[None, :]
+    return float(distances[cross].min()) / max_diam
 
 
 def oracle_mod(points, labels):

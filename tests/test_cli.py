@@ -189,6 +189,32 @@ class TestErrors:
                      str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over", [
+        {"pairs": [5]},
+        {"pairs": [None]},
+        {"pairs": ["ab"]},
+        {"datasets": [{"name": "x", "csv": 5}]},
+        {"datasets": [{"name": "x", "csv": "x.csv", "label_column": 3}]},
+        {"datasets": [{"name": 7, "generator": {"archetype": "gaussian_blobs"}}]},
+        {"datasets": [{"name": "x", "group": 5,
+                       "generator": {"archetype": "gaussian_blobs"}}]},
+        {"runs": True},
+        {"seed": True},
+    ])
+    def test_mistyped_config_fields(self, tmp_path, capsys, over):
+        cfg = tiny_config(tmp_path, **over)
+        assert main(["gen", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_init_with_too_few_points_for_two_k_star(self, tmp_path, capsys):
+        csv = tmp_path / "three.csv"
+        csv.write_text("x0,label\n0,a\n1,b\n2,c\n")
+        cfg = tiny_config(tmp_path, datasets=[{"name": "three", "csv": str(csv)}])
+        assert main(["init", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
     def test_report_takes_only_out(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["report", "--out", str(tmp_path), "--seed", "3"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from admissa.criteria import (ALL_IDS, DIRECTIONS, MAXIMIZE, MINIMIZE,
                               eval_sep_graph, eval_sil, eval_twcv, eval_var,
                               eval_xb)
 from conftest import random_instance, tie_grids
-from oracles import ORACLES, oracle_dcd, oracle_ent
+from oracles import ORACLES, oracle_dcd, oracle_ent, oracle_masked_dunn
 
 # Frozen reference values for the fix4 fixture, re-derived with the
 # brute-force oracles in oracles.py before being frozen here.
@@ -270,6 +272,52 @@ class TestOracleEquivalence:
                 for k_size in (1, 3, 10):
                     want = oracle_dcd(pts.tolist(), pi.assignment.tolist(), k_size)
                     assert eval_dcd(ds, pi, k_size) == pytest.approx(want, rel=1e-9)
+
+
+class TestDunn:
+    @staticmethod
+    def labelings(rng, n):
+        """Random partitions with singletons, plus all singletons (k = n)."""
+        out = [np.arange(n)]
+        for k in sorted({2, 3, max(2, n // 2)} & set(range(2, n + 1))):
+            out += [np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+                    for _ in range(3)]
+        return [rng.permutation(labels) for labels in out]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_masked_reference(self, seed):
+        # min and max do not depend on order, so the masked reductions
+        # give the reference's bits; duplicates make zero diameters.
+        rng = np.random.default_rng(seed)
+        sets = tie_grids(seed) + [rng.normal(size=(int(rng.integers(2, 30)), 2))
+                                  for _ in range(10)]
+        sets += [pts[rng.integers(0, len(pts), 2 * len(pts))] for pts in sets[-5:]]
+        for pts in sets:
+            ds = Dataset(pts)
+            for labels in self.labelings(rng, ds.n):
+                pi = Partition(canonical_labels(labels))
+                want = oracle_masked_dunn(ds.distances, pi.assignment)
+                if want is None:
+                    with pytest.raises(DegenerateError):
+                        eval_dunn(ds, pi)
+                else:
+                    assert eval_dunn(ds, pi) == want
+
+    def test_memory_below_two_n_squared_bytes(self):
+        # One n x n boolean mask takes n^2 bytes; a copy of the cross
+        # distances alone would take up to 8 n^2.
+        rng = np.random.default_rng(5)
+        n = 1500
+        ds = Dataset(rng.normal(size=(n, 2)))
+        pi = Partition(np.concatenate([np.arange(7), rng.integers(0, 7, n - 7)]))
+        ds.distances  # the cached geometry is built outside the window
+        tracemalloc.start()
+        try:
+            eval_dunn(ds, pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n ** 2
 
 
 class TestEvaluateVector:

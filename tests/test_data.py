@@ -156,11 +156,10 @@ class TestKnnIndex:
             n = ds.n
             for a in range(n):
                 assert ds.neighbor_index[a].tolist() == neighbor_list(pts.tolist(), a)
-            rank = ds.neighbor_rank
-            assert np.all(np.diag(rank) == 0)
-            rows = np.arange(n)[:, None]
-            assert np.array_equal(rank[rows, ds.neighbor_index],
-                                  np.broadcast_to(np.arange(1, n), (n, n - 1)))
+            assert ds.neighbor_rank.shape == (n - 1, 2)
+            for (a, b), ranks in zip(ds.mst_edges.tolist(), ds.neighbor_rank.tolist()):
+                assert ranks == [neighbor_list(pts.tolist(), a).index(b) + 1,
+                                 neighbor_list(pts.tolist(), b).index(a) + 1]
 
 
 class TestFarFromOrigin:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from admissa import (Dataset, Partition, ari, gen_blobs, gen_elongated,
+from admissa import (DataError, Dataset, Partition, ari, gen_blobs, gen_elongated,
                      generate_population, kmeans, linkage, mst_cluster,
                      snn_cluster)
 from admissa.initializers import (SNN_GRID, InitPopulation, _seed_centroids,
@@ -301,7 +301,7 @@ class TestGeneratePopulation:
         assert len(pop.partitions) == 1 and pop.partitions[0].k == 2
 
     def test_k_star_too_large(self, fix4):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             generate_population(fix4, "mst", k_star=3)
 
     def test_missing_k_star(self):
