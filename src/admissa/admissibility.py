@@ -151,21 +151,41 @@ class AdmissibilityTable:
         }
 
 
+def _memo_evaluate(memo: dict, ds: Dataset, pi: Partition,
+                   spec: ObjectiveSpec) -> float | CriterionError:
+    """``evaluate`` through ``memo``, which maps a partition's label bytes
+    to its values by spec, on one dataset; a criterion error is stored and
+    returned like a value. Keys are the exact labels, not
+    ``Partition.key``, so every value is computed on the same labels as
+    without the memo, and each partition's bytes are held once."""
+    values = memo.setdefault(pi.assignment.tobytes(), {})
+    if spec not in values:
+        try:
+            values[spec] = evaluate(ds, pi, spec)
+        except CriterionError as err:
+            # a kept traceback would keep the failing call's arrays alive
+            values[spec] = err.with_traceback(None)
+    return values[spec]
+
+
 def classify_cell(ds: Dataset, pop: InitPopulation, spec: ObjectiveSpec,
-                  initializer: str,
-                  truth: Partition | None = None) -> tuple[AdmissibilityVerdict | None, list[str]]:
+                  initializer: str, truth: Partition | None = None,
+                  memo: dict | None = None) -> tuple[AdmissibilityVerdict | None, list[str]]:
     """Classify one dataset under one objective given its base population.
 
     Base partitions that raise a criterion error are skipped (recorded);
     partitions identical to the truth are excluded from the strictness test
-    but set the truth-found flag."""
+    but set the truth-found flag. ``memo`` holds the values already
+    computed on ``ds`` (see ``_memo_evaluate``); pass one dict per dataset
+    to share them across initializers."""
     skips: list[str] = []
     if truth is None:
         truth = ds.true_partition()
-    try:
-        true_value = evaluate(ds, truth, spec)
-    except CriterionError as err:
-        skips.append(f"{ds.name}/{spec.id}: true partition not evaluable ({err})")
+    if memo is None:
+        memo = {}
+    true_value = _memo_evaluate(memo, ds, truth, spec)
+    if isinstance(true_value, CriterionError):
+        skips.append(f"{ds.name}/{spec.id}: true partition not evaluable ({true_value})")
         return None, skips
 
     values: list[float] = []
@@ -176,11 +196,12 @@ def classify_cell(ds: Dataset, pop: InitPopulation, spec: ObjectiveSpec,
             if truth_idx is None:
                 truth_idx = idx
             continue
-        try:
-            values.append(evaluate(ds, pi, spec))
+        value = _memo_evaluate(memo, ds, pi, spec)
+        if isinstance(value, CriterionError):
+            skips.append(f"{ds.name}/{spec.id}: partition {idx} skipped ({value})")
+        else:
+            values.append(value)
             origin.append(idx)
-        except CriterionError as err:
-            skips.append(f"{ds.name}/{spec.id}: partition {idx} skipped ({err})")
     truth_found = truth_idx is not None
     if not values:
         skips.append(f"{ds.name}/{spec.id}: no evaluable base partition")
@@ -202,12 +223,14 @@ def classify_cell(ds: Dataset, pop: InitPopulation, spec: ObjectiveSpec,
 
 
 def build_admissibility_table(datasets, initializer: str, specs,
-                              master_seed: int = 0,
-                              populations=None) -> AdmissibilityTable:
+                              master_seed: int = 0, populations=None,
+                              memos=None) -> AdmissibilityTable:
     """Full verdict matrix for one initializer over a dataset suite.
 
     Populations are generated on demand unless supplied (one per dataset,
-    aligned with ``datasets``)."""
+    aligned with ``datasets``). ``memos``, one dict per dataset aligned
+    the same way, carries criterion values from one initializer's table
+    to the next (see ``classify_cell``)."""
     datasets = list(datasets)
     specs = list(specs)
     table = AdmissibilityTable(initializer=initializer,
@@ -219,9 +242,10 @@ def build_admissibility_table(datasets, initializer: str, specs,
             pop = populations[i]
         else:
             pop = generate_population(ds, initializer, master_seed=master_seed)
+        memo = memos[i] if memos is not None else {}
         row: list[AdmissibilityVerdict | None] = []
         for spec in specs:
-            verdict, skips = classify_cell(ds, pop, spec, initializer, truth)
+            verdict, skips = classify_cell(ds, pop, spec, initializer, truth, memo)
             row.append(verdict)
             table.skips.extend(skips)
         table.cells.append(row)

@@ -2,10 +2,15 @@
 the admissibility analysis and the objective-pair optimization, and render
 reports.
 
-All commands are idempotent: population and run files that already exist
-are left untouched, so interrupted campaigns can be resumed, and the
-derived documents (dataset manifest, tables, summaries, box-plot data) are
-rebuilt from the current config and rewritten only when their bytes
+All commands are idempotent. Population files, run files and the
+admissibility manifest carry an input stamp (``_stamp``): a digest of the
+config slice they read, of the input files they read and of the admissa
+version. A file whose stamp is missing or differs from the current one is
+recomputed and the rest are kept, so interrupted campaigns resume where
+they stopped, a changed config recomputes what it touches, and an
+unchanged rerun of ``admissibility`` evaluates nothing. The derived
+documents (dataset manifest, tables, summaries, box-plot data) are rebuilt
+from the current config, and every file is rewritten only when its bytes
 change, so reruns with the same config and seed are byte-identical.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal
@@ -15,6 +20,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -22,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from . import evaluation
+from . import __version__, evaluation
 from .admissibility import build_admissibility_table
 from .criteria import ALL_IDS, CriterionError, evaluate_vector, objective
 from .data import DataError, Dataset, load_dataset, write_dataset_csv
@@ -179,29 +185,79 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
-def _write_manifest(out: Path, command: str, cfg: CampaignConfig):
-    doc = {"command": command, "config": cfg.to_dict()}
+def _read_json(path: Path, kind: type):
+    """A JSON file's contents when they are a ``kind`` (dict or list);
+    an empty one when the file is missing, is not valid JSON or holds
+    something else."""
+    try:
+        doc = json.loads(path.read_text())
+    except (FileNotFoundError, json.JSONDecodeError):
+        return kind()
+    return doc if isinstance(doc, kind) else kind()
+
+
+def _write_manifest(out: Path, command: str, cfg: CampaignConfig, **stamps):
+    doc = {"command": command, "config": cfg.to_dict(), **stamps}
     _write_if_changed(out / f"manifest_{command}.json", _json_text(doc))
 
 
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _file_digest(path: Path) -> str | None:
+    """sha256 of a file's bytes; None when the file does not exist."""
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except FileNotFoundError:
+        return None
+
+
+def _stamp(config_slice, file_digests: list[str | None]) -> str:
+    """The input stamp of an artifact: sha256 of the canonical JSON of the
+    config slice it reads, the digests of the files it reads (in a fixed
+    order) and the admissa version. It holds no path and no time, so equal
+    inputs give equal stamps in any output directory."""
+    doc = {"config": config_slice, "files": file_digests, "version": __version__}
+    return hashlib.sha256(_canonical(doc).encode()).hexdigest()
+
+
 def dataset_csv_path(out: Path, entry: DatasetEntry) -> Path:
+    """The CSV a dataset entry is read from: its own file, or the generated
+    one under out/datasets."""
+    if entry.csv is not None:
+        return Path(entry.csv)
     return out / "datasets" / f"{entry.name}.csv"
 
 
-def resolve_dataset(out: Path, entry: DatasetEntry) -> Dataset:
-    """Load a dataset entry, materializing generated ones under out/datasets
-    so downstream commands and workers read identical bytes."""
-    if entry.csv is not None:
-        return load_dataset(entry.csv, label_column=entry.label_column,
-                            name=entry.name)
+def materialize_dataset(out: Path, entry: DatasetEntry) -> Path:
+    """The path of the entry's CSV. A generated dataset is written under
+    out/datasets, so downstream commands and workers read identical bytes,
+    whenever its CSV is missing or the dataset manifest does not record
+    the entry's generator spec for it; equal bytes keep the old file."""
     path = dataset_csv_path(out, entry)
-    if not path.exists():
-        ds = entry.generator.build()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        write_dataset_csv(ds, tmp)
+    if entry.csv is not None:
+        return path
+    recorded = {d.get("name"): _canonical(d.get("generator"))
+                for d in _read_json(out / "datasets" / "manifest.json", list)
+                if isinstance(d, dict)}
+    if path.exists() and recorded.get(entry.name) == _canonical(entry.generator.to_dict()):
+        return path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    write_dataset_csv(entry.generator.build(), tmp)
+    if path.exists() and path.read_bytes() == tmp.read_bytes():
+        tmp.unlink()
+    else:
         os.replace(tmp, path)
-    return load_dataset(path, label_column="label", name=entry.name)
+    return path
+
+
+def resolve_dataset(out: Path, entry: DatasetEntry) -> Dataset:
+    """Load a dataset entry from its materialized CSV."""
+    label_column = entry.label_column if entry.csv is not None else "label"
+    return load_dataset(materialize_dataset(out, entry),
+                        label_column=label_column, name=entry.name)
 
 
 def population_path(out: Path, dataset: str, initializer: str) -> Path:
@@ -239,44 +295,95 @@ def cmd_gen(cfg: CampaignConfig, out: Path) -> int:
     return 0
 
 
+def _population_stamp(cfg: CampaignConfig, entry: DatasetEntry,
+                      initializer: str, csv_digest: str | None) -> str:
+    return _stamp({"initializer": initializer, "seed": cfg.seed,
+                   "label_column": entry.label_column}, [csv_digest])
+
+
 def cmd_init(cfg: CampaignConfig, out: Path) -> int:
     written = 0
     for entry in cfg.datasets:
-        ds = resolve_dataset(out, entry)
-        if ds.k_star is None:
-            raise DataError(f"dataset {entry.name!r} has no labels; k* unknown")
+        csv_digest = _file_digest(materialize_dataset(out, entry))
+        ds = None  # loaded for the first stale population only
         for init in cfg.initializers:
             path = population_path(out, entry.name, init)
-            if path.exists():
+            stamp = _population_stamp(cfg, entry, init, csv_digest)
+            if _read_json(path, dict).get("inputs") == stamp:
                 continue
+            if ds is None:
+                ds = resolve_dataset(out, entry)
+                if ds.k_star is None:
+                    raise DataError(f"dataset {entry.name!r} has no labels; k* unknown")
             pop = generate_population(ds, init, master_seed=cfg.seed)
-            _atomic_write(path, pop.to_json() + "\n")
+            doc = {**pop.to_dict(), "inputs": stamp}
+            _write_if_changed(path, json.dumps(doc, indent=1) + "\n")
             written += 1
     _write_manifest(out, "init", cfg)
     print(f"init: {written} population files written, "
-          f"{len(cfg.datasets) * len(cfg.initializers) - written} already present")
+          f"{len(cfg.datasets) * len(cfg.initializers) - written} up to date")
     return 0
 
 
-def _load_population(out: Path, dataset: str, initializer: str) -> InitPopulation:
-    path = population_path(out, dataset, initializer)
+def _load_population(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
+                     initializer: str) -> InitPopulation:
+    """The population of (entry, initializer), checked against the current
+    config and dataset CSV."""
+    path = population_path(out, entry.name, initializer)
     if not path.exists():
         raise DataError(f"population file missing: {path} (run `admissa init` first)")
-    return InitPopulation.from_json(path.read_text())
+    doc = _read_json(path, dict)
+    csv_digest = _file_digest(dataset_csv_path(out, entry))
+    if doc.get("inputs") != _population_stamp(cfg, entry, initializer, csv_digest):
+        raise DataError(f"population file out of date: {path} (its config or "
+                        f"dataset changed; run `admissa init`)")
+    return InitPopulation.from_dict(doc)
+
+
+def _admissibility_stamp(cfg: CampaignConfig, out: Path) -> str:
+    doc = cfg.to_dict()
+    config_slice = {key: doc[key] for key in ("datasets", "initializers",
+                                              "objectives", "criteria_params",
+                                              "formats", "seed")}
+    files = [_file_digest(materialize_dataset(out, e)) for e in cfg.datasets]
+    files += [_file_digest(population_path(out, e.name, init))
+              for init in cfg.initializers for e in cfg.datasets]
+    return _stamp(config_slice, files)
 
 
 def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
+    """The verdict tables and box-plot data of every initializer. The
+    manifest, written last, records the input stamp and the digest of
+    every file written; when both still hold, nothing is recomputed."""
+    inputs = _admissibility_stamp(cfg, out)
+    manifest = _read_json(out / "manifest_admissibility.json", dict)
+    outputs = manifest.get("outputs")
+    if (manifest.get("inputs") == inputs and isinstance(outputs, dict)
+            and all(_file_digest(out / rel) == digest
+                    for rel, digest in outputs.items())):
+        _write_manifest(out, "admissibility", cfg, inputs=inputs, outputs=outputs)
+        print(f"admissibility: inputs unchanged, tables under "
+              f"{out / 'admissibility'} kept")
+        return 0
+
     specs = [cfg.spec_for(c) for c in cfg.objectives]
     datasets = [resolve_dataset(out, e) for e in cfg.datasets]
-    pops = {init: [_load_population(out, e.name, init) for e in cfg.datasets]
+    pops = {init: [_load_population(out, cfg, e, init) for e in cfg.datasets]
             for init in cfg.initializers}
+    memos = [{} for _ in datasets]  # criterion values shared by the tables
     tables = [build_admissibility_table(datasets, init, specs,
                                         master_seed=cfg.seed,
-                                        populations=pops[init])
+                                        populations=pops[init], memos=memos)
               for init in cfg.initializers]
+    outputs = {}
+
+    def write(rel: str, text: str):
+        _write_if_changed(out / rel, text)
+        outputs[rel] = _file_digest(out / rel)
+
     for fmt in cfg.formats:
         for name, text in evaluation.render_tables(tables, [], fmt).items():
-            _write_if_changed(out / "admissibility" / name, text)
+            write(f"admissibility/{name}", text)
     # box-plot data: ARI of base partitions vs truth, per initializer
     for i, (entry, ds) in enumerate(zip(cfg.datasets, datasets)):
         truth = ds.true_partition()
@@ -284,9 +391,8 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
         for init in cfg.initializers:
             values = [ari(pi, truth) for pi in pops[init][i].partitions]
             doc[init] = five_number_summary(values)
-        _write_if_changed(out / "admissibility" / "boxplots" / f"{entry.name}.json",
-                          _json_text(doc))
-    _write_manifest(out, "admissibility", cfg)
+        write(f"admissibility/boxplots/{entry.name}.json", _json_text(doc))
+    _write_manifest(out, "admissibility", cfg, inputs=inputs, outputs=outputs)
     print(f"admissibility: {len(tables)} initializer tables under "
           f"{out / 'admissibility'}")
     return 0
@@ -294,24 +400,32 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
 
 def _optimize_cell(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
                    pair) -> None:
-    """Worker: the missing seeded runs of one (dataset, pair) cell. Reads
-    the materialized CSV and population file only when a run is missing;
-    writes one JSON per run."""
-    todo = [r for r in range(cfg.runs)
-            if not run_path(out, entry.name, pair, r).exists()]
+    """Worker: the missing or stale seeded runs of one (dataset, pair)
+    cell. A run's stamp covers the dataset CSV, the population file and
+    the run's EmocConfig (the pair's specs, the emoc settings and the
+    run's derived seed). Reads the materialized CSV and population file
+    only when a run is to be computed; writes one JSON per run."""
+    files = [_file_digest(dataset_csv_path(out, entry)),
+             _file_digest(population_path(out, entry.name, cfg.optimize_initializer))]
+    todo = {}  # run index -> (derived seed, stamp)
+    for run_idx in range(cfg.runs):
+        seed = derive_seed(cfg.seed, "optimize", entry.name,
+                           pair_label(pair), run_idx)
+        stamp = _stamp(asdict(cfg.emoc_config(pair, seed)), files)
+        path = run_path(out, entry.name, pair, run_idx)
+        if _read_json(path, dict).get("inputs") != stamp:
+            todo[run_idx] = seed, stamp
     if not todo:
         return
     ds = resolve_dataset(out, entry)
     truth = ds.true_partition()
-    pop = _load_population(out, entry.name, cfg.optimize_initializer)
+    pop = _load_population(out, cfg, entry, cfg.optimize_initializer)
     specs = tuple(cfg.spec_for(c) for c in pair)
     try:
         truth_vec = evaluate_vector(ds, truth, specs)
     except CriterionError:
         truth_vec = None
-    for run_idx in todo:
-        seed = derive_seed(cfg.seed, "optimize", entry.name,
-                           pair_label(pair), run_idx)
+    for run_idx, (seed, stamp) in todo.items():
         front = evolve(ds, cfg.emoc_config(pair, seed), pop)
         aris = [ari(m.partition, truth) for m in front.members]
         dominated = (truth_vec is not None
@@ -332,14 +446,15 @@ def _optimize_cell(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
             "best_ari": max(aris),
             "truth_dominated": bool(dominated),
             "selection_rule": "best-ari-on-front",
+            "inputs": stamp,
         }
-        _atomic_write(run_path(out, entry.name, pair, run_idx), _json_text(doc))
+        _write_if_changed(run_path(out, entry.name, pair, run_idx), _json_text(doc))
 
 
 def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
     for entry in cfg.datasets:
         resolve_dataset(out, entry)  # materialize; also validates CSVs
-        _load_population(out, entry.name, cfg.optimize_initializer)
+        _load_population(out, cfg, entry, cfg.optimize_initializer)
 
     cells = [(out, cfg, entry, pair)
              for entry in cfg.datasets for pair in cfg.pairs]

@@ -266,8 +266,8 @@ class InitPopulation:
         self.params.append(params)
         self.out_of_range.append(not in_range)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "source": self.source,
             "dataset": self.dataset,
             "k_star": self.k_star,
@@ -284,11 +284,13 @@ class InitPopulation:
                                           self.params, self.out_of_range)
             ],
         }
-        return json.dumps(doc, indent=1)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=1)
 
     @classmethod
-    def from_json(cls, text: str) -> "InitPopulation":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "InitPopulation":
+        """Inverse of ``to_dict``; other keys are ignored."""
         pop = cls(source=doc["source"], dataset=doc["dataset"],
                   k_star=doc["k_star"], master_seed=doc["master_seed"])
         for rec in doc["partitions"]:
@@ -297,6 +299,10 @@ class InitPopulation:
             pop.params.append(rec["params"])
             pop.out_of_range.append(rec["out_of_range"])
         return pop
+
+    @classmethod
+    def from_json(cls, text: str) -> "InitPopulation":
+        return cls.from_dict(json.loads(text))
 
 
 def generate_population(ds: Dataset, algorithm: str, k_star: int | None = None,

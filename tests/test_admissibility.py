@@ -7,6 +7,7 @@ from admissa import (ADMISSIBLE, INADMISSIBLE, OPTIMAL_IN_INIT, Partition,
                      build_admissibility_table, classify_objective, dominates,
                      gen_blobs, generate_population, objective, objectives)
 from admissa.criteria import MAXIMIZE, MINIMIZE, ObjectiveVector
+from admissa import admissibility
 from admissa.admissibility import ABS_FLOOR, REL_TOL, classify_cell, dominance
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -221,6 +222,36 @@ class TestBuildTable:
         rec = table.to_records()
         assert rec["initializer"] == "mst"
         assert rec["summary"]["var"]["IN"] in (0, 1)
+
+    def test_shared_memos_evaluate_each_partition_once(self, fix4, monkeypatch):
+        calls = []
+        original = admissibility.evaluate
+
+        def counting(ds, pi, spec):
+            calls.append(spec.id)
+            return original(ds, pi, spec)
+
+        monkeypatch.setattr(admissibility, "evaluate", counting)
+        datasets = [fix4, gen_blobs(3, 8, 6.0, seed=4)]
+        specs = [objective(c) for c in ("var", "dunn", "sil")]
+        inits = ("mst", "sl", "km")
+        pops = {i: [generate_population(ds, i, master_seed=0) for ds in datasets]
+                for i in inits}
+
+        def records(memos):
+            calls.clear()
+            recs = [build_admissibility_table(datasets, i, specs, populations=pops[i],
+                                              memos=memos).to_records()
+                    for i in inits]
+            return recs, len(calls)
+
+        fresh, fresh_calls = records(None)
+        memos = [{} for _ in datasets]
+        shared, shared_calls = records(memos)
+        assert shared == fresh
+        assert any(rec["skips"] for rec in shared)  # dunn errors are replayed
+        stored = sum(len(values) for m in memos for values in m.values())
+        assert shared_calls == stored < fresh_calls
 
     def test_witness_points_at_proof(self, fix4):
         table = build_admissibility_table([fix4], "mst", [objective("var")],

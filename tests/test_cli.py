@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from admissa import Dataset
+from admissa import Dataset, InitPopulation, admissibility, cli
 from admissa.cli import main
 
 
@@ -38,6 +38,19 @@ def run_all(cfg, out):
 def tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that logs each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 class TestPipeline:
@@ -123,6 +136,72 @@ class TestPipeline:
             assert main(["optimize", "--config", str(cfg), "--out", str(out)]
                         + flags) == 0
         assert tree_bytes(out1) == tree_bytes(out2)
+
+
+class TestStamps:
+    @pytest.mark.parametrize("over", [
+        {"seed": 8},
+        {"emoc": {"population_size": 8, "generations": 1}},
+        {"criteria_params": {"L": 5}},
+        {"datasets": [{"name": "blobs3", "group": "G1",
+                       "generator": {"archetype": "gaussian_blobs",
+                                     "params": {"k_star": 3, "per_cluster_n": 10,
+                                                "separation": 10.0}}}]},
+    ], ids=["seed", "emoc", "criteria_params", "generator"])
+    def test_changed_config_matches_fresh_run(self, tmp_path, over):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        run_all(tiny_config(tmp_path), out)
+        cfg = tiny_config(tmp_path, **over)
+        run_all(cfg, out)
+        run_all(cfg, fresh)
+        assert tree_bytes(out) == tree_bytes(fresh)
+
+    def test_resumed_admissibility_reads_and_evaluates_nothing(
+            self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        run_all(cfg, out)
+        calls = (count_calls(monkeypatch, admissibility, "evaluate")
+                 + count_calls(monkeypatch, cli, "load_dataset")
+                 + count_calls(monkeypatch, InitPopulation, "from_dict"))
+        assert main(["admissibility", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("over", [
+        {"emoc": {"population_size": 8, "generations": 1}},
+        {"pairs": [["var", "con"]]},
+    ], ids=["emoc", "pairs"])
+    def test_optimize_settings_keep_admissibility(self, tmp_path, monkeypatch, over):
+        out = tmp_path / "out"
+        run_all(tiny_config(tmp_path), out)
+        calls = count_calls(monkeypatch, admissibility, "evaluate")
+        run_all(tiny_config(tmp_path, **over), out)
+        assert calls == []
+        manifest = json.loads((out / "manifest_admissibility.json").read_text())
+        key, value = next(iter(over.items()))
+        assert manifest["config"][key] == value
+
+    @pytest.mark.parametrize("damage", ["edit", "delete"])
+    def test_damaged_table_is_restored(self, tmp_path, damage):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        run_all(cfg, out)
+        before = tree_bytes(out)
+        table = out / "admissibility" / "admissibility_mst.md"
+        if damage == "edit":
+            table.write_text("| dataset |\n")
+        else:
+            table.unlink()
+        assert main(["admissibility", "--config", str(cfg), "--out", str(out)]) == 0
+        assert tree_bytes(out) == before
+
+    def test_out_of_date_population_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_all(tiny_config(tmp_path), out)
+        cfg = tiny_config(tmp_path, seed=8)
+        for cmd in ("admissibility", "optimize"):
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+            assert "out of date" in capsys.readouterr().err
 
 
 class TestErrors:
