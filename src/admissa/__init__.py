@@ -16,7 +16,7 @@ from .admissibility import (AdmissibilityVerdict, AdmissibilityTable,
                             OPTIMAL_IN_INIT, ADMISSIBLE)
 from .emoc import (EmocConfig, DeltaScheme, ParetoFront, delta_relevant_loci,
                    decode, encode, variation, evolve, truth_dominated)
-from .evaluation import (ari, best_ari, aggregate_runs, RunSummary,
+from .evaluation import (ari, aggregate_runs, RunSummary,
                          five_number_summary, render_tables)
 from .datagen import (GeneratorSpec, gen_blobs, gen_elongated, gen_nested,
                       gen_mixed)

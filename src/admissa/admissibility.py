@@ -24,7 +24,6 @@ import numpy as np
 from .criteria import (MINIMIZE, ObjectiveSpec, ObjectiveVector,
                        CriterionError, evaluate)
 from .data import Dataset, Partition
-from .evaluation import csv_grid, markdown_grid
 from .initializers import InitPopulation, generate_population
 
 INADMISSIBLE = "inadmissible"
@@ -119,12 +118,6 @@ class AdmissibilityTable:
         rows = [[name] + [SYMBOLS[v.verdict] if v is not None else "skip" for v in row]
                 for name, row in zip(self.dataset_names, self.cells)]
         return header, rows
-
-    def to_csv(self) -> str:
-        return csv_grid(*self.grid())
-
-    def to_markdown(self) -> str:
-        return markdown_grid(*self.grid())
 
     def to_records(self) -> dict:
         return {

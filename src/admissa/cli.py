@@ -20,6 +20,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import json
 import os
@@ -243,9 +244,14 @@ def materialize_dataset(out: Path, entry: DatasetEntry) -> Path:
                 if isinstance(d, dict)}
     if path.exists() and recorded.get(entry.name) == _canonical(entry.generator.to_dict()):
         return path
+    try:
+        ds = entry.generator.build()
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"dataset {entry.name!r}: bad generator params "
+                          f"({err})") from None
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    write_dataset_csv(entry.generator.build(), tmp)
+    write_dataset_csv(ds, tmp)
     if path.exists() and path.read_bytes() == tmp.read_bytes():
         tmp.unlink()
     else:
@@ -508,19 +514,28 @@ def cmd_report(out: Path) -> int:
             [[r["name"], r["group"], r["n"], r["d"], r["k_star"], r["source"]]
              for r in rows])]
 
+    # The admissibility files of the current config are the ones its
+    # manifest lists; any other table or box-plot file is left from an
+    # earlier config and is listed apart.
+    outputs = _read_json(out / "manifest_admissibility.json", dict).get("outputs")
+    current = sorted(rel for rel in (outputs if isinstance(outputs, dict) else {})
+                     if (out / rel).is_file())
+    for rel in fnmatch.filter(current, "admissibility/admissibility_*.md"):
+        empty = False
+        title = Path(rel).stem.replace("admissibility_", "")
+        sections += [f"## Admissibility ({title})", "", (out / rel).read_text(), ""]
+    boxplots = fnmatch.filter(current, "admissibility/boxplots/*.json")
+    if boxplots:
+        sections += ["### Initialization ARI box-plot data", ""]
+        sections += [f"- [{Path(rel).name}]({rel})" for rel in boxplots]
+        sections.append("")
     adm_dir = out / "admissibility"
-    if adm_dir.exists():
-        for path in sorted(adm_dir.glob("admissibility_*.md")):
-            empty = False
-            title = path.stem.replace("admissibility_", "")
-            sections += [f"## Admissibility ({title})", "", path.read_text(), ""]
-        boxdir = adm_dir / "boxplots"
-        if boxdir.exists():
-            files = sorted(p.name for p in boxdir.glob("*.json"))
-            if files:
-                sections += ["### Initialization ARI box-plot data", ""]
-                sections += [f"- [{f}](admissibility/boxplots/{f})" for f in files]
-                sections.append("")
+    found = [*adm_dir.glob("admissibility_*.md"), *adm_dir.glob("boxplots/*.json")]
+    others = sorted(set(p.relative_to(out).as_posix() for p in found) - set(current))
+    if others:
+        sections += ["## Not part of this config", ""]
+        sections += [f"- [{Path(rel).name}]({rel})" for rel in others]
+        sections.append("")
 
     opt = out / "optimize" / "optimization_summary.md"
     if opt.exists():

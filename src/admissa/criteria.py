@@ -127,6 +127,11 @@ def _require_k_at_least_2(pi: Partition, crit: str):
         raise KTooSmallError(f"{crit} needs k >= 2, got k={pi.k}", crit)
 
 
+def _centroid_pair_distances(cents: np.ndarray) -> np.ndarray:
+    """(k, k) Euclidean distances between the centroids."""
+    return np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=2)
+
+
 def _own_centroid_distances(ds: Dataset, pi: Partition):
     cents, gbar = centroids(ds, pi)
     diffs = ds.points - cents[pi.assignment]
@@ -279,10 +284,8 @@ def eval_sep_al(ds: Dataset, pi: Partition) -> float:
     """Mean centroid-pair distance; maximized."""
     _require_k_at_least_2(pi, "sep_al")
     cents, _ = centroids(ds, pi)
-    diff = cents[:, None, :] - cents[None, :, :]
-    dc = np.linalg.norm(diff, axis=2)
-    iu = np.triu_indices(pi.k, k=1)
-    return float(dc[iu].mean())
+    sep = _centroid_pair_distances(cents)[np.triu_indices(pi.k, k=1)]
+    return float(sep.mean())
 
 
 def eval_sep_cl(ds: Dataset, pi: Partition) -> float:
@@ -341,10 +344,8 @@ def eval_db(ds: Dataset, pi: Partition) -> float:
     scatter = np.zeros(pi.k)
     np.add.at(scatter, pi.assignment, dists)
     scatter /= pi.sizes
-    diff = cents[:, None, :] - cents[None, :, :]
-    sep = np.linalg.norm(diff, axis=2)
-    iu = np.triu_indices(pi.k, k=1)
-    if np.any(sep[iu] == 0.0):
+    sep = _centroid_pair_distances(cents)
+    if np.any(sep[np.triu_indices(pi.k, k=1)] == 0.0):
         raise DegenerateError("db: coincident centroids", "db")
     ratio = (scatter[:, None] + scatter[None, :]) / np.where(sep > 0, sep, 1.0)
     np.fill_diagonal(ratio, -np.inf)
@@ -421,8 +422,7 @@ def eval_pbm(ds: Dataset, pi: Partition) -> float:
     ek = float((dists ** 2).sum())
     if ek == 0.0:
         raise DegenerateError("pbm: zero within-cluster scatter", "pbm")
-    diff = cents[:, None, :] - cents[None, :, :]
-    dk = float(np.linalg.norm(diff, axis=2).max())
+    dk = float(_centroid_pair_distances(cents).max())
     return (e0 / ek) * dk / pi.k
 
 
@@ -431,10 +431,8 @@ def eval_xb(ds: Dataset, pi: Partition) -> float:
     distances; minimized."""
     _require_k_at_least_2(pi, "xb")
     dists, cents, _ = _own_centroid_distances(ds, pi)
-    diff = cents[:, None, :] - cents[None, :, :]
-    sep = np.linalg.norm(diff, axis=2)
-    iu = np.triu_indices(pi.k, k=1)
-    min_sep = float(sep[iu].min())
+    sep = _centroid_pair_distances(cents)[np.triu_indices(pi.k, k=1)]
+    min_sep = float(sep.min())
     if min_sep == 0.0:
         raise DegenerateError("xb: coincident centroids", "xb")
     return float(dists.sum()) / (ds.n * min_sep)
@@ -443,30 +441,17 @@ def eval_xb(ds: Dataset, pi: Partition) -> float:
 # --------------------------------------------------------------------------
 # Dispatch
 
-_EVALUATORS = {
-    "ent": lambda ds, pi, s: eval_ent(ds, pi),
-    "dev": lambda ds, pi, s: eval_dev(ds, pi),
-    "var": lambda ds, pi, s: eval_var(ds, pi),
-    "twcv": lambda ds, pi, s: eval_twcv(ds, pi),
-    "con": lambda ds, pi, s: eval_con(ds, pi, L=s.L, penalty=s.con_penalty),
-    "dcd": lambda ds, pi, s: eval_dcd(ds, pi, k_size=s.k_size),
-    "abgss": lambda ds, pi, s: eval_abgss(ds, pi),
-    "sep_al": lambda ds, pi, s: eval_sep_al(ds, pi),
-    "sep_cl": lambda ds, pi, s: eval_sep_cl(ds, pi),
-    "sep_graph": lambda ds, pi, s: eval_sep_graph(ds, pi, k_size=s.k_size),
-    "ch": lambda ds, pi, s: eval_ch(ds, pi),
-    "db": lambda ds, pi, s: eval_db(ds, pi),
-    "dunn": lambda ds, pi, s: eval_dunn(ds, pi),
-    "mod": lambda ds, pi, s: eval_mod(ds, pi),
-    "sil": lambda ds, pi, s: eval_sil(ds, pi),
-    "pbm": lambda ds, pi, s: eval_pbm(ds, pi),
-    "xb": lambda ds, pi, s: eval_xb(ds, pi),
-}
-
 
 def evaluate(ds: Dataset, pi: Partition, spec: ObjectiveSpec) -> float:
+    """The value of ``spec``'s criterion on ``pi``. ``eval_<id>`` is looked
+    up at call time, so a wrapper put in its place sees every call."""
+    params = {}
+    if spec.id == "con":
+        params = {"L": spec.L, "penalty": spec.con_penalty}
+    elif spec.id in ("dcd", "sep_graph"):
+        params = {"k_size": spec.k_size}
     try:
-        return _EVALUATORS[spec.id](ds, pi, spec)
+        return globals()[f"eval_{spec.id}"](ds, pi, **params)
     except CriterionError as err:
         if err.criterion is None:
             err.criterion = spec.id

@@ -68,9 +68,6 @@ class Partition:
         bounds = np.searchsorted(self.assignment[order], np.arange(self.k + 1))
         return [order[bounds[i]:bounds[i + 1]] for i in range(self.k)]
 
-    def canonical(self) -> "Partition":
-        return Partition(canonical_labels(self.assignment))
-
     @cached_property
     def key(self) -> bytes:
         """Hashable identity up to cluster relabeling."""
@@ -188,11 +185,6 @@ class Dataset:
         edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
         edges.setflags(write=False)
         return edges
-
-    def translated(self, vector) -> "Dataset":
-        return Dataset(self.points + np.asarray(vector, dtype=np.float64),
-                       labels=None if self.labels is None else self.labels.copy(),
-                       name=self.name, label_names=self.label_names)
 
 
 def cluster_means(points: np.ndarray, assignment: np.ndarray,

@@ -40,7 +40,6 @@ class EmocConfig:
     seed: int = 0
     L: int = 10
     delta_percent: float | None = None  # default locus count: ceil(5*sqrt(n))
-    track_history: bool = False
 
     def __post_init__(self):
         self.objectives = tuple(self.objectives)
@@ -53,6 +52,10 @@ class EmocConfig:
         for p in (self.crossover_prob, self.mutation_prob):
             if p is not None and not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
+        if self.delta_percent is not None and not 0.0 < self.delta_percent <= 100.0:
+            raise ValueError("delta_percent must lie in (0, 100]")
+        if type(self.L) is not int or self.L < 1:
+            raise ValueError("L must be an int >= 1")
 
     def mutation_rate(self, n_loci: int) -> float:
         """Per-locus mutation probability: ``mutation_prob``, or
@@ -81,8 +84,6 @@ def delta_relevant_loci(ds: Dataset, delta_percent: float | None = None,
     """Pick the evolvable loci: child endpoints of the most interesting
     MST edges. With ``delta_percent`` given, ceil(delta/100 * n) edges are
     relevant; otherwise ceil(5*sqrt(n)). Both are capped at n-1."""
-    if delta_percent is not None and not 0.0 < delta_percent <= 100.0:
-        raise ValueError("delta_percent must lie in (0, 100]")
     n = ds.n
     if delta_percent is None:
         count = int(np.ceil(5.0 * np.sqrt(n)))
@@ -210,7 +211,6 @@ class FrontMember:
 @dataclass
 class ParetoFront:
     members: list[FrontMember]
-    history: list[dict] | None = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -278,7 +278,6 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
     genes = np.empty((0, len(scheme.relevant_loci)), dtype=np.int64)
     parts: list[Partition] = []
     vectors: list[ObjectiveVector | None] = []
-    history: list[dict] | None = [] if config.track_history else None
     for gen in range(config.generations + 1):
         if gen:
             rows = []
@@ -306,17 +305,11 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
         parts = [parts[i] for i in keep]
         vectors = [vectors[i] for i in keep]
         rank, crowding = _rank_population(vectors)
-        best = np.flatnonzero(rank == 0)
-        if history is not None:
-            values = _minimized([v for v in vectors if v is not None])
-            history.append({"best": values.min(axis=0).tolist(),
-                            "front_size": len(best),
-                            "front_values": [list(vectors[i].values) for i in best]})
 
     members: dict[bytes, FrontMember] = {}
-    for i in best:
+    for i in np.flatnonzero(rank == 0):
         members.setdefault(parts[i].key, FrontMember(parts[i], vectors[i]))
-    return ParetoFront(members=list(members.values()), history=history)
+    return ParetoFront(members=list(members.values()))
 
 
 def truth_dominated(front: ParetoFront, truth_vector: ObjectiveVector) -> bool:

@@ -9,14 +9,10 @@ differently). Standard deviations are population (not sample) values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Partition
-
-if TYPE_CHECKING:  # admissibility imports the grid writers from here
-    from .emoc import ParetoFront
 
 
 def _comb2(x: np.ndarray) -> np.ndarray:
@@ -41,13 +37,6 @@ def ari(pa: Partition, pb: Partition) -> float:
     if maximum == expected:
         return 1.0
     return float((sum_ij - expected) / (maximum - expected))
-
-
-def best_ari(front: ParetoFront, truth: Partition) -> float:
-    """Best agreement with the truth over the front members."""
-    if not front.members:
-        raise ValueError("empty front")
-    return max(ari(m.partition, truth) for m in front.members)
 
 
 def aggregate_runs(values) -> tuple[float, float]:

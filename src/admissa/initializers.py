@@ -8,7 +8,6 @@ toward smaller point indices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,8 @@ from .data import (DataError, Dataset, Partition, canonical_labels, cluster_mean
                    components)
 from .seeding import derive_seed, rng_for
 
+KMEANS_RESTARTS = 5
+KMEANS_MAX_ITER = 100
 SNN_GRID = {
     "knn_k": (5, 10),
     "eps": (1, 2, 3),
@@ -53,7 +54,7 @@ def _seed_centroids(ds: Dataset, k: int, rng: np.random.Generator) -> np.ndarray
 
 
 def lloyd_run(ds: Dataset, k: int, rng: np.random.Generator,
-              max_iter: int = 100) -> tuple[Partition, list[float]]:
+              max_iter: int = KMEANS_MAX_ITER) -> tuple[Partition, list[float]]:
     """One Lloyd descent; returns the partition and the TWCV after each
     iteration (non-increasing). Emptied clusters are repaired by reseeding
     the centroid at the point farthest from its assigned centroid."""
@@ -88,16 +89,16 @@ def lloyd_run(ds: Dataset, k: int, rng: np.random.Generator,
     return Partition(canonical_labels(assignment)), history
 
 
-def kmeans(ds: Dataset, k: int, seed: int, max_iter: int = 100,
-           restarts: int = 5) -> Partition:
-    """Best-of-``restarts`` Lloyd runs by TWCV (ties keep the earlier run)."""
+def kmeans(ds: Dataset, k: int, seed: int) -> Partition:
+    """Best of ``KMEANS_RESTARTS`` Lloyd runs by TWCV (ties keep the
+    earlier run)."""
     if not 2 <= k <= ds.n:
         raise ValueError(f"kmeans needs 2 <= k <= n, got k={k}, n={ds.n}")
     best = None
     best_twcv = np.inf
-    for r in range(max(1, restarts)):
+    for r in range(KMEANS_RESTARTS):
         rng = rng_for(seed, "kmeans-restart", r)
-        part, history = lloyd_run(ds, k, rng, max_iter=max_iter)
+        part, history = lloyd_run(ds, k, rng)
         if history[-1] < best_twcv:
             best, best_twcv = part, history[-1]
     return best
@@ -259,9 +260,12 @@ class InitPopulation:
     out_of_range: list[bool] = field(default_factory=list)
 
     def add(self, pi: Partition, seed: int | None, params: dict, in_range: bool):
+        """Append ``pi`` unless the population holds it already. Every
+        generator here returns canonical labels, so ``pi`` is kept as
+        given."""
         if any(p.key == pi.key for p in self.partitions):
             return
-        self.partitions.append(pi.canonical())
+        self.partitions.append(pi)
         self.seeds.append(seed)
         self.params.append(params)
         self.out_of_range.append(not in_range)
@@ -285,9 +289,6 @@ class InitPopulation:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "InitPopulation":
         """Inverse of ``to_dict``; other keys are ignored."""
@@ -299,10 +300,6 @@ class InitPopulation:
             pop.params.append(rec["params"])
             pop.out_of_range.append(rec["out_of_range"])
         return pop
-
-    @classmethod
-    def from_json(cls, text: str) -> "InitPopulation":
-        return cls.from_dict(json.loads(text))
 
 
 def generate_population(ds: Dataset, algorithm: str, k_star: int | None = None,

@@ -23,6 +23,12 @@ def fix4_shifted():
     return Dataset(pts, labels=np.array([0, 0, 1, 1]), name="fix4s")
 
 
+def translated(ds, vector):
+    """``ds`` with every point moved by ``vector``."""
+    return Dataset(ds.points + np.asarray(vector, dtype=np.float64),
+                   labels=ds.labels, name=ds.name, label_names=ds.label_names)
+
+
 def random_instance(rng, n_max=20, k_max=5):
     """A random dataset/partition pair with every cluster non-empty."""
     n = int(rng.integers(6, n_max + 1))

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admissa import (ADMISSIBLE, INADMISSIBLE, OPTIMAL_IN_INIT, Partition,
+from admissa import (ADMISSIBLE, INADMISSIBLE, OPTIMAL_IN_INIT,
                      build_admissibility_table, classify_objective, dominates,
-                     gen_blobs, generate_population, objective, objectives)
+                     gen_blobs, generate_population, objective, objectives,
+                     render_tables)
 from admissa.criteria import MAXIMIZE, MINIMIZE, ObjectiveVector
 from admissa import admissibility
 from admissa.admissibility import ABS_FLOOR, REL_TOL, classify_cell, dominance
@@ -214,10 +215,10 @@ class TestBuildTable:
     def test_exports(self, fix4):
         specs = [objective("var"), objective("dunn")]
         table = build_admissibility_table([fix4], "mst", specs, master_seed=0)
-        csv = table.to_csv()
+        csv = render_tables([table], [], "csv")["admissibility_mst.csv"]
         assert csv.splitlines()[0] == "dataset,var,dunn"
         assert "fix4" in csv
-        md = table.to_markdown()
+        md = render_tables([table], [], "markdown")["admissibility_mst.md"]
         assert md.startswith("| dataset | var | dunn |")
         rec = table.to_records()
         assert rec["initializer"] == "mst"

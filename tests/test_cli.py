@@ -127,6 +127,21 @@ class TestPipeline:
         assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
         assert built == []
 
+    def test_report_shows_only_current_tables(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        run_all(tiny_config(tmp_path), out)  # initializers [mst, km], runs 2
+        assert "## Admissibility (km)" in (out / "report.md").read_text()
+        cfg = tiny_config(tmp_path, initializers=["mst"], runs=1)
+        run_all(cfg, out)
+        run_all(cfg, fresh)
+        report = (out / "report.md").read_text()
+        assert "## Admissibility (km)" not in report
+        assert (out / "admissibility" / "admissibility_km.md").exists()
+        others = ("## Not part of this config\n\n"
+                  "- [admissibility_km.md](admissibility/admissibility_km.md)\n\n")
+        assert others in report
+        assert report.replace(others, "") == (fresh / "report.md").read_text()
+
     def test_optimize_with_jobs(self, tmp_path):
         cfg = tiny_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -252,6 +267,35 @@ class TestErrors:
         assert main(["optimize", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [{"delta_percent": 0},
+                                     {"delta_percent": 150}, {"L": "x"}])
+    @pytest.mark.parametrize("command", ["gen", "init", "admissibility",
+                                         "optimize"])
+    def test_bad_emoc_values(self, tmp_path, capsys, command, bad):
+        cfg = tiny_config(tmp_path, emoc={"population_size": 8, **bad})
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_bad_emoc_values_after_init(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        run_all(tiny_config(tmp_path), out)
+        cfg = tiny_config(tmp_path, emoc={"population_size": 8,
+                                          "delta_percent": 0})
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("params", [{"n": 5}, {"n": "abc"},
+                                        {"kind": "zzz"}])
+    def test_bad_generator_params(self, tmp_path, capsys, params):
+        cfg = tiny_config(tmp_path, datasets=[
+            {"name": "arms", "generator": {"archetype": "elongated",
+                                           "params": params}}])
+        assert main(["gen", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dataset 'arms'")
 
     @pytest.mark.parametrize("over", [
         {"run": 3},

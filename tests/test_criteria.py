@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from admissa import criteria
 from admissa import (Dataset, DegenerateError, KTooSmallError, Partition,
                      ZeroVectorError, canonical_labels, evaluate,
                      evaluate_vector, mst_cluster, objective, objectives)
@@ -12,7 +13,7 @@ from admissa.criteria import (ALL_IDS, DIRECTIONS, MAXIMIZE, MINIMIZE,
                               eval_mod, eval_pbm, eval_sep_al, eval_sep_cl,
                               eval_sep_graph, eval_sil, eval_twcv, eval_var,
                               eval_xb)
-from conftest import random_instance, tie_grids
+from conftest import random_instance, tie_grids, translated
 from oracles import ORACLES, oracle_dcd, oracle_ent, oracle_masked_dunn
 
 # Frozen reference values for the fix4 fixture, re-derived with the
@@ -200,7 +201,7 @@ class TestIdentitiesAndInvariance:
             ds, pi = random_instance(rng)
             shift = rng.normal(size=ds.dim) * 10.0
             a = evaluate(ds, pi, spec)
-            b = evaluate(ds.translated(shift), pi, spec)
+            b = evaluate(translated(ds, shift), pi, spec)
             assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
 
     SCALE_LINEAR = ["dev", "var", "sep_al", "sep_cl", "sep_graph", "abgss", "dcd"]
@@ -334,6 +335,20 @@ class TestEvaluateVector:
             evaluate_vector(fix4, single_cluster(4),
                             objectives("var", "sep_al"))
         assert err.value.criterion == "sep_al"
+
+    def test_criterion_functions_looked_up_at_call_time(self, fix4, fix4_truth,
+                                                         monkeypatch):
+        calls = []
+
+        def counting(ds, pi):
+            calls.append(pi)
+            return eval_var(ds, pi)
+
+        monkeypatch.setattr(criteria, "eval_var", counting)
+        assert evaluate(fix4, fix4_truth, objective("var")) == 0.5
+        vec = evaluate_vector(fix4, fix4_truth, objectives("var", "dev"))
+        assert vec.values == (0.5, 2.0)
+        assert len(calls) == 2
 
     def test_directions_fixed_per_id(self):
         maximized = {"ent", "dcd", "abgss", "sep_al", "sep_cl", "sep_graph",

@@ -8,7 +8,7 @@ from admissa import (DataError, Dataset, Partition, canonical_labels,
                      write_dataset_csv)
 from admissa import data
 from admissa.data import cluster_means, components
-from conftest import tie_grids
+from conftest import tie_grids, translated
 from oracles import (neighbor_list, oracle_components, oracle_mst_edges,
                      oracle_mst_weight)
 
@@ -171,7 +171,7 @@ class TestFarFromOrigin:
             rng.normal(size=(int(rng.integers(2, 40)), int(rng.integers(1, 4))))]
         for pts in sets:
             ds = Dataset(pts)
-            far = ds.translated(np.full(ds.dim, 1e7))
+            far = translated(ds, np.full(ds.dim, 1e7))
             assert np.array_equal(far.neighbor_index, ds.neighbor_index)
             assert np.array_equal(far.mst_parent, ds.mst_parent)
 
@@ -210,7 +210,7 @@ class TestCentroids:
         ds = Dataset(pts)
         pi = Partition(labels)
         cents, gbar = centroids(ds, pi)
-        cents2, gbar2 = centroids(ds.translated([vx, vy]), pi)
+        cents2, gbar2 = centroids(translated(ds, [vx, vy]), pi)
         assert np.allclose(cents2, cents + np.array([vx, vy]), rtol=1e-9, atol=1e-9)
         assert np.allclose(gbar2, gbar + np.array([vx, vy]), rtol=1e-9, atol=1e-9)
 

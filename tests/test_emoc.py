@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admissa import (Dataset, EmocConfig, Partition, ari, best_ari, decode,
+from admissa import (Dataset, EmocConfig, Partition, ari, decode,
                      delta_relevant_loci, encode, evolve, gen_blobs,
                      gen_elongated, generate_population, objective,
                      objectives, truth_dominated, variation)
@@ -30,6 +31,14 @@ def small_config(**over):
     return EmocConfig(**base)
 
 
+def fronts_by_generation(ds, pop, cfg):
+    """The front after each generation 0..cfg.generations of ``cfg``'s run.
+    A run of g generations is the first g + 1 generations of a longer run
+    with the same seed, so it stops with the longer run's population."""
+    return [evolve(ds, dataclasses.replace(cfg, generations=g), pop)
+            for g in range(cfg.generations + 1)]
+
+
 class TestDeltaScheme:
     def test_locus_count_default_rule(self):
         ds = gen_blobs(4, 25, 8.0, seed=0)  # n = 100
@@ -47,9 +56,12 @@ class TestDeltaScheme:
         parent = int(scheme.parent[locus])
         assert {locus, parent} == {0, 2}  # the 10-weight bridge
 
-    def test_bad_delta_rejected(self, fix4):
-        with pytest.raises(ValueError):
-            delta_relevant_loci(fix4, delta_percent=0.0)
+    def test_bad_delta_rejected(self):
+        # EmocConfig checks the range, so a bad config fails before any run
+        for delta in (0.0, -1.0, 150.0):
+            with pytest.raises(ValueError, match="delta_percent"):
+                small_config(delta_percent=delta)
+        assert small_config(delta_percent=100.0).delta_percent == 100.0
 
     def test_domains_include_self_and_parent(self, fix4):
         scheme = delta_relevant_loci(fix4, delta_percent=100.0, L=1)
@@ -285,13 +297,8 @@ class TestEvolve:
     def test_front_mutually_nondominated_each_generation(self):
         ds = gen_blobs(3, 15, 8.0, seed=6)
         pop = generate_population(ds, "mst", master_seed=0)
-        cfg = small_config(generations=6, track_history=True)
-        front = evolve(ds, cfg, pop)
-        assert len(front) >= 1
-        assert len(front.history) == cfg.generations + 1
-        for entry in front.history:
-            members = [ObjectiveVector(specs=cfg.objectives, values=tuple(v))
-                       for v in entry["front_values"]]
+        for front in fronts_by_generation(ds, pop, small_config(generations=6)):
+            members = [m.vector for m in front.members]
             assert members
             for u in members:
                 for v in members:
@@ -300,9 +307,9 @@ class TestEvolve:
     def test_elitism_best_never_worsens(self):
         ds = gen_blobs(3, 15, 8.0, seed=7)
         pop = generate_population(ds, "mst", master_seed=0)
-        cfg = small_config(generations=10, track_history=True)
-        front = evolve(ds, cfg, pop)
-        best = np.array([h["best"] for h in front.history])
+        fronts = fronts_by_generation(ds, pop, small_config(generations=10))
+        best = np.array([_minimized([m.vector for m in front.members]).min(axis=0)
+                         for front in fronts])
         assert np.all(np.diff(best, axis=0) <= 1e-9)
 
     def test_long_analog_front_contains_truth(self):
@@ -311,15 +318,13 @@ class TestEvolve:
         pop = generate_population(ds, "mst", master_seed=0)
         specs = objectives("var", "con")
         cfg = EmocConfig(objectives=specs, population_size=20,
-                         generations=15, seed=4, track_history=True)
-        front = evolve(ds, cfg, pop)
-        assert best_ari(front, truth) == 1.0
+                         generations=15, seed=4)
+        fronts = fronts_by_generation(ds, pop, cfg)
+        assert max(ari(m.partition, truth) for m in fronts[-1].members) == 1.0
         # the truth stays unbeaten on the front throughout the run
         truth_vec = evaluate_vector(ds, truth, specs)
-        for entry in front.history:
-            for values in entry["front_values"]:
-                member = ObjectiveVector(specs=specs, values=tuple(values))
-                assert not _dominates(member, truth_vec)
+        for front in fronts:
+            assert not truth_dominated(front, truth_vec)
 
     # sha256 of the front's partition keys, recorded from the point-level
     # evaluation; the component-level evaluation and the partition memo must
@@ -373,6 +378,11 @@ class TestEvolve:
             EmocConfig(objectives=objectives("var"))
         with pytest.raises(ValueError):
             small_config(crossover_prob=1.5)
+
+    def test_bad_L_rejected(self):
+        for L in (0, -3, 2.5, "x", True):
+            with pytest.raises(ValueError, match="L must be"):
+                small_config(L=L)
 
 
 def _dominates(u, v):

@@ -3,11 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from admissa import (Partition, aggregate_runs, ari, best_ari,
-                     build_admissibility_table, five_number_summary, gen_blobs,
-                     objective, objectives, render_tables)
-from admissa.criteria import ObjectiveVector
-from admissa.emoc import FrontMember, ParetoFront
+from admissa import (Partition, aggregate_runs, ari, build_admissibility_table,
+                     five_number_summary, objective, render_tables)
 from admissa.evaluation import RunSummary, summaries_to_csv
 from oracles import oracle_ari_paircount
 
@@ -75,35 +72,6 @@ class TestAri:
         values = [ari(random_partition(rng, 60, 3), truth)
                   for _ in range(200)]
         assert -0.05 <= float(np.mean(values)) <= 0.05
-
-
-class TestBestAri:
-    def front_of(self, parts, fix4):
-        specs = objectives("var", "con", L=1)
-        members = []
-        for i, pi in enumerate(parts):
-            vec = ObjectiveVector(specs=specs, values=(float(i), float(i)))
-            members.append(FrontMember(pi, vec))
-        return ParetoFront(members=members)
-
-    def test_truth_on_front(self, fix4, fix4_truth):
-        front = self.front_of([fix4_truth, Partition(np.arange(4))], fix4)
-        assert best_ari(front, fix4_truth) == 1.0
-
-    def test_single_member(self, fix4, fix4_truth):
-        other = Partition(np.array([0, 1, 2, 2]))
-        front = self.front_of([other], fix4)
-        assert best_ari(front, fix4_truth) == pytest.approx(4.0 / 7.0)
-
-    def test_max_over_members(self, fix4, fix4_truth):
-        a = Partition(np.array([0, 1, 2, 2]))     # ari 4/7
-        b = Partition(np.array([0, 1, 2, 3]))     # ari 0
-        front = self.front_of([b, a], fix4)
-        assert best_ari(front, fix4_truth) == pytest.approx(4.0 / 7.0)
-
-    def test_empty_front_rejected(self, fix4_truth):
-        with pytest.raises(ValueError):
-            best_ari(ParetoFront(members=[]), fix4_truth)
 
 
 class TestAggregateRuns:

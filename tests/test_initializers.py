@@ -1,10 +1,12 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from admissa import (DataError, Dataset, Partition, ari, gen_blobs, gen_elongated,
+from admissa import (ALGORITHMS, DataError, Dataset, Partition, ari,
+                     canonical_labels, gen_blobs, gen_elongated,
                      generate_population, kmeans, linkage, mst_cluster,
                      snn_cluster)
 from admissa.initializers import (SNN_GRID, InitPopulation, _seed_centroids,
@@ -336,12 +338,26 @@ class TestGeneratePopulation:
         pop = generate_population(ds, "mst", master_seed=0)
         assert any(p.same_as(truth) for p in pop.partitions)
 
+    def test_every_population_has_canonical_labels(self):
+        # InitPopulation.add keeps partitions as given, so each generator
+        # must return canonical labels.
+        rng = np.random.default_rng(3)
+        sets = tie_grids(3, draws=8) + [rng.normal(size=(60, 2))]
+        for pts in sets:
+            ds = Dataset(pts)
+            k_star = max(1, min(3, ds.n // 2))
+            for algorithm in ALGORITHMS:
+                pop = generate_population(ds, algorithm, k_star=k_star)
+                for pi in pop.partitions:
+                    assert np.array_equal(pi.assignment,
+                                          canonical_labels(pi.assignment))
+
     def test_serialization_roundtrip_and_determinism(self):
         ds = gen_blobs(3, 15, 8.0, seed=12)
-        a = generate_population(ds, "km", master_seed=42).to_json()
-        b = generate_population(ds, "km", master_seed=42).to_json()
+        a = generate_population(ds, "km", master_seed=42).to_dict()
+        b = generate_population(ds, "km", master_seed=42).to_dict()
         assert a == b
-        pop = InitPopulation.from_json(a)
-        assert pop.to_json() == a
-        c = generate_population(ds, "km", master_seed=43).to_json()
+        pop = InitPopulation.from_dict(json.loads(json.dumps(a)))
+        assert pop.to_dict() == a
+        c = generate_population(ds, "km", master_seed=43).to_dict()
         assert c != a
