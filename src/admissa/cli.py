@@ -21,19 +21,23 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import functools
 import hashlib
 import json
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from . import __version__, evaluation
 from .admissibility import build_admissibility_table
-from .criteria import ALL_IDS, CriterionError, evaluate_vector, objective
+from .criteria import (ALL_IDS, CriterionError, ObjectiveSpec, evaluate_vector,
+                       objective)
 from .data import DataError, Dataset, load_dataset, write_dataset_csv
-from .datagen import GeneratorSpec
+from .datagen import GENERATORS, GeneratorSpec
 from .emoc import EmocConfig, EmocError, evolve, truth_dominated
 from .evaluation import RunSummary, ari, five_number_summary
 from .initializers import ALGORITHMS, InitPopulation, generate_population
@@ -48,10 +52,39 @@ class ConfigError(ValueError):
     pass
 
 
-def _reject_unknown_keys(cls, doc: dict, where: str) -> None:
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {', '.join(unknown)}")
+def _fits(value, tp) -> bool:
+    """Whether a JSON value has type ``tp``. JSON true and false are not
+    numbers, an integer is a float, and a dataclass takes a JSON object,
+    which is checked when that dataclass is built."""
+    if isinstance(tp, types.UnionType):
+        return any(_fits(value, t) for t in typing.get_args(tp))
+    if typing.get_origin(tp) is list:
+        item, = typing.get_args(tp)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if is_dataclass(tp):
+        tp = dict
+    elif tp is float:
+        tp = (int, float)
+    return isinstance(value, tp) and not isinstance(value, bool)
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # resolving them evals strings
+
+
+def _checked(owner, doc, where: str, skip=()) -> dict:
+    """``doc``, when it is a JSON object whose every key names a field or
+    parameter of ``owner`` (a dataclass or function) outside ``skip`` and
+    whose every value has the type ``owner`` annotates it with."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    hints = _type_hints(owner)
+    for key, value in doc.items():
+        if key not in hints or key in skip:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if not _fits(value, hints[key]):
+            raise ConfigError(f"{where}: {key} must be of type "
+                              f"{owner.__annotations__[key]}")
+    return doc
 
 
 @dataclass
@@ -64,25 +97,22 @@ class DatasetEntry:
 
     @classmethod
     def from_dict(cls, doc: dict, master_seed: int) -> "DatasetEntry":
-        if not isinstance(doc, dict) or not doc.get("name"):
+        where = f"dataset {doc.get('name')!r}"
+        if not _checked(cls, doc, where).get("name"):
             raise ConfigError("every dataset entry needs a name")
-        _reject_unknown_keys(cls, doc, f"dataset {doc['name']!r}")
         entry = cls(**doc)
-        for key, types in (("name", str), ("group", str), ("csv", (str, type(None))),
-                           ("label_column", (str, type(None)))):
-            if not isinstance(getattr(entry, key), types):
-                raise ConfigError(f"dataset {entry.name!r}: {key} must be a string")
         if entry.generator is not None:
+            gdoc = {"seed": derive_seed(master_seed, "datagen", entry.name),
+                    "name": entry.name,
+                    **_checked(GeneratorSpec, entry.generator, f"{where} generator")}
             try:
-                gdoc = dict(entry.generator)
-                gdoc.setdefault("seed", derive_seed(master_seed, "datagen", entry.name))
-                gdoc.setdefault("name", entry.name)
-                entry.generator = GeneratorSpec.from_dict(gdoc)
+                entry.generator = GeneratorSpec(**gdoc)
             except (TypeError, ValueError) as err:
-                raise ConfigError(f"dataset {entry.name!r}: bad generator spec "
-                                  f"({err})") from None
+                raise ConfigError(f"{where}: bad generator spec ({err})") from None
+            _checked(GENERATORS[entry.generator.archetype], entry.generator.params,
+                     f"{where} generator params", skip=("seed", "name", "return"))
         elif entry.csv is None:
-            raise ConfigError(f"dataset {entry.name!r} needs a generator or a csv path")
+            raise ConfigError(f"{where} needs a generator or a csv path")
         return entry
 
 
@@ -106,25 +136,29 @@ class CampaignConfig:
             raise ConfigError("at least one objective is required")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        for init in self.initializers + [self.optimize_initializer]:
-            if init not in ALGORITHMS:
-                raise ConfigError(f"unknown initializer {init!r}")
-        for crit in self.objectives:
-            if crit not in ALL_IDS:
-                raise ConfigError(f"unknown objective {crit!r}")
         for pair in self.pairs:
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or any(c not in ALL_IDS for c in pair)):
+            if len(pair) != 2:
                 raise ConfigError(f"invalid objective pair {pair!r}")
-        for fmt in self.formats:
-            if fmt not in FORMATS:
-                raise ConfigError(f"unknown format {fmt!r}")
-        try:
-            for crit in self.objectives:
-                self.spec_for(crit)
-            for pair in self.pairs:
-                self.emoc_config(pair, self.seed)
-        except (TypeError, ValueError) as err:
+        for what, items, known in (
+                ("initializer", self.initializers + [self.optimize_initializer], ALGORITHMS),
+                ("objective", self.objectives + sum(self.pairs, []), ALL_IDS),
+                ("format", self.formats, FORMATS)):
+            unknown = [x for x in items if x not in known]
+            if unknown:
+                raise ConfigError(f"unknown {what} {unknown[0]!r}")
+        for what, items in (("dataset names", [e.name for e in self.datasets]),
+                            ("initializers", self.initializers),
+                            ("objectives", self.objectives),
+                            ("pairs", [pair_label(p) for p in self.pairs])):
+            repeated = sorted({x for x in items if items.count(x) > 1})
+            if repeated:
+                raise ConfigError(f"duplicate {what}: {', '.join(repeated)}")
+        _checked(ObjectiveSpec, self.criteria_params, "criteria_params", skip=("id",))
+        _checked(EmocConfig, self.emoc, "emoc", skip=("objectives", "seed"))
+        try:  # the range checks; each pair's config differs only in specs and seed
+            spec = self.spec_for(self.objectives[0])
+            EmocConfig(objectives=(spec, spec), **self.emoc)
+        except ValueError as err:
             raise ConfigError(f"bad criteria_params or emoc ({err})") from None
 
     def spec_for(self, crit_id: str):
@@ -132,15 +166,10 @@ class CampaignConfig:
 
     def emoc_config(self, pair, seed: int) -> EmocConfig:
         specs = tuple(self.spec_for(c) for c in pair)
-        kwargs = dict(self.emoc)
-        kwargs.pop("seed", None)
-        return EmocConfig(objectives=specs, seed=seed, **kwargs)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        return EmocConfig(objectives=specs, seed=seed, **self.emoc)
 
 
-def load_config(path: str, seed_override: int | None = None) -> CampaignConfig:
+def load_config(path: str) -> CampaignConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -149,16 +178,7 @@ def load_config(path: str, seed_override: int | None = None) -> CampaignConfig:
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}")
 
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown_keys(CampaignConfig, doc, "config")
-    if seed_override is not None:
-        doc["seed"] = seed_override
-    cfg = CampaignConfig(**{"datasets": [], **doc})
-    for key, default in vars(CampaignConfig(datasets=[])).items():
-        # exact types: JSON true and false are bools, which are ints
-        if type(getattr(cfg, key)) is not type(default):
-            raise ConfigError(f"{key} must be of type {type(default).__name__}")
+    cfg = CampaignConfig(**{"datasets": [], **_checked(CampaignConfig, doc, "config")})
     cfg.datasets = [DatasetEntry.from_dict(d, cfg.seed) for d in cfg.datasets]
     cfg.validate()
     return cfg
@@ -198,7 +218,7 @@ def _read_json(path: Path, kind: type):
 
 
 def _write_manifest(out: Path, command: str, cfg: CampaignConfig, **stamps):
-    doc = {"command": command, "config": cfg.to_dict(), **stamps}
+    doc = {"command": command, "config": asdict(cfg), **stamps}
     _write_if_changed(out / f"manifest_{command}.json", _json_text(doc))
 
 
@@ -212,6 +232,13 @@ def _file_digest(path: Path) -> str | None:
         return hashlib.sha256(path.read_bytes()).hexdigest()
     except FileNotFoundError:
         return None
+
+
+def _write_output(out: Path, outputs: dict, rel: str, text: str):
+    """Write ``text`` to out/rel when its bytes change, and record the
+    file's sha256 as ``outputs[rel]``."""
+    _write_if_changed(out / rel, text)
+    outputs[rel] = _file_digest(out / rel)
 
 
 def _stamp(config_slice, file_digests: list[str | None]) -> str:
@@ -242,7 +269,7 @@ def materialize_dataset(out: Path, entry: DatasetEntry) -> Path:
     recorded = {d.get("name"): _canonical(d.get("generator"))
                 for d in _read_json(out / "datasets" / "manifest.json", list)
                 if isinstance(d, dict)}
-    if path.exists() and recorded.get(entry.name) == _canonical(entry.generator.to_dict()):
+    if path.exists() and recorded.get(entry.name) == _canonical(asdict(entry.generator)):
         return path
     try:
         ds = entry.generator.build()
@@ -293,7 +320,7 @@ def cmd_gen(cfg: CampaignConfig, out: Path) -> int:
             "d": ds.dim,
             "k_star": ds.k_star,
             "source": "csv" if entry.csv else "generated",
-            "generator": entry.generator.to_dict() if entry.generator else None,
+            "generator": asdict(entry.generator) if entry.generator else None,
         })
     _write_if_changed(out / "datasets" / "manifest.json", _json_text(manifest))
     _write_manifest(out, "gen", cfg)
@@ -347,7 +374,7 @@ def _load_population(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
 
 
 def _admissibility_stamp(cfg: CampaignConfig, out: Path) -> str:
-    doc = cfg.to_dict()
+    doc = asdict(cfg)
     config_slice = {key: doc[key] for key in ("datasets", "initializers",
                                               "objectives", "criteria_params",
                                               "formats", "seed")}
@@ -382,14 +409,9 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
                                         populations=pops[init], memos=memos)
               for init in cfg.initializers]
     outputs = {}
-
-    def write(rel: str, text: str):
-        _write_if_changed(out / rel, text)
-        outputs[rel] = _file_digest(out / rel)
-
     for fmt in cfg.formats:
         for name, text in evaluation.render_tables(tables, [], fmt).items():
-            write(f"admissibility/{name}", text)
+            _write_output(out, outputs, f"admissibility/{name}", text)
     # box-plot data: ARI of base partitions vs truth, per initializer
     for i, (entry, ds) in enumerate(zip(cfg.datasets, datasets)):
         truth = ds.true_partition()
@@ -397,7 +419,8 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
         for init in cfg.initializers:
             values = [ari(pi, truth) for pi in pops[init][i].partitions]
             doc[init] = five_number_summary(values)
-        write(f"admissibility/boxplots/{entry.name}.json", _json_text(doc))
+        _write_output(out, outputs, f"admissibility/boxplots/{entry.name}.json",
+                      _json_text(doc))
     _write_manifest(out, "admissibility", cfg, inputs=inputs, outputs=outputs)
     print(f"admissibility: {len(tables)} initializer tables under "
           f"{out / 'admissibility'}")
@@ -476,13 +499,16 @@ def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
 
     summaries = []
     boxplots = []  # per dataset: best ARI of every run, per pair
+    outputs = {}  # path under out -> sha256 of each run, summary and box plot
     for entry in cfg.datasets:
         box = {}
         for pair in cfg.pairs:
             runs = []
             flags = []
             for run_idx in range(cfg.runs):
-                doc = json.loads(run_path(out, entry.name, pair, run_idx).read_text())
+                path = run_path(out, entry.name, pair, run_idx)
+                outputs[path.relative_to(out).as_posix()] = _file_digest(path)
+                doc = json.loads(path.read_text())
                 runs.append(doc["best_ari"])
                 flags.append(doc["truth_dominated"])
             summaries.append(RunSummary(dataset=entry.name, group=entry.group,
@@ -492,13 +518,19 @@ def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
         boxplots.append((entry.name, box))
     for fmt in cfg.formats:
         for name, text in evaluation.render_tables([], summaries, fmt).items():
-            _write_if_changed(out / "optimize" / name, text)
+            _write_output(out, outputs, f"optimize/{name}", text)
     for name, box in boxplots:
-        _write_if_changed(out / "optimize" / "boxplots" / f"{name}.json",
-                          _json_text(box))
-    _write_manifest(out, "optimize", cfg)
+        _write_output(out, outputs, f"optimize/boxplots/{name}.json", _json_text(box))
+    _write_manifest(out, "optimize", cfg, outputs=outputs)
     print(f"optimize: {len(cells)} cells x {cfg.runs} runs under {out / 'optimize'}")
     return 0
+
+
+def _link_list(sections: list[str], heading: str, rels: list[str]):
+    """Append ``heading`` and a link to each file of ``rels`` (paths under
+    out), unless there is none."""
+    if rels:
+        sections += [heading, "", *(f"- [{Path(rel).name}]({rel})" for rel in rels), ""]
 
 
 def cmd_report(out: Path) -> int:
@@ -514,41 +546,34 @@ def cmd_report(out: Path) -> int:
             [[r["name"], r["group"], r["n"], r["d"], r["k_star"], r["source"]]
              for r in rows])]
 
-    # The admissibility files of the current config are the ones its
-    # manifest lists; any other table or box-plot file is left from an
-    # earlier config and is listed apart.
-    outputs = _read_json(out / "manifest_admissibility.json", dict).get("outputs")
-    current = sorted(rel for rel in (outputs if isinstance(outputs, dict) else {})
-                     if (out / rel).is_file())
+    # The files of the current config are the ones the admissibility and
+    # optimize manifests list; any other table or box-plot file is left
+    # from an earlier config and is listed apart.
+    current = []
+    for command in ("admissibility", "optimize"):
+        outputs = _read_json(out / f"manifest_{command}.json", dict).get("outputs")
+        current += [rel for rel in (outputs if isinstance(outputs, dict) else {})
+                    if (out / rel).is_file()]
+    current.sort()
     for rel in fnmatch.filter(current, "admissibility/admissibility_*.md"):
         empty = False
         title = Path(rel).stem.replace("admissibility_", "")
         sections += [f"## Admissibility ({title})", "", (out / rel).read_text(), ""]
-    boxplots = fnmatch.filter(current, "admissibility/boxplots/*.json")
-    if boxplots:
-        sections += ["### Initialization ARI box-plot data", ""]
-        sections += [f"- [{Path(rel).name}]({rel})" for rel in boxplots]
-        sections.append("")
-    adm_dir = out / "admissibility"
-    found = [*adm_dir.glob("admissibility_*.md"), *adm_dir.glob("boxplots/*.json")]
-    others = sorted(set(p.relative_to(out).as_posix() for p in found) - set(current))
-    if others:
-        sections += ["## Not part of this config", ""]
-        sections += [f"- [{Path(rel).name}]({rel})" for rel in others]
-        sections.append("")
+    _link_list(sections, "### Initialization ARI box-plot data",
+               fnmatch.filter(current, "admissibility/boxplots/*.json"))
 
-    opt = out / "optimize" / "optimization_summary.md"
-    if opt.exists():
+    found = [*out.glob("admissibility/admissibility_*.md"),
+             *out.glob("admissibility/boxplots/*.json"),
+             *out.glob("optimize/boxplots/*.json")]
+    _link_list(sections, "## Not part of this config",
+               sorted({p.relative_to(out).as_posix() for p in found} - set(current)))
+
+    if "optimize/optimization_summary.md" in current:
         empty = False
-        sections += ["## Optimization (best ARI on front, mean of seeded runs)",
-                     "", opt.read_text(), ""]
-        boxdir = out / "optimize" / "boxplots"
-        if boxdir.exists():
-            files = sorted(p.name for p in boxdir.glob("*.json"))
-            if files:
-                sections += ["### Run ARI box-plot data", ""]
-                sections += [f"- [{f}](optimize/boxplots/{f})" for f in files]
-                sections.append("")
+        sections += ["## Optimization (best ARI on front, mean of seeded runs)", "",
+                     (out / "optimize/optimization_summary.md").read_text(), ""]
+        _link_list(sections, "### Run ARI box-plot data",
+                   fnmatch.filter(current, "optimize/boxplots/*.json"))
 
     if empty:
         sections += ["WARNING: no campaign artifacts found in this directory.", ""]
@@ -579,12 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="campaign config JSON")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config master seed")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel workers for campaign cells")
-        p.add_argument("--format", default=None,
-                       help="comma-separated subset of csv,json,markdown")
     sub.add_parser("report").add_argument("--out", required=True,
                                           help="output directory")
     return parser
@@ -596,10 +617,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(out)
-        cfg = load_config(args.config, seed_override=args.seed)
-        if args.format:
-            cfg.formats = args.format.split(",")
-            cfg.validate()
+        cfg = load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "gen":
             return cmd_gen(cfg, out)

@@ -89,7 +89,6 @@ class Dataset:
     points: np.ndarray
     labels: np.ndarray | None = None
     name: str = "dataset"
-    label_names: list[str] | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -262,8 +261,7 @@ def minimum_spanning_tree(dm: np.ndarray) -> np.ndarray:
 
 def load_dataset(path, label_column: str | None = None, name: str | None = None) -> Dataset:
     """Read a headered CSV of numeric feature columns plus an optional label
-    column. Labels are re-indexed densely in order of first appearance; the
-    original strings are kept for reporting."""
+    column. Labels are re-indexed densely in order of first appearance."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -299,16 +297,14 @@ def load_dataset(path, label_column: str | None = None, name: str | None = None)
                                 f"in column {header[pos]!r}") from None
 
     labels = None
-    label_names = None
     if label_pos is not None:
         raw = [row[label_pos] for row in rows]
-        label_names = list(dict.fromkeys(raw))
-        mapping = {v: i for i, v in enumerate(label_names)}
+        mapping = {v: i for i, v in enumerate(dict.fromkeys(raw))}
         labels = np.array([mapping[v] for v in raw], dtype=np.int64)
 
     if name is None:
         name = str(path).rsplit("/", 1)[-1].removesuffix(".csv")
-    return Dataset(points, labels=labels, name=name, label_names=label_names)
+    return Dataset(points, labels=labels, name=name)
 
 
 def write_dataset_csv(ds: Dataset, path) -> None:

@@ -8,8 +8,7 @@ benchmark point sets can be fed to the same pipeline as CSV files.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -217,23 +216,9 @@ class GeneratorSpec:
     name: str | None = None
 
     def __post_init__(self):
-        """Reject an unknown archetype and params its generator does not
-        take; each param's default lives in the generator's signature."""
         if self.archetype not in GENERATORS:
             raise ValueError(f"unknown archetype {self.archetype!r}")
-        try:
-            inspect.signature(GENERATORS[self.archetype]).bind(
-                seed=self.seed, name=self.name, **self.params)
-        except TypeError as err:
-            raise ValueError(f"bad {self.archetype} params ({err})") from None
 
     def build(self) -> Dataset:
         return GENERATORS[self.archetype](seed=self.seed, name=self.name,
                                           **self.params)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GeneratorSpec":
-        return cls(**doc)

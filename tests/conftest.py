@@ -26,7 +26,7 @@ def fix4_shifted():
 def translated(ds, vector):
     """``ds`` with every point moved by ``vector``."""
     return Dataset(ds.points + np.asarray(vector, dtype=np.float64),
-                   labels=ds.labels, name=ds.name, label_names=ds.label_names)
+                   labels=ds.labels, name=ds.name)
 
 
 def random_instance(rng, n_max=20, k_max=5):

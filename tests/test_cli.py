@@ -1,10 +1,12 @@
+import argparse
 import functools
+import hashlib
 import json
 
 import pytest
 
 from admissa import Dataset, InitPopulation, admissibility, cli
-from admissa.cli import main
+from admissa.cli import build_parser, main
 
 
 def tiny_config(tmp_path, **over):
@@ -27,6 +29,13 @@ def tiny_config(tmp_path, **over):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def blobs(name, k_star):
+    """A dataset entry of k_star Gaussian blobs of 10 points each."""
+    return {"name": name, "generator": {"archetype": "gaussian_blobs",
+                                        "params": {"k_star": k_star,
+                                                   "per_cluster_n": 10}}}
 
 
 def run_all(cfg, out):
@@ -141,6 +150,29 @@ class TestPipeline:
                   "- [admissibility_km.md](admissibility/admissibility_km.md)\n\n")
         assert others in report
         assert report.replace(others, "") == (fresh / "report.md").read_text()
+
+    def test_report_lists_dropped_dataset_apart(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        run_all(tiny_config(tmp_path, datasets=[blobs("a", 3), blobs("b", 4)]), out)
+        cfg = tiny_config(tmp_path, datasets=[blobs("a", 3)])
+        run_all(cfg, out)
+        run_all(cfg, fresh)
+        report = (out / "report.md").read_text()
+        assert (out / "optimize" / "boxplots" / "b.json").exists()
+        others = ("## Not part of this config\n\n"
+                  "- [b.json](admissibility/boxplots/b.json)\n"
+                  "- [b.json](optimize/boxplots/b.json)\n\n")
+        assert others in report
+        assert report.replace(others, "") == (fresh / "report.md").read_text()
+
+    def test_optimize_manifest_lists_its_files(self, tmp_path):
+        out = tmp_path / "out"
+        run_all(tiny_config(tmp_path), out)
+        outputs = json.loads((out / "manifest_optimize.json").read_text())["outputs"]
+        files = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in (out / "optimize").rglob("*") if p.is_file()}
+        assert outputs == files
+        assert len(files) == 2 * 2 + 3 + 1  # runs, summaries, box plot
 
     def test_optimize_with_jobs(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -345,5 +377,45 @@ class TestErrors:
 
     def test_bad_format_flag(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        assert main(["gen", "--config", str(cfg), "--out",
-                     str(tmp_path / "o"), "--format", "xml"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  "--format", "csv"])
+        assert exc.value.code == 1
+
+    def test_stage_commands_take_config_out_and_jobs_only(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for name in ("gen", "init", "admissibility", "optimize"):
+            flags = {f for a in sub.choices[name]._actions for f in a.option_strings}
+            assert flags == {"-h", "--help", "--config", "--out", "--jobs"}
+
+    @pytest.mark.parametrize("over", [
+        {"emoc": {"generations": 2.0}},
+        {"emoc": {"population_size": 8.0}},
+        {"emoc": {"crossover_prob": True}},
+        {"emoc": {"delta_percent": True}},
+        {"criteria_params": {"L": True}},
+        {"criteria_params": {"L": 2.5}},
+        {"pairs": [], "emoc": {"delta_percent": 0, "L": "x"}},
+        {"pairs": [], "emoc": {"delta_percent": 0}},
+        {"emoc": {"seed": 7}},
+        {"datasets": [blobs("a", 3) | {"generator": {
+            "archetype": "gaussian_blobs", "params": {"separation": True}}}]},
+        {"datasets": [blobs("b", 3), blobs("b", 4)]},
+        {"initializers": ["mst", "km", "mst"]},
+        {"objectives": ["var", "con", "var"]},
+        {"pairs": [["var", "con"], ["var", "sep_cl"], ["var", "con"]]},
+    ], ids=["generations-float", "population-float", "crossover-bool",
+            "delta-bool", "L-bool", "L-float", "no-pairs-L", "no-pairs-delta",
+            "emoc-seed", "param-bool", "dup-datasets", "dup-initializers",
+            "dup-objectives", "dup-pairs"])
+    def test_config_values_checked_against_their_fields(self, tmp_path, capsys, over):
+        cfg = tiny_config(tmp_path, **over)
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_int_accepted_for_float_fields(self, tmp_path):
+        cfg = tiny_config(tmp_path, emoc={"population_size": 8, "generations": 1,
+                                          "crossover_prob": 1, "delta_percent": 50})
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -24,7 +24,12 @@ class TestLoadDataset:
         path = write_csv(tmp_path, "x0,x1,label\n0,0,a\n0,1,a\n10,0,b\n10,1,b\n")
         ds = load_dataset(path, label_column="label")
         assert ds.n == 4 and ds.dim == 2 and ds.k_star == 2
-        assert ds.label_names == ["a", "b"]
+        assert ds.labels.tolist() == [0, 0, 1, 1]
+
+    def test_labels_numbered_in_order_of_first_appearance(self, tmp_path):
+        path = write_csv(tmp_path, "x0,label\n0,b\n1,a\n2,b\n3,c\n")
+        ds = load_dataset(path, label_column="label")
+        assert ds.labels.tolist() == [0, 1, 0, 2]
 
     def test_without_label_column(self, tmp_path):
         path = write_csv(tmp_path, "x0,x1\n0,0\n1,1\n")

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -105,7 +107,7 @@ class TestGeneratorSpec:
                                      "separation": 8.0}, name="g")
         ds = spec.build()
         assert ds.n == 30 and ds.name == "g"
-        again = GeneratorSpec.from_dict(spec.to_dict())
+        again = GeneratorSpec(**asdict(spec))
         assert np.array_equal(again.build().points, ds.points)
 
     def test_unknown_archetype_rejected(self):
