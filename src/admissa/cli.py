@@ -540,11 +540,14 @@ def cmd_report(out: Path) -> int:
     manifest_path = out / "datasets" / "manifest.json"
     if manifest_path.exists():
         empty = False
-        rows = json.loads(manifest_path.read_text())
+        try:
+            rows = [[r[key] for key in ("name", "group", "n", "d", "k_star", "source")]
+                    for r in json.loads(manifest_path.read_text())]
+        except (ValueError, KeyError, TypeError) as err:
+            raise DataError(f"{manifest_path}: damaged dataset manifest "
+                            f"({type(err).__name__}: {err})") from None
         sections += ["## Datasets", "", evaluation.markdown_grid(
-            ["name", "group", "n", "d", "k*", "source"],
-            [[r["name"], r["group"], r["n"], r["d"], r["k_star"], r["source"]]
-             for r in rows])]
+            ["name", "group", "n", "d", "k*", "source"], rows)]
 
     # The files of the current config are the ones the admissibility and
     # optimize manifests list; any other table or box-plot file is left

@@ -14,6 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
+# Rows (or tiles, or MST edge ends) of the n x n geometry handled at once.
+BLOCK = 256
+
 
 class DataError(ValueError):
     """Malformed input data (CSV parsing, shape or label problems)."""
@@ -141,10 +144,24 @@ class Dataset:
         # and tied distances stay tied; the mean is not.
         x = self.points - (self.points.min(axis=0) + self.points.max(axis=0)) / 2.0
         sq = np.sum(x ** 2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        np.maximum(d2, 0.0, out=d2)
-        dm = np.sqrt(d2)
-        dm = 0.5 * (dm + dm.T)  # enforce exact symmetry
+        # (sq_a + sq_b) - 2 x_a.x_b, built in place: at most two n x n
+        # arrays are alive at once.
+        dm = np.add.outer(sq, sq)
+        g = x @ x.T
+        g *= 2.0
+        dm -= g
+        del g
+        np.maximum(dm, 0.0, out=dm)
+        np.sqrt(dm, out=dm)
+        # Exact symmetry, tile by tile: both halves take 0.5 * (a + b).
+        n = self.n
+        for i in range(0, n, BLOCK):
+            for j in range(i, n, BLOCK):
+                upper = dm[i:i + BLOCK, j:j + BLOCK]
+                lower = dm[j:j + BLOCK, i:i + BLOCK]
+                mean = 0.5 * (upper + lower.T)
+                upper[...] = mean
+                lower[...] = mean.T
         np.fill_diagonal(dm, 0.0)
         dm.setflags(write=False)
         return dm
@@ -153,20 +170,50 @@ class Dataset:
     def neighbor_index(self) -> np.ndarray:
         """(n, n-1) index array: row a lists the other points by ascending
         distance from a, ties broken by ascending point index."""
-        dm = self.distances.copy()
-        np.fill_diagonal(dm, -1.0)  # self sorts first even among duplicates
-        out = np.argsort(dm, axis=1, kind="stable")[:, 1:]
+        # A row is sorted by the fast default sort, which is exact when the
+        # row holds no two equal distances: its order is then unique. A
+        # row with a tie lists two equal distances or a zero (a duplicate
+        # point, tied with the row's own zero, which may then be listed
+        # in its place). Only those rows are sorted again, stably, with
+        # the own entry at -1 so it sorts first. Rows go BLOCK at a time,
+        # so no copy of the matrix is made.
+        dm = self.distances
+        n = self.n
+        out = np.empty((n, n - 1), dtype=np.int64)
+        for lo in range(0, n, BLOCK):
+            rows = dm[lo:lo + BLOCK]
+            out[lo:lo + BLOCK] = np.argsort(rows, axis=1)[:, 1:]
+            listed = np.take_along_axis(rows, out[lo:lo + BLOCK], axis=1)
+            tied = (listed[:, 0] <= 0.0) | (listed[:, 1:] == listed[:, :-1]).any(axis=1)
+            del listed
+            if tied.any():
+                own = lo + np.flatnonzero(tied)
+                again = dm[own]
+                again[np.arange(own.size), own] = -1.0
+                out[own] = np.argsort(again, axis=1, kind="stable")[:, 1:]
         out.setflags(write=False)
         return out
 
     @cached_property
     def neighbor_rank(self) -> np.ndarray:
         """(n-1, 2) array: for MST edge r = (a, b), the 1-based position of
-        b in a's neighbor list and of a in b's. Each position is found by
-        scanning one row, so no n x n array is built."""
-        nn = self.neighbor_index
-        rank = np.array([[(nn[a] == b).argmax(), (nn[b] == a).argmax()]
-                         for a, b in self.mst_edges.tolist()], dtype=np.int64) + 1
+        b in a's neighbor list and of a in b's. A position is a count: 1
+        plus the points j != a with (D[a, j], j) < (D[a, b], b). The
+        distance rows are read BLOCK edge ends at a time; nothing is
+        sorted."""
+        dm = self.distances
+        ends = self.mst_edges
+        src, dst = ends.ravel(), ends[:, ::-1].ravel()
+        index = np.arange(self.n)
+        rank = np.empty(src.size, dtype=np.int64)
+        for lo in range(0, src.size, BLOCK):
+            a, b = src[lo:lo + BLOCK], dst[lo:lo + BLOCK]
+            rows = dm[a]
+            d = rows[np.arange(a.size), b][:, None]
+            ahead = (rows < d) | ((rows == d) & (index < b[:, None]))
+            ahead[np.arange(a.size), a] = False
+            rank[lo:lo + BLOCK] = np.count_nonzero(ahead, axis=1) + 1
+        rank = rank.reshape(-1, 2)
         rank.setflags(write=False)
         return rank
 

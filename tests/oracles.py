@@ -42,6 +42,28 @@ def neighbor_list(points, a):
     return sorted(others, key=lambda b: (dist(points[a], points[b]), b))
 
 
+def oracle_distances(points):
+    """The distance matrix as one expression over whole n x n arrays:
+    Gram trick on bounding-box-centred points, then symmetrized."""
+    points = np.asarray(points, dtype=np.float64)
+    x = points - (points.min(axis=0) + points.max(axis=0)) / 2.0
+    sq = np.sum(x ** 2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d2, 0.0, out=d2)
+    dm = np.sqrt(d2)
+    dm = 0.5 * (dm + dm.T)
+    np.fill_diagonal(dm, 0.0)
+    return dm
+
+
+def oracle_neighbor_index(distances):
+    """Stable argsort of a copy of every row with its own entry at -1, so
+    each row lists the other points by (distance, index)."""
+    dm = np.array(distances, dtype=np.float64)
+    np.fill_diagonal(dm, -1.0)
+    return np.argsort(dm, axis=1, kind="stable")[:, 1:]
+
+
 # --------------------------------------------------------------------------
 # Criteria
 

@@ -282,6 +282,19 @@ class TestErrors:
         assert main(["init", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '[{"name": "a", "group"',
+        '[{"name": "a", "n": 4, "d": 2, "k_star": 2, "source": "a.csv"}]',
+    ], ids=["invalid_json", "row_without_group"])
+    def test_report_on_damaged_dataset_manifest(self, tmp_path, capsys, text):
+        manifest = tmp_path / "o" / "datasets" / "manifest.json"
+        manifest.parent.mkdir(parents=True)
+        manifest.write_text(text)
+        assert main(["report", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(manifest) in err
+        assert "Traceback" not in err
+
     def test_empty_report_warns(self, tmp_path, capsys):
         out = tmp_path / "empty"
         out.mkdir()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from admissa import (DataError, Dataset, Partition, canonical_labels,
 from admissa import data
 from admissa.data import cluster_means, components
 from conftest import tie_grids, translated
-from oracles import (neighbor_list, oracle_components, oracle_mst_edges,
-                     oracle_mst_weight)
+from oracles import (neighbor_list, oracle_components, oracle_distances,
+                     oracle_mst_edges, oracle_mst_weight, oracle_neighbor_index)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -165,6 +167,71 @@ class TestKnnIndex:
             for (a, b), ranks in zip(ds.mst_edges.tolist(), ds.neighbor_rank.tolist()):
                 assert ranks == [neighbor_list(pts.tolist(), a).index(b) + 1,
                                  neighbor_list(pts.tolist(), b).index(a) + 1]
+
+
+def block_crossing_sets():
+    """Tie-heavy and continuous point sets whose sizes cross the geometry's
+    row block: integer draws (duplicate points included), shuffled unit
+    grids, random normal points, and n=2."""
+    rng = np.random.default_rng(13)
+    sets = [np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([[1.0], [1.0]])]
+    for n in (255, 256, 257, 513):
+        sets.append(rng.integers(0, 5, size=(n, 2)).astype(float))
+        sets.append(rng.normal(size=(n, 3)))
+    for g in (16, 23):
+        gx, gy = np.meshgrid(np.arange(g), np.arange(g))
+        sets.append(np.c_[gx.ravel(), gy.ravel()].astype(float)[rng.permutation(g * g)])
+    return sets
+
+
+class TestGeometryReferences:
+    """The in-place distances, the row-block neighbor index and the
+    counted MST ranks have the bits of the whole-matrix references."""
+
+    @pytest.mark.parametrize("pts", block_crossing_sets(),
+                             ids=lambda p: f"n{len(p)}")
+    def test_bits_match_references(self, pts):
+        ds = Dataset(pts)
+        ref = oracle_distances(pts)
+        assert np.array_equal(ds.distances.view(np.int64), ref.view(np.int64))
+        nn = oracle_neighbor_index(ref)
+        assert ds.neighbor_index.shape == (ds.n, ds.n - 1)
+        assert ds.neighbor_index.dtype == np.int64
+        assert np.array_equal(ds.neighbor_index, nn)
+        fresh = Dataset(pts)
+        ranks = [[list(nn[a]).index(b) + 1, list(nn[b]).index(a) + 1]
+                 for a, b in fresh.mst_edges.tolist()]
+        assert fresh.neighbor_rank.tolist() == ranks
+
+    def test_tie_grids_match_references(self):
+        for pts in tie_grids(seed=13):
+            ds = Dataset(pts)
+            ref = oracle_distances(pts)
+            assert np.array_equal(ds.distances.view(np.int64), ref.view(np.int64))
+            assert np.array_equal(ds.neighbor_index, oracle_neighbor_index(ref))
+
+    def test_rank_does_not_build_neighbor_index(self):
+        ds = Dataset(np.random.default_rng(2).normal(size=(40, 2)))
+        ds.neighbor_rank
+        assert "neighbor_index" not in ds.__dict__
+
+    def test_peak_memory_per_n2(self):
+        # Continuous data, so every row takes the fast sort alone; the
+        # parent's whole-matrix builds peaked at about 16 n^2 bytes for the
+        # neighbor index and 24 n^2 for the distances.
+        n = 1500
+        ds = Dataset(np.random.default_rng(5).normal(size=(n, 2)))
+        tracemalloc.start()
+        try:
+            ds.distances
+            distances_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            ds.neighbor_index
+            index_peak = tracemalloc.get_traced_memory()[1] - ds.distances.nbytes
+        finally:
+            tracemalloc.stop()
+        assert distances_peak < 20 * n * n
+        assert index_peak < 10 * n * n
 
 
 class TestFarFromOrigin:
