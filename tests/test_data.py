@@ -170,11 +170,12 @@ class TestKnnIndex:
 
 
 def block_crossing_sets():
-    """Tie-heavy and continuous point sets whose sizes cross the geometry's
-    row block: integer draws (duplicate points included), shuffled unit
-    grids, random normal points, and n=2."""
+    """Tie-heavy and continuous point sets, some with sizes that cross the
+    geometry's row block: integer draws (duplicate points included),
+    shuffled unit grids, random normal points, and n=2."""
     rng = np.random.default_rng(13)
-    sets = [np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([[1.0], [1.0]])]
+    sets = tie_grids(seed=13) + [np.array([[0.0, 0.0], [3.0, 4.0]]),
+                                 np.array([[1.0], [1.0]])]
     for n in (255, 256, 257, 513):
         sets.append(rng.integers(0, 5, size=(n, 2)).astype(float))
         sets.append(rng.normal(size=(n, 3)))
@@ -202,13 +203,6 @@ class TestGeometryReferences:
         ranks = [[list(nn[a]).index(b) + 1, list(nn[b]).index(a) + 1]
                  for a, b in fresh.mst_edges.tolist()]
         assert fresh.neighbor_rank.tolist() == ranks
-
-    def test_tie_grids_match_references(self):
-        for pts in tie_grids(seed=13):
-            ds = Dataset(pts)
-            ref = oracle_distances(pts)
-            assert np.array_equal(ds.distances.view(np.int64), ref.view(np.int64))
-            assert np.array_equal(ds.neighbor_index, oracle_neighbor_index(ref))
 
     def test_rank_does_not_build_neighbor_index(self):
         ds = Dataset(np.random.default_rng(2).normal(size=(40, 2)))
