@@ -102,6 +102,9 @@ class DatasetEntry:
             raise ConfigError("every dataset entry needs a name")
         entry = cls(**doc)
         if entry.generator is not None:
+            for key in ("csv", "label_column"):
+                if key in doc:
+                    raise ConfigError(f"{where}: a generated dataset takes no {key}")
             gdoc = {"seed": derive_seed(master_seed, "datagen", entry.name),
                     "name": entry.name,
                     **_checked(GeneratorSpec, entry.generator, f"{where} generator")}
@@ -146,6 +149,9 @@ class CampaignConfig:
             unknown = [x for x in items if x not in known]
             if unknown:
                 raise ConfigError(f"unknown {what} {unknown[0]!r}")
+        if self.pairs and self.optimize_initializer not in self.initializers:
+            raise ConfigError(f"optimize_initializer {self.optimize_initializer!r} "
+                              f"is not among the initializers")
         for what, items in (("dataset names", [e.name for e in self.datasets]),
                             ("initializers", self.initializers),
                             ("objectives", self.objectives),
@@ -288,9 +294,8 @@ def materialize_dataset(out: Path, entry: DatasetEntry) -> Path:
 
 def resolve_dataset(out: Path, entry: DatasetEntry) -> Dataset:
     """Load a dataset entry from its materialized CSV."""
-    label_column = entry.label_column if entry.csv is not None else "label"
     return load_dataset(materialize_dataset(out, entry),
-                        label_column=label_column, name=entry.name)
+                        label_column=entry.label_column, name=entry.name)
 
 
 def population_path(out: Path, dataset: str, initializer: str) -> Path:
@@ -432,9 +437,9 @@ def _optimize_cell(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
     """Worker: the missing or stale seeded runs of one (dataset, pair)
     cell. A run's stamp covers the dataset CSV, the population file and
     the run's EmocConfig (the pair's specs, the emoc settings and the
-    run's derived seed). Reads the materialized CSV and population file
-    only when a run is to be computed; writes one JSON per run."""
-    files = [_file_digest(dataset_csv_path(out, entry)),
+    run's derived seed). Loads the dataset and population only when a
+    run is to be computed; writes one JSON per run."""
+    files = [_file_digest(materialize_dataset(out, entry)),
              _file_digest(population_path(out, entry.name, cfg.optimize_initializer))]
     todo = {}  # run index -> (derived seed, stamp)
     for run_idx in range(cfg.runs):
@@ -481,10 +486,6 @@ def _optimize_cell(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
 
 
 def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
-    for entry in cfg.datasets:
-        resolve_dataset(out, entry)  # materialize; also validates CSVs
-        _load_population(out, cfg, entry, cfg.optimize_initializer)
-
     cells = [(out, cfg, entry, pair)
              for entry in cfg.datasets for pair in cfg.pairs]
 

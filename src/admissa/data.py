@@ -41,19 +41,17 @@ class Partition:
     """A hard assignment of every point to exactly one of k clusters."""
 
     assignment: np.ndarray
-    k: int = field(default=0)
+    k: int = field(init=False)
     sizes: np.ndarray = field(init=False, repr=False)  # points per cluster
 
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=np.int64)
         if self.assignment.ndim != 1 or self.assignment.size == 0:
             raise DataError("assignment must be a non-empty 1-d array")
-        # The ids are bounded before bincount sizes its output by them; a
-        # given k then is the length of the counts.
-        bound = self.k or self.n
-        if self.assignment.min() < 0 or self.assignment.max() >= bound:
-            raise DataError(f"cluster ids must lie in [0, {bound - 1}]")
-        self.sizes = np.bincount(self.assignment, minlength=self.k)
+        # The ids are bounded before bincount sizes its output by them.
+        if self.assignment.min() < 0 or self.assignment.max() >= self.n:
+            raise DataError(f"cluster ids must lie in [0, {self.n - 1}]")
+        self.sizes = np.bincount(self.assignment)
         self.k = self.sizes.size
         if not self.sizes.all():
             raise DataError("every cluster id in [0, k-1] must be non-empty")

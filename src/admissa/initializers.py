@@ -9,6 +9,7 @@ toward smaller point indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -244,7 +245,8 @@ ALGORITHMS = ("km", "al", "sl", "snn", "mst")
 
 @dataclass
 class InitPopulation:
-    """Base partitions from one initialization algorithm.
+    """Base partitions from one initialization algorithm, each with a
+    record ``{"seed", "params", "out_of_range"}`` at the same position.
 
     SNN members whose threshold-driven k falls outside {2..2k*} are kept
     but flagged ``out_of_range`` rather than silently dropped.
@@ -255,20 +257,7 @@ class InitPopulation:
     k_star: int
     master_seed: int
     partitions: list[Partition] = field(default_factory=list)
-    seeds: list[int | None] = field(default_factory=list)
-    params: list[dict] = field(default_factory=list)
-    out_of_range: list[bool] = field(default_factory=list)
-
-    def add(self, pi: Partition, seed: int | None, params: dict, in_range: bool):
-        """Append ``pi`` unless the population holds it already. Every
-        generator here returns canonical labels, so ``pi`` is kept as
-        given."""
-        if any(p.key == pi.key for p in self.partitions):
-            return
-        self.partitions.append(pi)
-        self.seeds.append(seed)
-        self.params.append(params)
-        self.out_of_range.append(not in_range)
+    records: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -276,74 +265,68 @@ class InitPopulation:
             "dataset": self.dataset,
             "k_star": self.k_star,
             "master_seed": self.master_seed,
-            "partitions": [
-                {
-                    "assignment": p.assignment.tolist(),
-                    "k": p.k,
-                    "seed": s,
-                    "params": prm,
-                    "out_of_range": oor,
-                }
-                for p, s, prm, oor in zip(self.partitions, self.seeds,
-                                          self.params, self.out_of_range)
-            ],
+            "partitions": [{"assignment": p.assignment.tolist(), "k": p.k, **rec}
+                           for p, rec in zip(self.partitions, self.records)],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InitPopulation":
         """Inverse of ``to_dict``; other keys are ignored."""
-        pop = cls(source=doc["source"], dataset=doc["dataset"],
-                  k_star=doc["k_star"], master_seed=doc["master_seed"])
-        for rec in doc["partitions"]:
-            pop.partitions.append(Partition(np.array(rec["assignment"], dtype=np.int64)))
-            pop.seeds.append(rec["seed"])
-            pop.params.append(rec["params"])
-            pop.out_of_range.append(rec["out_of_range"])
-        return pop
+        rows = doc["partitions"]
+        return cls(source=doc["source"], dataset=doc["dataset"],
+                   k_star=doc["k_star"], master_seed=doc["master_seed"],
+                   partitions=[Partition(np.array(r["assignment"], dtype=np.int64))
+                               for r in rows],
+                   records=[{key: r[key] for key in ("seed", "params", "out_of_range")}
+                            for r in rows])
 
 
 def generate_population(ds: Dataset, algorithm: str, k_star: int | None = None,
                         master_seed: int = 0) -> InitPopulation:
     """One partition per k in {2..2k*} (km/al/sl/mst), or a fixed threshold
-    grid sweep for snn. Duplicates (up to relabeling) are removed."""
+    grid sweep for snn. Of partitions equal up to relabeling, the first
+    is kept as its generator returned it (canonical labels); the members
+    are sorted by k, ties in generation order."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown initializer {algorithm!r}")
     if k_star is None:
         k_star = ds.k_star
     if k_star is None:
         raise ValueError("k_star unknown: dataset has no labels and none was given")
+    if k_star < 1:
+        raise ValueError(f"k_star must be >= 1, got {k_star}")
     k_max = 2 * k_star
     if k_max > ds.n:
         raise DataError(f"{ds.name}: 2*k_star={k_max} exceeds n={ds.n}")
-    ks = list(range(2, k_max + 1)) or [2]
+    ks = range(2, k_max + 1)
 
-    pop = InitPopulation(source=algorithm, dataset=ds.name, k_star=k_star,
-                         master_seed=master_seed)
+    found: dict[bytes, tuple[Partition, dict]] = {}  # Partition.key -> member
+
+    def keep(pi: Partition, seed: int | None, params: dict, in_range: bool = True):
+        found.setdefault(pi.key, (pi, {"seed": seed, "params": params,
+                                       "out_of_range": not in_range}))
+
     if algorithm == "km":
         for k in ks:
             seed = derive_seed(master_seed, "init-km", ds.name, k)
-            pop.add(kmeans(ds, k, seed=seed), seed, {"k": k}, True)
+            keep(kmeans(ds, k, seed=seed), seed, {"k": k})
     elif algorithm in ("al", "sl"):
         mode = "average" if algorithm == "al" else "single"
         snaps = _linkage_snapshots(ds, mode, set(ks))
         for k in ks:
-            pop.add(snaps[k], None, {"k": k, "mode": mode}, True)
+            keep(snaps[k], None, {"k": k, "mode": mode})
     elif algorithm == "mst":
         snaps = _mst_partition_sweep(ds, set(ks))
         for k in ks:
-            pop.add(snaps[k], None, {"k": k}, True)
+            keep(snaps[k], None, {"k": k})
     else:  # snn
-        for knn_k in SNN_GRID["knn_k"]:
-            for eps in SNN_GRID["eps"]:
-                for min_pts in SNN_GRID["min_pts"]:
-                    pi = snn_cluster(ds, knn_k, eps, min_pts)
-                    params = {"knn_k": knn_k, "eps": eps, "min_pts": min_pts,
-                              "k": pi.k}
-                    pop.add(pi, None, params, 2 <= pi.k <= k_max)
-    order = sorted(range(len(pop.partitions)),
-                   key=lambda i: (pop.partitions[i].k, i))
-    pop.partitions = [pop.partitions[i] for i in order]
-    pop.seeds = [pop.seeds[i] for i in order]
-    pop.params = [pop.params[i] for i in order]
-    pop.out_of_range = [pop.out_of_range[i] for i in order]
-    return pop
+        for knn_k, eps, min_pts in product(SNN_GRID["knn_k"], SNN_GRID["eps"],
+                                           SNN_GRID["min_pts"]):
+            pi = snn_cluster(ds, knn_k, eps, min_pts)
+            params = {"knn_k": knn_k, "eps": eps, "min_pts": min_pts, "k": pi.k}
+            keep(pi, None, params, 2 <= pi.k <= k_max)
+    members = sorted(found.values(), key=lambda m: m[0].k)
+    return InitPopulation(source=algorithm, dataset=ds.name, k_star=k_star,
+                          master_seed=master_seed,
+                          partitions=[pi for pi, _ in members],
+                          records=[rec for _, rec in members])

@@ -158,9 +158,8 @@ class TestClassifyCell:
         assert verdict.verdict in (OPTIMAL_IN_INIT, INADMISSIBLE)
         # adding one more copy of the truth never flips the verdict
         pop.partitions.append(truth)
-        pop.seeds.append(None)
-        pop.params.append({"k": truth.k})
-        pop.out_of_range.append(False)
+        pop.records.append({"seed": None, "params": {"k": truth.k},
+                            "out_of_range": False})
         verdict2, _ = classify_cell(ds, pop, objective("dunn"), "mst")
         assert verdict2.verdict == verdict.verdict
 

@@ -49,16 +49,19 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def count_calls(monkeypatch, owner, name):
-    """Replace ``owner.name`` by a wrapper that logs each call."""
+def count_calls(monkeypatch, *targets):
+    """Replace each ``owner.name`` of ``targets``, (owner, name) pairs, by
+    a wrapper that logs each call's name in the one list returned."""
     calls = []
-    original = getattr(owner, name)
 
-    def counting(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(owner, name, counting)
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     return calls
 
 
@@ -133,8 +136,10 @@ class TestPipeline:
         prop = functools.cached_property(counting)
         prop.__set_name__(Dataset, "distances")
         monkeypatch.setattr(Dataset, "distances", prop)
+        calls = count_calls(monkeypatch, (cli, "load_dataset"),
+                            (cli, "_load_population"))
         assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
-        assert built == []
+        assert built == [] and calls == []
 
     def test_report_shows_only_current_tables(self, tmp_path):
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -208,9 +213,8 @@ class TestStamps:
         cfg = tiny_config(tmp_path)
         out = tmp_path / "out"
         run_all(cfg, out)
-        calls = (count_calls(monkeypatch, admissibility, "evaluate")
-                 + count_calls(monkeypatch, cli, "load_dataset")
-                 + count_calls(monkeypatch, InitPopulation, "from_dict"))
+        calls = count_calls(monkeypatch, (admissibility, "evaluate"),
+                            (cli, "load_dataset"), (InitPopulation, "from_dict"))
         assert main(["admissibility", "--config", str(cfg), "--out", str(out)]) == 0
         assert calls == []
 
@@ -221,7 +225,7 @@ class TestStamps:
     def test_optimize_settings_keep_admissibility(self, tmp_path, monkeypatch, over):
         out = tmp_path / "out"
         run_all(tiny_config(tmp_path), out)
-        calls = count_calls(monkeypatch, admissibility, "evaluate")
+        calls = count_calls(monkeypatch, (admissibility, "evaluate"))
         run_all(tiny_config(tmp_path, **over), out)
         assert calls == []
         manifest = json.loads((out / "manifest_admissibility.json").read_text())
@@ -273,6 +277,17 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["admissibility", "--config", str(cfg), "--out",
                      str(out)]) == 2
+
+    def test_optimize_without_populations(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "population file missing" in capsys.readouterr().err
+
+    def test_no_pairs_take_any_optimize_initializer(self, tmp_path):
+        # without pairs nothing is optimized, so the mst population is not needed
+        run_all(tiny_config(tmp_path, initializers=["km"], pairs=[]), tmp_path / "o")
 
     def test_init_without_labels(self, tmp_path):
         csv = tmp_path / "nolabel.csv"
@@ -418,10 +433,14 @@ class TestErrors:
         {"initializers": ["mst", "km", "mst"]},
         {"objectives": ["var", "con", "var"]},
         {"pairs": [["var", "con"], ["var", "sep_cl"], ["var", "con"]]},
+        {"datasets": [blobs("b", 3) | {"csv": "d.csv"}]},
+        {"datasets": [blobs("b", 3) | {"label_column": "label"}]},
+        {"initializers": ["km"]},
     ], ids=["generations-float", "population-float", "crossover-bool",
             "delta-bool", "L-bool", "L-float", "no-pairs-L", "no-pairs-delta",
             "emoc-seed", "param-bool", "dup-datasets", "dup-initializers",
-            "dup-objectives", "dup-pairs"])
+            "dup-objectives", "dup-pairs", "generator-and-csv",
+            "generator-and-label-column", "optimize-initializer-not-built"])
     def test_config_values_checked_against_their_fields(self, tmp_path, capsys, over):
         cfg = tiny_config(tmp_path, **over)
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

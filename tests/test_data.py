@@ -87,17 +87,6 @@ class TestPartition:
         with pytest.raises(DataError, match="cluster ids"):
             Partition(np.array(labels))
 
-    @pytest.mark.parametrize("labels, k", [([0, 0, 1, 1], 3), ([0, 1, 2], 2),
-                                           ([0, 1], 5), ([0, 1], -1)])
-    def test_rejects_mismatched_k(self, labels, k):
-        with pytest.raises(DataError):
-            Partition(np.array(labels), k=k)
-
-    def test_explicit_k_matches_inferred(self):
-        pi = Partition(np.array([1, 0, 1]), k=2)
-        assert pi.k == Partition(np.array([1, 0, 1])).k == 2
-        assert pi.sizes.tolist() == [1, 2]
-
     def test_key_computed_once(self, monkeypatch):
         calls = []
 

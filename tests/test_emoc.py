@@ -362,8 +362,10 @@ class TestEvolve:
 
     def test_all_disqualified_rejected(self, fix4):
         pop = InitPopulation(source="mst", dataset="fix4", k_star=2,
-                             master_seed=0)
-        pop.add(Partition(np.zeros(4, dtype=np.int64)), None, {"k": 1}, True)
+                             master_seed=0,
+                             partitions=[Partition(np.zeros(4, dtype=np.int64))],
+                             records=[{"seed": None, "params": {"k": 1},
+                                       "out_of_range": False}])
         cfg = small_config(objectives=objectives("sep_al", "sep_cl"),
                            generations=0, mutation_prob=0.0)
         with pytest.raises(EmocError):

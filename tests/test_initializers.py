@@ -302,6 +302,32 @@ class TestGeneratePopulation:
         pop = generate_population(ds, "km", k_star=1, master_seed=0)
         assert len(pop.partitions) == 1 and pop.partitions[0].k == 2
 
+    @pytest.mark.parametrize("k_star", [0, -1])
+    def test_k_star_below_one_rejected(self, fix4, k_star):
+        with pytest.raises(ValueError, match="k_star must be >= 1"):
+            generate_population(fix4, "km", k_star=k_star)
+
+    def test_snn_keeps_first_copy_sorted_by_k(self):
+        # Reference: walk the grid in order, keep each partition's first
+        # copy, then sort stably by k.
+        ds = gen_blobs(3, 20, 6.0, seed=9)
+        first = {}
+        for knn_k in SNN_GRID["knn_k"]:
+            for eps in SNN_GRID["eps"]:
+                for min_pts in SNN_GRID["min_pts"]:
+                    pi = snn_cluster(ds, knn_k, eps, min_pts)
+                    params = {"knn_k": knn_k, "eps": eps, "min_pts": min_pts,
+                              "k": pi.k}
+                    if pi.key not in first:
+                        first[pi.key] = (pi.k, params)
+        want = sorted(first.values(), key=lambda m: m[0])
+        assert len(want) < 12  # the grid repeats partitions
+        pop = generate_population(ds, "snn", master_seed=0)
+        assert [(p.k, rec["params"]) for p, rec in
+                zip(pop.partitions, pop.records)] == want
+        assert [rec["out_of_range"] for rec in pop.records] == [
+            not 2 <= k <= 6 for k, _ in want]
+
     def test_k_star_too_large(self, fix4):
         with pytest.raises(DataError):
             generate_population(fix4, "mst", k_star=3)
@@ -328,9 +354,10 @@ class TestGeneratePopulation:
     def test_snn_out_of_range_recorded(self):
         ds = gen_blobs(2, 8, 2.0, seed=10)  # k*=2 -> allowed range {2..4}
         pop = generate_population(ds, "snn", master_seed=0)
-        flagged = [p.k for p, oor in zip(pop.partitions, pop.out_of_range) if oor]
+        flagged = [p.k for p, rec in zip(pop.partitions, pop.records)
+                   if rec["out_of_range"]]
         assert all(not (2 <= k <= 4) for k in flagged)
-        assert len(pop.partitions) == len(pop.out_of_range)
+        assert len(pop.partitions) == len(pop.records)
 
     def test_twenty_analog_contains_truth(self):
         ds = gen_blobs(20, 25, 10.0, seed=11)
@@ -339,7 +366,7 @@ class TestGeneratePopulation:
         assert any(p.same_as(truth) for p in pop.partitions)
 
     def test_every_population_has_canonical_labels(self):
-        # InitPopulation.add keeps partitions as given, so each generator
+        # generate_population keeps partitions as given, so each generator
         # must return canonical labels.
         rng = np.random.default_rng(3)
         sets = tie_grids(3, draws=8) + [rng.normal(size=(60, 2))]
