@@ -2,7 +2,7 @@
 delta-locus evolutionary multi-objective clusterer."""
 
 from .data import (Dataset, Partition, DataError, load_dataset,
-                   write_dataset_csv, centroids, minimum_spanning_tree,
+                   dataset_csv, centroids, minimum_spanning_tree,
                    canonical_labels)
 from .criteria import (ObjectiveSpec, ObjectiveVector, CriterionError,
                        KTooSmallError, DegenerateError, ZeroVectorError,

@@ -36,7 +36,7 @@ from . import __version__, evaluation
 from .admissibility import build_admissibility_table
 from .criteria import (ALL_IDS, CriterionError, ObjectiveSpec, evaluate_vector,
                        objective)
-from .data import DataError, load_dataset, write_dataset_csv
+from .data import DataError, dataset_csv, load_dataset
 from .datagen import GENERATORS, GeneratorSpec
 from .emoc import EmocConfig, EmocError, evolve, truth_dominated
 from .evaluation import RunSummary, ari, five_number_summary
@@ -178,12 +178,11 @@ class CampaignConfig:
 
 def load_config(path: str) -> CampaignConfig:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}")
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise ConfigError(f"config is not valid UTF-8 JSON: {err}")
 
     cfg = CampaignConfig(**{"datasets": [], **_checked(CampaignConfig, doc, "config")})
     cfg.datasets = [DatasetEntry.from_dict(d, cfg.seed) for d in cfg.datasets]
@@ -195,60 +194,52 @@ def load_config(path: str) -> CampaignConfig:
 # File plumbing
 
 
-def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _read(path: Path) -> bytes | None:
+    """A file's bytes; None when the file does not exist."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None
 
 
-def _write_if_changed(path: Path, text: str):
-    """Leave the file untouched when the bytes would be identical."""
-    if path.exists() and path.read_text() == text:
-        return
-    _atomic_write(path, text)
+def _digest(data: bytes | None) -> str | None:
+    return None if data is None else hashlib.sha256(data).hexdigest()
+
+
+def _write(path: Path, text: str) -> str:
+    """Write ``text`` to ``path`` as UTF-8, and return the sha256 of its
+    bytes. A file that holds those bytes already is left untouched;
+    otherwise it is replaced atomically."""
+    data = text.encode()
+    if _read(path) != data:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    return _digest(data)
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
-def _json_doc(data: bytes, kind: type):
+def _json_doc(data: bytes | None, kind: type):
     """The JSON in ``data`` when it is a ``kind`` (dict or list), else an
     empty one: for no data, invalid JSON or any other JSON value."""
     try:
-        doc = json.loads(data)
+        doc = json.loads(data or b"")
     except ValueError:
         return kind()
     return doc if isinstance(doc, kind) else kind()
 
 
-def _read_json(path: Path, kind: type):
-    return _json_doc(path.read_bytes() if path.exists() else b"", kind)
-
-
 def _write_manifest(out: Path, command: str, cfg: CampaignConfig, **stamps):
     doc = {"command": command, "config": asdict(cfg), **stamps}
-    _write_if_changed(out / f"manifest_{command}.json", _json_text(doc))
+    _write(out / f"manifest_{command}.json", _json_text(doc))
 
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _file_digest(path: Path) -> str | None:
-    """sha256 of a file's bytes; None when the file does not exist."""
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except FileNotFoundError:
-        return None
-
-
-def _write_output(out: Path, outputs: dict, rel: str, text: str):
-    """Write ``text`` to out/rel when its bytes change, and record the
-    file's sha256 as ``outputs[rel]``."""
-    _write_if_changed(out / rel, text)
-    outputs[rel] = _file_digest(out / rel)
 
 
 def _stamp(config_slice, file_digests: list[str | None]) -> str:
@@ -260,33 +251,35 @@ def _stamp(config_slice, file_digests: list[str | None]) -> str:
     return hashlib.sha256(_canonical(doc).encode()).hexdigest()
 
 
-def materialize_dataset(out: Path, entry: DatasetEntry) -> Path:
-    """The path of the CSV a dataset entry is read from: its own file, or
-    the generated one under out/datasets. A generated dataset is written
+def materialize_datasets(out: Path,
+                         cfg: CampaignConfig) -> list[tuple[Path, str | None]]:
+    """The CSV each dataset of ``cfg`` is read from, with the sha256 of its
+    bytes (None when it is missing): the entry's own file, or the
+    generated one under out/datasets. A generated dataset is written
     there, so downstream commands and workers read identical bytes,
     whenever its CSV is missing or the dataset manifest does not record
-    the entry's generator spec for it; equal bytes keep the old file."""
-    if entry.csv is not None:
-        return Path(entry.csv)
-    path = out / "datasets" / f"{entry.name}.csv"
+    the entry's generator spec for it."""
     recorded = {d.get("name"): _canonical(d.get("generator"))
-                for d in _read_json(out / "datasets" / "manifest.json", list)
+                for d in _json_doc(_read(out / "datasets" / "manifest.json"), list)
                 if isinstance(d, dict)}
-    if path.exists() and recorded.get(entry.name) == _canonical(asdict(entry.generator)):
-        return path
-    try:
-        ds = entry.generator.build()
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"dataset {entry.name!r}: bad generator params "
-                          f"({err})") from None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    write_dataset_csv(ds, tmp)
-    if path.exists() and path.read_bytes() == tmp.read_bytes():
-        tmp.unlink()
-    else:
-        os.replace(tmp, path)
-    return path
+    found = []
+    for entry in cfg.datasets:
+        if entry.csv is not None:
+            found.append((Path(entry.csv), _digest(_read(Path(entry.csv)))))
+            continue
+        path = out / "datasets" / f"{entry.name}.csv"
+        current = recorded.get(entry.name) == _canonical(asdict(entry.generator))
+        data = _read(path) if current else None
+        if data is None:
+            try:
+                ds = entry.generator.build()
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"dataset {entry.name!r}: bad generator params "
+                                  f"({err})") from None
+            found.append((path, _write(path, dataset_csv(ds))))
+        else:
+            found.append((path, _digest(data)))
+    return found
 
 
 def population_path(out: Path, dataset: str, initializer: str) -> Path:
@@ -307,9 +300,8 @@ def run_path(out: Path, dataset: str, pair, run_idx: int) -> Path:
 
 def cmd_gen(cfg: CampaignConfig, out: Path) -> int:
     manifest = []
-    for entry in cfg.datasets:
-        ds = load_dataset(materialize_dataset(out, entry),
-                          label_column=entry.label_column, name=entry.name)
+    for entry, (csv, _) in zip(cfg.datasets, materialize_datasets(out, cfg)):
+        ds = load_dataset(csv, label_column=entry.label_column, name=entry.name)
         manifest.append({
             "name": entry.name,
             "group": entry.group,
@@ -319,7 +311,7 @@ def cmd_gen(cfg: CampaignConfig, out: Path) -> int:
             "source": "csv" if entry.csv else "generated",
             "generator": asdict(entry.generator) if entry.generator else None,
         })
-    _write_if_changed(out / "datasets" / "manifest.json", _json_text(manifest))
+    _write(out / "datasets" / "manifest.json", _json_text(manifest))
     _write_manifest(out, "gen", cfg)
     print(f"gen: {len(manifest)} datasets ready under {out / 'datasets'}")
     return 0
@@ -333,14 +325,12 @@ def _population_stamp(cfg: CampaignConfig, entry: DatasetEntry,
 
 def cmd_init(cfg: CampaignConfig, out: Path) -> int:
     written = 0
-    for entry in cfg.datasets:
-        csv = materialize_dataset(out, entry)
-        csv_digest = _file_digest(csv)
+    for entry, (csv, csv_digest) in zip(cfg.datasets, materialize_datasets(out, cfg)):
         ds = None  # loaded for the first stale population only
         for init in cfg.initializers:
             path = population_path(out, entry.name, init)
             stamp = _population_stamp(cfg, entry, init, csv_digest)
-            if _read_json(path, dict).get("inputs") == stamp:
+            if _json_doc(_read(path), dict).get("inputs") == stamp:
                 continue
             if ds is None:
                 ds = load_dataset(csv, label_column=entry.label_column,
@@ -349,7 +339,7 @@ def cmd_init(cfg: CampaignConfig, out: Path) -> int:
                     raise DataError(f"dataset {entry.name!r} has no labels; k* unknown")
             pop = generate_population(ds, init, master_seed=cfg.seed)
             doc = {**pop.to_dict(), "inputs": stamp}
-            _write_if_changed(path, json.dumps(doc, indent=1) + "\n")
+            _write(path, json.dumps(doc, indent=1) + "\n")
             written += 1
     _write_manifest(out, "init", cfg)
     print(f"init: {written} population files written, "
@@ -358,36 +348,41 @@ def cmd_init(cfg: CampaignConfig, out: Path) -> int:
 
 
 def _load_population(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
-                     initializer: str, csv_digest: str | None) -> InitPopulation:
-    """The population of (entry, initializer), checked against the current
-    config and the digest of the dataset CSV."""
+                     initializer: str, csv_digest: str | None,
+                     data: bytes | None) -> InitPopulation:
+    """The population of (entry, initializer) in ``data``, its file's
+    bytes, checked against the current config and the CSV digest."""
     path = population_path(out, entry.name, initializer)
-    if not path.exists():
+    if data is None:
         raise DataError(f"population file missing: {path} (run `admissa init` first)")
-    doc = _read_json(path, dict)
+    doc = _json_doc(data, dict)
     if doc.get("inputs") != _population_stamp(cfg, entry, initializer, csv_digest):
         raise DataError(f"population file out of date: {path} (its config or "
                         f"dataset changed; run `admissa init`)")
-    return InitPopulation.from_dict(doc)
+    try:
+        return InitPopulation.from_dict(doc)
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"population file damaged: {path} ({type(err).__name__}: "
+                        f"{err}; delete it and rerun `admissa init`)") from None
 
 
 def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
     """The verdict tables and box-plot data of every initializer. The
     manifest, written last, records the input stamp and the digest of
     every file written; when both still hold, nothing is recomputed."""
-    csvs = [materialize_dataset(out, e) for e in cfg.datasets]
-    csv_digests = [_file_digest(csv) for csv in csvs]
+    csvs, csv_digests = zip(*materialize_datasets(out, cfg))
     config = asdict(cfg)
     config_slice = {key: config[key] for key in ("datasets", "initializers",
                                                  "objectives", "criteria_params",
                                                  "formats", "seed")}
-    pop_digests = [_file_digest(population_path(out, e.name, init))
-                   for init in cfg.initializers for e in cfg.datasets]
-    inputs = _stamp(config_slice, csv_digests + pop_digests)
-    manifest = _read_json(out / "manifest_admissibility.json", dict)
+    pop_files = {init: [_read(population_path(out, e.name, init)) for e in cfg.datasets]
+                 for init in cfg.initializers}
+    pop_digests = [_digest(data) for files in pop_files.values() for data in files]
+    inputs = _stamp(config_slice, [*csv_digests, *pop_digests])
+    manifest = _json_doc(_read(out / "manifest_admissibility.json"), dict)
     outputs = manifest.get("outputs")
     if (manifest.get("inputs") == inputs and isinstance(outputs, dict)
-            and all(_file_digest(out / rel) == digest
+            and all(_digest(_read(out / rel)) == digest
                     for rel, digest in outputs.items())):
         _write_manifest(out, "admissibility", cfg, inputs=inputs, outputs=outputs)
         print(f"admissibility: inputs unchanged, tables under "
@@ -397,9 +392,9 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
     specs = [cfg.spec_for(c) for c in cfg.objectives]
     datasets = [load_dataset(csv, label_column=e.label_column, name=e.name)
                 for e, csv in zip(cfg.datasets, csvs)]
-    pops = {init: [_load_population(out, cfg, e, init, digest)
-                   for e, digest in zip(cfg.datasets, csv_digests)]
-            for init in cfg.initializers}
+    pops = {init: [_load_population(out, cfg, e, init, digest, data)
+                   for e, digest, data in zip(cfg.datasets, csv_digests, files)]
+            for init, files in pop_files.items()}
     memos = [{} for _ in datasets]  # criterion values shared by the tables
     tables = [build_admissibility_table(datasets, init, specs,
                                         master_seed=cfg.seed,
@@ -408,7 +403,7 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
     outputs = {}
     for fmt in cfg.formats:
         for name, text in evaluation.render_tables(tables, [], fmt).items():
-            _write_output(out, outputs, f"admissibility/{name}", text)
+            outputs[f"admissibility/{name}"] = _write(out / "admissibility" / name, text)
     # box-plot data: ARI of base partitions vs truth, per initializer
     for i, (entry, ds) in enumerate(zip(cfg.datasets, datasets)):
         truth = ds.true_partition()
@@ -416,25 +411,26 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
         for init in cfg.initializers:
             values = [ari(pi, truth) for pi in pops[init][i].partitions]
             doc[init] = five_number_summary(values)
-        _write_output(out, outputs, f"admissibility/boxplots/{entry.name}.json",
-                      _json_text(doc))
+        rel = f"admissibility/boxplots/{entry.name}.json"
+        outputs[rel] = _write(out / rel, _json_text(doc))
     _write_manifest(out, "admissibility", cfg, inputs=inputs, outputs=outputs)
     print(f"admissibility: {len(tables)} initializer tables under "
           f"{out / 'admissibility'}")
     return 0
 
 
-def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry):
+def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
+                      csv: Path, csv_digest: str | None):
     """Worker: the missing or stale seeded runs of one dataset, for every
     pair. A run's stamp covers the dataset CSV, the population file and
     the run's EmocConfig (the pair's specs, the emoc settings and the
-    run's derived seed). Reads each run file once and loads the dataset and
-    population only for a run to compute. Returns, per pair, (path under
-    out, sha256, best ARI, truth dominated) of each run."""
-    csv = materialize_dataset(out, entry)
-    csv_digest = _file_digest(csv)
-    files = [csv_digest,
-             _file_digest(population_path(out, entry.name, cfg.optimize_initializer))]
+    run's derived seed); a run is stale unless its stamp matches and its
+    best ARI is a float and its truth-dominated flag a bool. Reads each
+    file once and loads the dataset and population only for a run to
+    compute. Returns, per pair, (path under out, sha256, best ARI, truth
+    dominated) of each run."""
+    pop_data = _read(population_path(out, entry.name, cfg.optimize_initializer))
+    files = [csv_digest, _digest(pop_data)]
     ds = None
     results = []
     for pair in cfg.pairs:
@@ -445,12 +441,12 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry):
             seed = derive_seed(cfg.seed, "optimize", entry.name, label, run_idx)
             stamp = _stamp(asdict(cfg.emoc_config(pair, seed)), files)
             path = run_path(out, entry.name, pair, run_idx)
-            data = path.read_bytes() if path.exists() else b""
+            data = _read(path)
             doc = _json_doc(data, dict)
-            if doc.get("inputs") != stamp:
+            if (doc.get("inputs") != stamp or not isinstance(doc.get("best_ari"), float)
+                    or not isinstance(doc.get("truth_dominated"), bool)):
                 todo.append((run_idx, seed, stamp))
-            runs.append((path.relative_to(out).as_posix(),
-                         hashlib.sha256(data).hexdigest(),
+            runs.append((path.relative_to(out).as_posix(), _digest(data),
                          doc.get("best_ari"), doc.get("truth_dominated")))
         results.append(runs)
         if not todo:
@@ -458,7 +454,8 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry):
         if ds is None:
             ds = load_dataset(csv, label_column=entry.label_column, name=entry.name)
             truth = ds.true_partition()
-            pop = _load_population(out, cfg, entry, cfg.optimize_initializer, csv_digest)
+            pop = _load_population(out, cfg, entry, cfg.optimize_initializer,
+                                   csv_digest, pop_data)
         try:
             truth_vec = evaluate_vector(ds, truth, tuple(cfg.spec_for(c) for c in pair))
         except CriterionError:
@@ -489,10 +486,8 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry):
                 "selection_rule": "best-ari-on-front",
                 "inputs": stamp,
             }
-            text = _json_text(doc)  # its new stamp makes it differ from the file
             rel = runs[run_idx][0]
-            _atomic_write(out / rel, text)
-            runs[run_idx] = (rel, hashlib.sha256(text.encode()).hexdigest(),
+            runs[run_idx] = (rel, _write(out / rel, _json_text(doc)),
                              doc["best_ari"], doc["truth_dominated"])
     return results
 
@@ -502,17 +497,16 @@ def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
     plots of the runs. One process works one dataset at a time, loading it
     once for all its pairs; ``jobs`` > 1 processes take one cell each, so
     the pairs of a large dataset run side by side."""
-    cells = [(replace(cfg, pairs=[pair]), entry)
-             for entry in cfg.datasets for pair in cfg.pairs]
-    if not cells:
-        runs = []
-    elif jobs > 1:
+    csvs = materialize_datasets(out, cfg) if cfg.pairs else []
+    cells = [(replace(cfg, pairs=[pair]), entry, *csv)
+             for entry, csv in zip(cfg.datasets, csvs) for pair in cfg.pairs]
+    if jobs > 1 and cells:
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             runs = [pair_runs for [pair_runs] in
                     pool.map(functools.partial(_optimize_dataset, out), *zip(*cells))]
     else:
-        runs = [pair_runs for entry in cfg.datasets
-                for pair_runs in _optimize_dataset(out, cfg, entry)]
+        runs = [pair_runs for entry, csv in zip(cfg.datasets, csvs)
+                for pair_runs in _optimize_dataset(out, cfg, entry, *csv)]
 
     summaries = []
     outputs = {}  # path under out -> sha256 of each run, summary and box plot
@@ -526,11 +520,11 @@ def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
                                         pair=pair_label(pair), run_aris=aris,
                                         truth_dominated_runs=flags))
             box[pair_label(pair)] = five_number_summary(aris)
-        _write_output(out, outputs, f"optimize/boxplots/{entry.name}.json",
-                      _json_text(box))
+        rel = f"optimize/boxplots/{entry.name}.json"
+        outputs[rel] = _write(out / rel, _json_text(box))
     for fmt in cfg.formats:
         for name, text in evaluation.render_tables([], summaries, fmt).items():
-            _write_output(out, outputs, f"optimize/{name}", text)
+            outputs[f"optimize/{name}"] = _write(out / "optimize" / name, text)
     _write_manifest(out, "optimize", cfg, outputs=outputs)
     print(f"optimize: {len(cells)} cells x {cfg.runs} runs under {out / 'optimize'}")
     return 0
@@ -552,7 +546,7 @@ def cmd_report(out: Path) -> int:
         empty = False
         try:
             rows = [[r[key] for key in ("name", "group", "n", "d", "k_star", "source")]
-                    for r in json.loads(manifest_path.read_text())]
+                    for r in json.loads(manifest_path.read_bytes())]
         except (ValueError, KeyError, TypeError) as err:
             raise DataError(f"{manifest_path}: damaged dataset manifest "
                             f"({type(err).__name__}: {err})") from None
@@ -564,14 +558,15 @@ def cmd_report(out: Path) -> int:
     # from an earlier config and is listed apart.
     current = []
     for command in ("admissibility", "optimize"):
-        outputs = _read_json(out / f"manifest_{command}.json", dict).get("outputs")
+        manifest = _json_doc(_read(out / f"manifest_{command}.json"), dict)
+        outputs = manifest.get("outputs")
         current += [rel for rel in (outputs if isinstance(outputs, dict) else {})
                     if (out / rel).is_file()]
     current.sort()
     for rel in fnmatch.filter(current, "admissibility/admissibility_*.md"):
         empty = False
         title = Path(rel).stem.replace("admissibility_", "")
-        sections += [f"## Admissibility ({title})", "", (out / rel).read_text(), ""]
+        sections += [f"## Admissibility ({title})", "", _read(out / rel).decode(), ""]
     _link_list(sections, "### Initialization ARI box-plot data",
                fnmatch.filter(current, "admissibility/boxplots/*.json"))
 
@@ -584,14 +579,14 @@ def cmd_report(out: Path) -> int:
     if "optimize/optimization_summary.md" in current:
         empty = False
         sections += ["## Optimization (best ARI on front, mean of seeded runs)", "",
-                     (out / "optimize/optimization_summary.md").read_text(), ""]
+                     _read(out / "optimize/optimization_summary.md").decode(), ""]
         _link_list(sections, "### Run ARI box-plot data",
                    fnmatch.filter(current, "optimize/boxplots/*.json"))
 
     if empty:
         sections += ["WARNING: no campaign artifacts found in this directory.", ""]
         print("report: warning, no artifacts found", file=sys.stderr)
-    _write_if_changed(out / "report.md", "\n".join(sections))
+    _write(out / "report.md", "\n".join(sections))
     print(f"report: {out / 'report.md'}")
     return 0
 

@@ -307,20 +307,22 @@ def minimum_spanning_tree(dm: np.ndarray) -> np.ndarray:
 def load_dataset(path, label_column: str | None = None, name: str | None = None) -> Dataset:
     """Read a headered CSV of numeric feature columns plus an optional label
     column. Labels are re-indexed densely in order of first appearance."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh.readlines())
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: inconsistent arity "
-                                f"({len(row)} fields, expected {len(header)})")
-            rows.append(row)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: inconsistent arity "
+                            f"({len(row)} fields, expected {len(header)})")
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -352,16 +354,13 @@ def load_dataset(path, label_column: str | None = None, name: str | None = None)
     return Dataset(points, labels=labels, name=name)
 
 
-def write_dataset_csv(ds: Dataset, path) -> None:
-    """Emit the same CSV schema load_dataset consumes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"x{i}" for i in range(ds.dim)]
-        if ds.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.points[i]]
-            if ds.labels is not None:
-                row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
+def dataset_csv(ds: Dataset) -> str:
+    """The CSV text of ``ds`` in the schema load_dataset consumes, as the
+    csv module writes it: CRLF line ends, and no field needs quoting."""
+    header = [f"x{i}" for i in range(ds.dim)]
+    rows = [[repr(float(v)) for v in point] for point in ds.points]
+    if ds.labels is not None:
+        header.append("label")
+        for row, label in zip(rows, ds.labels):
+            row.append(str(int(label)))
+    return "".join(",".join(row) + "\r\n" for row in [header, *rows])

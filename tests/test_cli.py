@@ -3,10 +3,14 @@ import collections
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import admissa
 from admissa import Dataset, InitPopulation, admissibility, cli
 from admissa.cli import build_parser, main
 
@@ -40,6 +44,14 @@ def blobs(name, k_star):
                                                    "per_cluster_n": 10}}}
 
 
+def labelled_csv(path, labels, encoding="utf-8"):
+    """A CSV of three clusters of 7 points each, labelled ``labels``."""
+    path.write_bytes(("x0,x1,label\n" + "".join(
+        f"{10 * c + i},{5 * c + i % 2},{labels[c]}\n"
+        for c in range(3) for i in range(1, 8))).encode(encoding))
+    return path
+
+
 def run_all(cfg, out):
     for cmd in ("gen", "init", "admissibility", "optimize"):
         assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
@@ -49,6 +61,23 @@ def run_all(cfg, out):
 def tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def count_reads(monkeypatch, root):
+    """Count the reads through ``Path.read_bytes`` and ``Path.read_text``
+    of each file under ``root``, by its path relative to root."""
+    reads = collections.Counter()
+
+    def counting(original):
+        def read(path, *args, **kwargs):
+            if path.is_relative_to(root):
+                reads[path.relative_to(root).as_posix()] += 1
+            return original(path, *args, **kwargs)
+        return read
+
+    for name in ("read_text", "read_bytes"):
+        monkeypatch.setattr(Path, name, counting(getattr(Path, name)))
+    return reads
 
 
 def count_calls(monkeypatch, *targets):
@@ -158,19 +187,54 @@ class TestPipeline:
         out = tmp_path / "out"
         run_all(cfg, out)
         runs = out / "optimize" / "runs"
-        reads = collections.Counter()
-
-        def counting(original):
-            def read(path, *args, **kwargs):
-                if path.parent == runs:
-                    reads[path.name] += 1
-                return original(path, *args, **kwargs)
-            return read
-
-        for name in ("read_text", "read_bytes"):
-            monkeypatch.setattr(Path, name, counting(getattr(Path, name)))
+        reads = count_reads(monkeypatch, runs)
         assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
         assert reads == {p.name: 1 for p in runs.iterdir()} and len(reads) == 4
+
+    def test_resumed_optimize_reads_each_file_once(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, datasets=[blobs("a", 3), blobs("b", 4)])
+        out = tmp_path / "out"
+        run_all(cfg, out)
+        reads = count_reads(monkeypatch, out)
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        files = [p.relative_to(out).as_posix()
+                 for p in (out / "optimize").rglob("*") if p.is_file()]
+        assert len(files) == 2 * 2 * 2 + 3 + 2  # runs, summaries, box plots
+        assert {rel: reads[rel] for rel in files} == dict.fromkeys(files, 1)
+        assert reads["datasets/manifest.json"] == 1
+
+    @pytest.mark.parametrize("command, read", [
+        ("admissibility", ["blobs3__km.json", "blobs3__mst.json"]),
+        ("optimize", ["blobs3__mst.json"]),
+    ])
+    def test_cold_stage_reads_each_population_file_once(self, tmp_path, monkeypatch,
+                                                        command, read):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        for cmd in ("gen", "init"):
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+        reads = count_reads(monkeypatch, out / "populations")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert reads == dict.fromkeys(read, 1)
+
+    def test_campaign_under_ascii_locale_matches_in_process_run(self, tmp_path):
+        # One process per stage, as a shell runs them, in a locale whose
+        # encoding is ASCII: the CSV labels, the tables' marks and the
+        # report all stay UTF-8.
+        csv = labelled_csv(tmp_path / "drinks.csv", ["café", "thé", "eau"])
+        cfg = tiny_config(tmp_path, datasets=[blobs("a", 3),
+                                              {"name": "drinks", "csv": str(csv)}])
+        here, there = tmp_path / "here", tmp_path / "there"
+        run_all(cfg, here)
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0", "PYTHONPATH": str(Path(admissa.__file__).parents[1])}
+        stages = [[cmd, "--config", str(cfg), "--out", str(there)]
+                  for cmd in ("gen", "init", "admissibility", "optimize")]
+        for argv in stages + [["report", "--out", str(there)]]:
+            proc = subprocess.run([sys.executable, "-m", "admissa.cli", *argv],
+                                  env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert tree_bytes(there) == tree_bytes(here)
 
     def test_report_shows_only_current_tables(self, tmp_path):
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -277,6 +341,19 @@ class TestStamps:
         assert main(["admissibility", "--config", str(cfg), "--out", str(out)]) == 0
         assert tree_bytes(out) == before
 
+    @pytest.mark.parametrize("key, value", [("best_ari", "x"),
+                                            ("truth_dominated", "yes")])
+    def test_damaged_run_file_is_recomputed(self, tmp_path, key, value):
+        cfg = tiny_config(tmp_path)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        run_all(cfg, out)
+        run_all(cfg, fresh)
+        path = out / "optimize" / "runs" / "blobs3__var+con__r000.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, key: value}))  # the stamp still matches
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert tree_bytes(out) == tree_bytes(fresh)
+
     def test_out_of_date_population_is_a_data_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         run_all(tiny_config(tmp_path), out)
@@ -347,6 +424,46 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("data error: dataset 'origin', pair ent+var:")
         assert "disqualified" in err
+
+    @pytest.mark.parametrize("damage", ["partition-without-seed",
+                                        "partitions-not-a-list"])
+    def test_damaged_population_is_a_data_error(self, tmp_path, capsys, damage):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "o"
+        for cmd in ("gen", "init"):
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "populations" / "blobs3__mst.json"
+        doc = json.loads(path.read_text())
+        if damage == "partition-without-seed":
+            del doc["partitions"][0]["seed"]
+        else:
+            doc["partitions"] = 5
+        path.write_text(json.dumps(doc))
+        # the stamp still matches, so init keeps the file
+        assert main(["init", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for cmd in ("admissibility", "optimize"):
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: population file damaged: {path} (")
+            assert "delete it and rerun `admissa init`" in err
+
+    def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, datasets=[blobs("caf\xe9", 3)])
+        cfg.write_bytes(json.dumps(json.loads(cfg.read_text()),
+                                   ensure_ascii=False).encode("latin-1"))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid UTF-8 JSON: 'utf-8' "
+                              "codec can't decode byte 0xe9")
+
+    def test_csv_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        csv = labelled_csv(tmp_path / "drinks.csv", ["caf\xe9", "th\xe9", "eau"],
+                           encoding="latin-1")
+        cfg = tiny_config(tmp_path, datasets=[{"name": "drinks", "csv": str(csv)}])
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {csv}: not UTF-8 text")
 
     def test_init_without_labels(self, tmp_path):
         csv = tmp_path / "nolabel.csv"

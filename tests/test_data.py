@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admissa import (DataError, Dataset, Partition, canonical_labels,
-                     centroids, load_dataset, minimum_spanning_tree,
-                     write_dataset_csv)
+                     centroids, dataset_csv, load_dataset,
+                     minimum_spanning_tree)
 from admissa import data
 from admissa.data import cluster_means, components
 from conftest import tie_grids, translated
@@ -60,7 +60,7 @@ class TestLoadDataset:
 
     def test_roundtrip(self, tmp_path, fix4):
         path = tmp_path / "out.csv"
-        write_dataset_csv(fix4, path)
+        path.write_bytes(dataset_csv(fix4).encode())
         back = load_dataset(path, label_column="label")
         assert np.array_equal(back.points, fix4.points)
         assert np.array_equal(back.labels, fix4.labels)

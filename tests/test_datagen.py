@@ -3,8 +3,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from admissa import (GeneratorSpec, ari, gen_blobs, gen_elongated, gen_mixed,
-                     gen_nested, kmeans, load_dataset, write_dataset_csv)
+from admissa import (GeneratorSpec, ari, dataset_csv, gen_blobs, gen_elongated,
+                     gen_mixed, gen_nested, kmeans, load_dataset)
 
 
 class TestBlobs:
@@ -117,8 +117,8 @@ class TestGeneratorSpec:
     def test_csv_bytes_deterministic(self, tmp_path):
         spec = GeneratorSpec(archetype="nested", seed=1, params={"level": 2})
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_dataset_csv(spec.build(), p1)
-        write_dataset_csv(spec.build(), p2)
+        p1.write_bytes(dataset_csv(spec.build()).encode())
+        p2.write_bytes(dataset_csv(spec.build()).encode())
         assert p1.read_bytes() == p2.read_bytes()
         back = load_dataset(p1, label_column="label")
         assert back.k_star == 5
