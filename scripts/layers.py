@@ -10,7 +10,9 @@ Every figure is the best of REPEAT calls, in seconds per call:
   includes building it;
 - ``decode_s``: one genotype of the mst-seeded population;
 - ``sort_crowding_s``: ranking the 2P members of a generation (fronts and
-  crowding, P = POPULATION), as EMOC does twice per generation;
+  crowding, P = POPULATION), as EMOC does once per generation with two
+  objectives (the survivors keep their fronts and get their crowding
+  again);
 - ``component_build_s``: a scheme's ``ComponentGeometry`` with the
   aggregates that its first sep_cl evaluation builds;
 - ``component_evaluate_s``: one sep_cl evaluation from those aggregates;

@@ -43,11 +43,20 @@ def dominance(a, b) -> np.ndarray:
     form. ``a`` dominates ``b`` when it is no worse on every objective and
     strictly better on some, each beyond the shared tolerance: REL_TOL
     relative to the larger magnitude, and at least ABS_FLOOR. With one
-    objective this is the plain "strictly better" test."""
+    objective this is the plain "strictly better" test.
+
+    Each objective is compared in its own pass over the broadcast leading
+    axes and the passes are combined with ``&`` and ``|``: reducing a short
+    trailing axis with ``all``/``any`` costs several times as much."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    tol = np.maximum(REL_TOL * np.maximum(np.abs(a), np.abs(b)), ABS_FLOOR)
-    return np.all(a <= b + tol, axis=-1) & np.any(a < b - tol, axis=-1)
+    no_worse, better = True, False
+    for j in range(a.shape[-1]):
+        x, y = a[..., j], b[..., j]
+        tol = np.maximum(REL_TOL * np.maximum(np.abs(x), np.abs(y)), ABS_FLOOR)
+        no_worse = no_worse & (x <= y + tol)
+        better = better | (x < y - tol)
+    return no_worse & better
 
 
 def dominates(u: ObjectiveVector, v: ObjectiveVector) -> bool:

@@ -101,6 +101,13 @@ class DatasetEntry:
         name = _checked(cls, doc, where).get("name")
         if not name or Path(name).name != name or "\0" in name:
             raise ConfigError(f"{where}: a dataset needs a name that is one file name")
+        try:
+            name.encode()
+            os.fsencode(name)
+        except UnicodeEncodeError:
+            raise ConfigError(f"{where}: the name is not UTF-8 text or not a file name "
+                              f"in this locale's {sys.getfilesystemencoding()} "
+                              f"encoding") from None
         entry = cls(**doc)
         if entry.generator is not None:
             for key in ("csv", "label_column"):
@@ -200,6 +207,14 @@ def _read(path: Path) -> bytes | None:
         return path.read_bytes()
     except FileNotFoundError:
         return None
+
+
+def _text(path: Path) -> str:
+    """A file's UTF-8 text; a file that is not UTF-8 is damaged."""
+    try:
+        return _read(path).decode()
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: damaged file, not UTF-8 text ({err})") from None
 
 
 def _digest(data: bytes | None) -> str | None:
@@ -566,7 +581,7 @@ def cmd_report(out: Path) -> int:
     for rel in fnmatch.filter(current, "admissibility/admissibility_*.md"):
         empty = False
         title = Path(rel).stem.replace("admissibility_", "")
-        sections += [f"## Admissibility ({title})", "", _read(out / rel).decode(), ""]
+        sections += [f"## Admissibility ({title})", "", _text(out / rel), ""]
     _link_list(sections, "### Initialization ARI box-plot data",
                fnmatch.filter(current, "admissibility/boxplots/*.json"))
 
@@ -579,7 +594,7 @@ def cmd_report(out: Path) -> int:
     if "optimize/optimization_summary.md" in current:
         empty = False
         sections += ["## Optimization (best ARI on front, mean of seeded runs)", "",
-                     _read(out / "optimize/optimization_summary.md").decode(), ""]
+                     _text(out / "optimize/optimization_summary.md"), ""]
         _link_list(sections, "### Run ARI box-plot data",
                    fnmatch.filter(current, "optimize/boxplots/*.json"))
 

@@ -58,6 +58,19 @@ class Partition:
         self.assignment.setflags(write=False)
         self.sizes.setflags(write=False)
 
+    @classmethod
+    def from_canonical(cls, assignment: np.ndarray) -> "Partition":
+        """A partition of int64 labels already numbered 0..k-1 by smallest
+        member, as ``canonical_labels`` numbers them, without the checks
+        that ``__post_init__`` makes of arbitrary input."""
+        pi = cls.__new__(cls)
+        pi.assignment = assignment
+        pi.sizes = np.bincount(assignment)
+        pi.k = pi.sizes.size
+        assignment.setflags(write=False)
+        pi.sizes.setflags(write=False)
+        return pi
+
     @property
     def n(self) -> int:
         return self.assignment.size
@@ -235,10 +248,13 @@ def cluster_means(points: np.ndarray, assignment: np.ndarray,
                   sizes: np.ndarray) -> np.ndarray:
     """Mean of each cluster's points. Each cluster's rows are added in
     index order, as ``points[assignment == i].mean(axis=0)`` adds them
-    for two or more columns, so the means have the same bits."""
-    sums = np.zeros((sizes.size, points.shape[1]))
-    np.add.at(sums, assignment, points)
-    return sums / sizes[:, None]
+    for two or more columns, so the means have the same bits: one
+    ``bincount`` over the flattened (cluster, column) cells visits the
+    points row by row."""
+    k, d = sizes.size, points.shape[1]
+    cells = (assignment[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(cells, weights=points.ravel(), minlength=k * d)
+    return sums.reshape(k, d) / sizes[:, None]
 
 
 def centroids(ds: Dataset, pi: Partition) -> tuple[np.ndarray, np.ndarray]:

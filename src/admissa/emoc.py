@@ -69,12 +69,17 @@ class EmocConfig:
 class DeltaScheme:
     """Shared genotype structure for one dataset: which MST links evolve,
     each locus's gene domain, and the components induced by the fixed
-    links."""
+    links.
+
+    Locus j's domain is ``domain_pad[j, :domain_len[j]]``: {i, parent,
+    NN_L(i)} in that order without repeats, padded with -1 to one width
+    so that a mutation draws every new gene in one call."""
 
     relevant_loci: np.ndarray  # child endpoints of the top-DI MST edges
     fixed_edges: np.ndarray  # (m, 2): (child, parent) of every other MST edge
     parent: np.ndarray  # MST parent per node (root -> itself)
-    domains: list[np.ndarray]  # per relevant locus: {i, parent, NN_L(i)}
+    domain_pad: np.ndarray  # (loci, widest domain) gene values
+    domain_len: np.ndarray  # domain size per locus
     base_labels: np.ndarray  # components of the fixed-edge subgraph
     n_base: int
 
@@ -98,29 +103,49 @@ def delta_relevant_loci(ds: Dataset, delta_percent: float | None = None,
     fixed = np.column_stack([child[count:], parent[child[count:]]])
 
     L_eff = max(1, min(int(L), n - 1))
-    domains = []
-    for i in relevant.tolist():
+    pad = np.full((count, L_eff + 2), -1, dtype=np.int64)
+    lens = np.empty(count, dtype=np.int64)
+    for j, i in enumerate(relevant.tolist()):
         dom = [i, int(parent[i])]
         dom.extend(int(v) for v in ds.neighbor_index[i, :L_eff])
-        domains.append(np.array(list(dict.fromkeys(dom)), dtype=np.int64))
+        dom = list(dict.fromkeys(dom))
+        pad[j, :len(dom)] = dom
+        lens[j] = len(dom)
 
     base = canonical_labels(components(n, fixed[:, 0], fixed[:, 1]))
     return DeltaScheme(relevant_loci=relevant, fixed_edges=fixed,
-                       parent=parent, domains=domains, base_labels=base,
-                       n_base=int(base.max()) + 1)
+                       parent=parent, domain_pad=pad, domain_len=lens,
+                       base_labels=base, n_base=int(base.max()) + 1)
 
 
 def decode(scheme: DeltaScheme, genes: np.ndarray) -> Partition:
-    """Connected components of fixed links plus the non-self gene links."""
-    linked = genes != scheme.relevant_loci
-    roots = components(scheme.n_base,
-                       scheme.base_labels[scheme.relevant_loci[linked]],
-                       scheme.base_labels[genes[linked]])
-    # Components are numbered by their smallest point and a root is the
-    # smallest component of its set, so the dense rank of the roots numbers
-    # the clusters by their smallest point: the canonical labels.
-    rank = np.cumsum(roots == np.arange(scheme.n_base)) - 1
-    return Partition(rank[roots][scheme.base_labels])
+    """Connected components of fixed links plus the non-self gene links.
+
+    Every base component but the MST root's holds exactly one locus, the
+    top of its subtree, so the gene links map each component to one
+    component (a cut or a link inside the component maps it to itself).
+    The clusters are the weakly connected parts of this functional graph,
+    and each part holds one cycle. Pointer jumping finds it: after r
+    rounds of ``hop = hop[hop]``, ``hop`` is 2^r steps ahead and ``low``
+    the smallest component within those steps. With 2^r >= n_base every
+    hop lands on its part's cycle, and ``low`` there spans the whole
+    cycle, so ``low[hop]`` names each part by its cycle's minimum."""
+    n_base = scheme.n_base
+    ids = np.arange(n_base)
+    hop = ids.copy()
+    hop[scheme.base_labels[scheme.relevant_loci]] = scheme.base_labels[genes]
+    low = np.minimum(ids, hop)
+    for _ in range((n_base - 1).bit_length()):
+        low = np.minimum(low, low[hop])
+        hop = hop[hop]
+    cycle_min = low[hop]
+    # Components are numbered by their smallest point, so numbering the
+    # parts by their smallest component gives the canonical labels.
+    first = np.full(n_base, n_base)
+    np.minimum.at(first, cycle_min, ids)
+    first = first[cycle_min]
+    label = np.cumsum(first == ids) - 1
+    return Partition.from_canonical(label[first][scheme.base_labels])
 
 
 def encode(pi: Partition, scheme: DeltaScheme) -> np.ndarray:
@@ -152,9 +177,12 @@ def mutate(scheme: DeltaScheme, genes: np.ndarray, prob: float,
     ``prob``, takes a random value from its gene domain."""
     genes = genes.copy()
     hits = np.flatnonzero(rng.random(len(genes)) < prob)
-    for pos in hits:
-        dom = scheme.domains[pos]
-        genes[pos] = dom[rng.integers(len(dom))]
+    # One call draws every hit's value in locus order, the same stream as a
+    # scalar ``rng.integers(domain_len[pos])`` per hit. At the default rate
+    # most calls hit one locus or none, and an array draw costs several
+    # scalar ones, so a call with no hit skips it.
+    if hits.size:
+        genes[hits] = scheme.domain_pad[hits, rng.integers(scheme.domain_len[hits])]
     return genes
 
 
@@ -228,14 +256,29 @@ def _rank_population(vectors: list[ObjectiveVector | None]
     (``None``) rank after every front, with zero crowding."""
     size = len(vectors)
     rank = np.full(size, size)
-    crowding = np.zeros(size)
     feasible = np.flatnonzero([v is not None for v in vectors])
     if feasible.size:
         values = _minimized([vectors[i] for i in feasible])
         for r, front in enumerate(fast_nondominated_sort(values)):
             rank[feasible[front]] = r
+    return rank, _crowding(vectors, rank)
+
+
+def _crowding(vectors: list[ObjectiveVector | None],
+              rank: np.ndarray) -> np.ndarray:
+    """Crowding distance of each member within its front, the members of
+    one rank taken in member order; disqualified members get zero.
+    ``crowding_distance`` breaks value ties by row order, so a reordered
+    population needs its crowding again even where its fronts stay."""
+    crowding = np.zeros(len(vectors))
+    feasible = np.flatnonzero([v is not None for v in vectors])
+    if feasible.size:
+        values = _minimized([vectors[i] for i in feasible])
+        fronts = rank[feasible]
+        for r in np.unique(fronts):
+            front = np.flatnonzero(fronts == r)
             crowding[feasible[front]] = crowding_distance(values[front])
-    return rank, crowding
+    return crowding
 
 
 def _truncate(rank: np.ndarray, crowding: np.ndarray, size: int) -> np.ndarray:
@@ -304,7 +347,15 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
         genes = genes[keep]
         parts = [parts[i] for i in keep]
         vectors = [vectors[i] for i in keep]
-        rank, crowding = _rank_population(vectors)
+        if len(config.objectives) == 2:
+            # Two objectives form no dominance cycle (fast_nondominated_sort),
+            # so each front's members are dominated only from earlier fronts,
+            # and truncation keeps those whole: every survivor keeps its front.
+            # A disqualified survivor's rank drops to the new population size.
+            rank = np.minimum(rank[keep], size)
+            crowding = _crowding(vectors, rank)
+        else:
+            rank, crowding = _rank_population(vectors)
 
     members: dict[bytes, FrontMember] = {}
     for i in np.flatnonzero(rank == 0):

@@ -6,9 +6,12 @@ deliberately sharing no code with the library so the two routes can check
 each other. The exceptions keep the plain numpy form the library had as
 the bit-level reference for its later form: the k-means pair (a
 ``rng.choice`` draw per seed, a per-cluster ``mean`` per iteration) for
-the one-call draw and centroid step, and ``oracle_masked_dunn`` (a
+the one-call draw and centroid step, ``oracle_masked_dunn`` (a
 per-cluster diameter, a copy of the cross-cluster distances) for the
-masked reductions.
+masked reductions, ``oracle_dominance`` (``all``/``any`` over the
+objective axis) for the per-objective passes, ``oracle_cluster_means``
+(``np.add.at``) for the one-``bincount`` means, and ``oracle_mutate`` (a
+scalar draw per mutated locus) for the one-call mutation draw.
 """
 
 import collections
@@ -429,7 +432,29 @@ def oracle_single_linkage(points):
 
 
 # --------------------------------------------------------------------------
-# Delta-locus decoding
+# Tolerant dominance and centroids
+
+
+def oracle_dominance(a, b):
+    """Tolerant Pareto dominance of ``a`` over ``b`` as one expression over
+    the objective axis (the last): no worse on every objective and better
+    on some, each beyond 1e-9 relative to the larger magnitude and at least
+    1e-12."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    tol = np.maximum(1e-9 * np.maximum(np.abs(a), np.abs(b)), 1e-12)
+    return np.all(a <= b + tol, axis=-1) & np.any(a < b - tol, axis=-1)
+
+
+def oracle_cluster_means(points, assignment, sizes):
+    """Cluster means with the rows summed by ``np.add.at``."""
+    sums = np.zeros((sizes.size, points.shape[1]))
+    np.add.at(sums, assignment, points)
+    return sums / sizes[:, None]
+
+
+# --------------------------------------------------------------------------
+# Delta-locus decoding and mutation
 
 
 def oracle_components(n, edges):
@@ -464,6 +489,17 @@ def oracle_decode(n, fixed_edges, loci, genes):
     smallest point."""
     links = list(fixed_edges) + [(i, g) for i, g in zip(loci, genes) if i != g]
     return oracle_components(n, links)
+
+
+def oracle_mutate(domains, genes, prob, rng):
+    """Uniform domain-reset mutation with one scalar draw per mutated
+    locus: each locus, with probability ``prob``, takes a random value
+    from its domain."""
+    genes = genes.copy()
+    for pos in np.flatnonzero(rng.random(len(genes)) < prob):
+        dom = domains[pos]
+        genes[pos] = dom[rng.integers(len(dom))]
+    return genes
 
 
 # --------------------------------------------------------------------------

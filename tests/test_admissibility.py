@@ -10,6 +10,7 @@ from admissa import (ADMISSIBLE, INADMISSIBLE, OPTIMAL_IN_INIT,
 from admissa.criteria import MAXIMIZE, MINIMIZE, ObjectiveVector
 from admissa import admissibility
 from admissa.admissibility import ABS_FLOOR, REL_TOL, classify_cell, dominance
+from oracles import oracle_dominance
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 # near zero ABS_FLOOR sets the tolerance, elsewhere REL_TOL does
@@ -29,6 +30,22 @@ def close_values(draw):
     cs = [draw(centers) for _ in range(draw(st.integers(1, 3)))]
     m = draw(st.integers(1, 6))
     return [[draw(st.one_of(near(c), finite)) for c in cs] for _ in range(m)]
+
+
+@st.composite
+def edge_values(draw):
+    """(rows x 1-4 objectives) values at the tolerance's edges: zeros,
+    sign flips, scalings by 1 +- 1e-9 and steps of about ABS_FLOOR from a
+    shared center per objective."""
+    cs = [draw(centers) for _ in range(draw(st.integers(1, 4)))]
+    scale = st.sampled_from([1 - 2e-9, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 2e-9])
+    step = st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0])
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows.append([draw(st.one_of(
+            st.just(0.0), st.just(c), st.just(-c), scale.map(lambda f, c=c: c * f),
+            step.map(lambda k, c=c: c + k * ABS_FLOOR), near(c), finite)) for c in cs])
+    return np.array(rows)
 
 
 def strictly_better(a, b, direction):
@@ -86,6 +103,14 @@ class TestDominanceKernel:
         for i, u in enumerate(vecs):
             for j, v in enumerate(vecs):
                 assert dom[i, j] == dominates(u, v)
+
+    @given(edge_values())
+    @settings(max_examples=300, deadline=None)
+    def test_per_objective_passes_equal_oracle(self, values):
+        want = oracle_dominance(values[:, None, :], values[None, :, :])
+        assert np.array_equal(dominance(values[:, None, :], values[None, :, :]), want)
+        for a, b in zip(values, values[::-1]):
+            assert dominance(a, b) == oracle_dominance(a, b)
 
     @given(centers.flatmap(lambda c: st.tuples(
         st.one_of(near(c), finite), st.one_of(near(c), finite))))

@@ -486,6 +486,32 @@ class TestErrors:
         assert err.startswith("data error:") and str(manifest) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rel", ["admissibility/admissibility_mst.md",
+                                     "optimize/optimization_summary.md"])
+    def test_report_on_table_not_utf8(self, tmp_path, capsys, rel):
+        out = tmp_path / "o"
+        run_all(tiny_config(tmp_path), out)
+        with open(out / rel, "ab") as f:
+            f.write(b"\xe9")
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {out / rel}: damaged file, not UTF-8 text")
+
+    def test_name_outside_the_locale_encoding_is_a_config_error(self, tmp_path):
+        # An ASCII locale cannot name the file café.csv; the config says so
+        # before any file is written.
+        cfg = tiny_config(tmp_path, datasets=[blobs("café", 3)])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0", "PYTHONPATH": str(Path(admissa.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "admissa.cli", "gen", "--config",
+                               str(cfg), "--out", str(tmp_path / "o")],
+                              env=env, capture_output=True)
+        err = proc.stderr.decode(errors="replace")
+        assert proc.returncode == 1, err
+        assert err.startswith("config error: dataset 'caf\\xe9': the name is not")
+        assert not (tmp_path / "o").exists()
+
     def test_empty_report_warns(self, tmp_path, capsys):
         out = tmp_path / "empty"
         out.mkdir()

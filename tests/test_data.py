@@ -11,8 +11,9 @@ from admissa import (DataError, Dataset, Partition, canonical_labels,
 from admissa import data
 from admissa.data import cluster_means, components
 from conftest import tie_grids, translated
-from oracles import (neighbor_list, oracle_components, oracle_distances,
-                     oracle_mst_edges, oracle_mst_weight, oracle_neighbor_index)
+from oracles import (neighbor_list, oracle_cluster_means, oracle_components,
+                     oracle_distances, oracle_mst_edges, oracle_mst_weight,
+                     oracle_neighbor_index)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -253,6 +254,19 @@ class TestCentroids:
             labels = np.concatenate([np.arange(9), rng.integers(0, 9, 291)])
             want = np.array([pts[labels == i].mean(axis=0) for i in range(9)])
             assert np.array_equal(cluster_means(pts, labels, np.bincount(labels)), want)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_cluster_means_equal_add_at_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 300)), int(rng.integers(1, 9))
+        k = int(rng.integers(1, n + 1))
+        labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+        offset = rng.normal(size=d) * 10.0 ** rng.integers(0, 13)
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4) + offset
+        sizes = np.bincount(labels)
+        assert np.array_equal(cluster_means(pts, labels, sizes).view(np.int64),
+                              oracle_cluster_means(pts, labels, sizes).view(np.int64))
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.floats(min_value=-50, max_value=50),

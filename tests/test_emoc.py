@@ -15,13 +15,13 @@ from admissa.admissibility import dominance
 from admissa.components import ComponentGeometry
 from admissa.criteria import (CriterionError, ObjectiveVector, evaluate_vector,
                               minimize_signs)
-from admissa.emoc import (EmocError, FrontMember, ParetoFront, _minimized,
-                          _rank_population, _tournament, _truncate,
+from admissa.emoc import (EmocError, FrontMember, ParetoFront, _crowding,
+                          _minimized, _rank_population, _tournament, _truncate,
                           crowding_distance, fast_nondominated_sort, mutate)
 from admissa.initializers import InitPopulation, mst_cluster
 from admissa.seeding import rng_for
 from conftest import tie_grids
-from oracles import oracle_decode
+from oracles import oracle_decode, oracle_mutate
 
 
 def small_config(**over):
@@ -29,6 +29,11 @@ def small_config(**over):
                 generations=8, seed=0)
     base.update(over)
     return EmocConfig(**base)
+
+
+def domains(scheme):
+    """Each relevant locus's gene domain, in locus order."""
+    return [row[:n] for row, n in zip(scheme.domain_pad, scheme.domain_len)]
 
 
 def fronts_by_generation(ds, pop, cfg):
@@ -65,7 +70,7 @@ class TestDeltaScheme:
 
     def test_domains_include_self_and_parent(self, fix4):
         scheme = delta_relevant_loci(fix4, delta_percent=100.0, L=1)
-        for locus, dom in zip(scheme.relevant_loci.tolist(), scheme.domains):
+        for locus, dom in zip(scheme.relevant_loci.tolist(), domains(scheme)):
             assert locus in dom
             assert int(scheme.parent[locus]) in dom
 
@@ -104,12 +109,68 @@ class TestDecodeEncode:
                                          L=int(rng.integers(1, 5)))
             loci = scheme.relevant_loci
             genotypes = [loci.copy(), scheme.parent[loci]]  # all self, all parent
-            genotypes += [np.array([d[rng.integers(len(d))] for d in scheme.domains])
+            genotypes += [np.array([d[rng.integers(len(d))] for d in domains(scheme)])
                           for _ in range(4)]
             for genes in genotypes:
                 pi = decode(scheme, genes)
                 assert pi.assignment.tolist() == oracle_decode(
                     ds.n, scheme.fixed_edges.tolist(), loci.tolist(), genes.tolist())
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 128, 129, 301])
+    def test_long_parent_chains_match_oracle(self, n):
+        # Points on a line with growing gaps: the MST is one path, and with
+        # every edge relevant each point is its own base component, so
+        # n_base = n and an all-parent genotype is one chain n long.
+        ds = Dataset(np.cumsum(np.arange(1.0, n + 1.0))[:, None])
+        scheme = delta_relevant_loci(ds, delta_percent=100.0, L=2)
+        assert scheme.n_base == n
+        loci, parents = scheme.relevant_loci, scheme.parent[scheme.relevant_loci]
+        rng = np.random.default_rng(n)
+        genotypes = [parents, loci.copy()]
+        genotypes += [np.where(rng.random(loci.size) < p, loci, parents)
+                      for p in (0.01, 0.1, 0.5)]  # chains cut at random loci
+        genotypes += [np.array([d[rng.integers(len(d))] for d in domains(scheme)])
+                      for _ in range(3)]
+        for genes in genotypes:
+            assert decode(scheme, genes).assignment.tolist() == oracle_decode(
+                ds.n, scheme.fixed_edges.tolist(), loci.tolist(), genes.tolist())
+
+    @pytest.mark.parametrize("n", [17, 100, 300])
+    def test_one_long_cycle_matches_oracle(self, n):
+        # Point 0, the MST root, at the center of a circle of the others,
+        # each point its own base component: linking every circle point to
+        # the next one round makes one cycle of n - 1 components, the
+        # longest a genotype can make.
+        angle = np.cumsum(np.linspace(1.0, 1.5, n - 1))
+        angle *= 2 * np.pi / (angle[-1] + 1.25)
+        ds = Dataset(np.vstack([[0.0, 0.0], np.c_[np.cos(angle), np.sin(angle)]]))
+        scheme = delta_relevant_loci(ds, delta_percent=100.0, L=2)
+        loci = scheme.relevant_loci
+        assert scheme.n_base == n and loci.tolist() == list(range(1, n))
+        ring = np.roll(loci, -1)
+        assert all(g in d for g, d in zip(ring, domains(scheme)))
+        for genes in (ring, np.where(loci == n // 2, loci, ring)):
+            assert decode(scheme, genes).assignment.tolist() == oracle_decode(
+                ds.n, scheme.fixed_edges.tolist(), loci.tolist(), genes.tolist())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_links_inside_own_component_match_oracle(self, seed):
+        # Few loci leave large base components, so many domain values lie
+        # in the locus's own component: such a link changes nothing.
+        rng = np.random.default_rng(seed)
+        ds = Dataset(rng.normal(size=(200, 2)))
+        scheme = delta_relevant_loci(ds, delta_percent=float(rng.uniform(2, 20)), L=8)
+        loci, base = scheme.relevant_loci, scheme.base_labels
+        inside = [[g for g in d if g != i and base[g] == base[i]]
+                  for i, d in zip(loci.tolist(), domains(scheme))]
+        assert any(inside)
+        for _ in range(5):
+            genes = np.array([
+                g[rng.integers(len(g))] if g and rng.random() < 0.7
+                else d[rng.integers(len(d))]
+                for g, d in zip(inside, domains(scheme))])
+            assert decode(scheme, genes).assignment.tolist() == oracle_decode(
+                ds.n, scheme.fixed_edges.tolist(), loci.tolist(), genes.tolist())
 
 
 def _outcome(evaluate):
@@ -144,7 +205,7 @@ class TestComponentGeometry:
                                      L=int(rng.integers(1, 6)))
         geometry = ComponentGeometry(ds, scheme.base_labels, scheme.n_base)
         for _ in range(3):
-            genes = np.array([d[rng.integers(len(d))] for d in scheme.domains])
+            genes = np.array([d[rng.integers(len(d))] for d in domains(scheme)])
             pi = decode(scheme, genes)
             for spec in self.COARSE_SPECS:
                 want = _outcome(lambda: evaluate_vector(ds, pi, [spec]).values[0])
@@ -182,10 +243,29 @@ class TestVariation:
         ds = Dataset(np.array([[0.0], [1.0], [2.0]]))
         scheme = delta_relevant_loci(ds, delta_percent=100.0, L=1)
         # shrink every domain to just the current gene
-        genes = np.array([int(d[0]) for d in scheme.domains])
-        scheme.domains = [d[:1] for d in scheme.domains]
+        genes = scheme.domain_pad[:, 0].copy()
+        scheme.domain_len = np.ones_like(scheme.domain_len)
         out = mutate(scheme, genes, 1.0, rng_for(0, "m"))
         assert np.array_equal(out, genes)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from([0.0, None, 0.3, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_mutate_matches_scalar_oracle(self, seed, prob):
+        # The same genes, and the generator left in the same state.
+        rng = np.random.default_rng(seed)
+        ds = Dataset(rng.normal(size=(int(rng.integers(2, 60)), 2)))
+        scheme = delta_relevant_loci(ds, delta_percent=float(rng.uniform(1, 100)),
+                                     L=int(rng.integers(1, 8)))
+        if prob is None:
+            prob = 1.0 / len(scheme.relevant_loci)
+        a, b = rng_for(seed, "mutate"), rng_for(seed, "mutate")
+        genes = scheme.relevant_loci.copy()
+        for _ in range(10):
+            got = mutate(scheme, genes, prob, a)
+            assert np.array_equal(got, oracle_mutate(domains(scheme), genes, prob, b))
+            genes = got
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_fixed_seed_reproducible(self, fix4):
         scheme = delta_relevant_loci(fix4, delta_percent=100.0)
@@ -232,6 +312,29 @@ class TestSortingMachinery:
         assert rank.tolist() == [5, 0, 1, 0, 5]
         assert crowding[[0, 4]].tolist() == [0.0, 0.0]
         assert np.isinf(crowding[1:4]).all()  # fronts of one or two members
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_survivors_keep_ranks_with_two_objectives(self, seed):
+        # evolve's step after truncation: with two objectives the survivors
+        # keep their ranks and only their crowding is computed again. It
+        # gives the ranks and crowding, and so the next truncation order,
+        # of ranking the survivors from scratch, on tie-heavy values with
+        # duplicate rows and disqualified members.
+        rng = np.random.default_rng(seed)
+        specs = objectives("var", "sep_cl")  # minimize, maximize
+        size = int(rng.integers(2, 30))
+        grid = rng.integers(0, int(rng.integers(1, 6)), size=(2 * size, 2))
+        vectors = [None if rng.random() < 0.15 else
+                   ObjectiveVector(specs=specs, values=tuple(map(float, row)))
+                   for row in grid]
+        rank, crowding = _rank_population(vectors)
+        keep = _truncate(rank, crowding, size)
+        survivors = [vectors[i] for i in keep]
+        want_rank, want_crowding = _rank_population(survivors)
+        got_rank = np.minimum(rank[keep], size)
+        assert np.array_equal(got_rank, want_rank)
+        assert np.array_equal(_crowding(survivors, got_rank), want_crowding)
 
     def test_minimized_rows_equal_each_vector_minimized(self):
         specs = objectives("var", "sep_cl", "sil")
