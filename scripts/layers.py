@@ -9,10 +9,10 @@ Every figure is the best of REPEAT calls, in seconds per call:
   the MST) already built, so a rank build that reads the neighbor index
   includes building it;
 - ``decode_s``: one genotype of the mst-seeded population;
-- ``sort_crowding_s``: ranking the 2P members of a generation (fronts and
-  crowding, P = POPULATION), as EMOC does once per generation with two
-  objectives (the survivors keep their fronts and get their crowding
-  again);
+- ``sort_crowding_s``: ``_rank_population`` on the (2P x 2) value array
+  of a generation's members (fronts and crowding, P = POPULATION), as
+  EMOC ranks once per generation (the survivors keep their fronts and get
+  their crowding again);
 - ``component_build_s``: a scheme's ``ComponentGeometry`` with the
   aggregates that its first sep_cl evaluation builds;
 - ``component_evaluate_s``: one sep_cl evaluation from those aggregates;
@@ -89,8 +89,8 @@ def time_layers(n):
 
     parts = [decode(scheme, g) for g in rows]
     specs = objectives("var", "con")
-    vectors = [evaluate_vector(ds, pi, specs) for pi in parts]
-    out["sort_crowding_s"] = best_of(lambda: vectors, _rank_population)
+    values = np.array([evaluate_vector(ds, pi, specs).minimized() for pi in parts])
+    out["sort_crowding_s"] = best_of(lambda: values, _rank_population)
 
     sep_cl = objective("sep_cl")
     parts = [pi for pi in parts if pi.k >= 2]

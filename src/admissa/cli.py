@@ -364,9 +364,10 @@ def cmd_init(cfg: CampaignConfig, out: Path) -> int:
 
 def _load_population(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
                      initializer: str, csv_digest: str | None,
-                     data: bytes | None) -> InitPopulation:
+                     data: bytes | None, n: int) -> InitPopulation:
     """The population of (entry, initializer) in ``data``, its file's
-    bytes, checked against the current config and the CSV digest."""
+    bytes, checked against the current config and the CSV digest, with
+    every partition of the dataset's ``n`` points."""
     path = population_path(out, entry.name, initializer)
     if data is None:
         raise DataError(f"population file missing: {path} (run `admissa init` first)")
@@ -375,7 +376,10 @@ def _load_population(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
         raise DataError(f"population file out of date: {path} (its config or "
                         f"dataset changed; run `admissa init`)")
     try:
-        return InitPopulation.from_dict(doc)
+        pop = InitPopulation.from_dict(doc)
+        if any(pi.n != n for pi in pop.partitions):
+            raise ValueError(f"a partition does not have the dataset's {n} points")
+        return pop
     except (KeyError, TypeError, ValueError) as err:
         raise DataError(f"population file damaged: {path} ({type(err).__name__}: "
                         f"{err}; delete it and rerun `admissa init`)") from None
@@ -407,8 +411,9 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
     specs = [cfg.spec_for(c) for c in cfg.objectives]
     datasets = [load_dataset(csv, label_column=e.label_column, name=e.name)
                 for e, csv in zip(cfg.datasets, csvs)]
-    pops = {init: [_load_population(out, cfg, e, init, digest, data)
-                   for e, digest, data in zip(cfg.datasets, csv_digests, files)]
+    pops = {init: [_load_population(out, cfg, e, init, digest, data, ds.n)
+                   for e, digest, data, ds in zip(cfg.datasets, csv_digests, files,
+                                                  datasets)]
             for init, files in pop_files.items()}
     memos = [{} for _ in datasets]  # criterion values shared by the tables
     tables = [build_admissibility_table(datasets, init, specs,
@@ -470,7 +475,7 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
             ds = load_dataset(csv, label_column=entry.label_column, name=entry.name)
             truth = ds.true_partition()
             pop = _load_population(out, cfg, entry, cfg.optimize_initializer,
-                                   csv_digest, pop_data)
+                                   csv_digest, pop_data, ds.n)
         try:
             truth_vec = evaluate_vector(ds, truth, tuple(cfg.spec_for(c) for c in pair))
         except CriterionError:

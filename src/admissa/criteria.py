@@ -133,9 +133,9 @@ def _centroid_pair_distances(cents: np.ndarray) -> np.ndarray:
 
 
 def _own_centroid_distances(ds: Dataset, pi: Partition):
-    cents, gbar = centroids(ds, pi)
+    cents = centroids(ds, pi)
     diffs = ds.points - cents[pi.assignment]
-    return np.linalg.norm(diffs, axis=1), cents, gbar
+    return np.linalg.norm(diffs, axis=1), cents
 
 
 def ksize_graph(ds: Dataset, k_size: int):
@@ -184,7 +184,7 @@ def eval_ent(ds: Dataset, pi: Partition) -> float:
     norms = np.linalg.norm(ds.points, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVectorError("cosine similarity undefined for zero point vector", "ent")
-    cents, _ = centroids(ds, pi)
+    cents = centroids(ds, pi)
     cnorms = np.linalg.norm(cents, axis=1)
     if np.any(cnorms == 0.0):
         raise ZeroVectorError("cosine similarity undefined for zero centroid", "ent")
@@ -200,7 +200,7 @@ def eval_ent(ds: Dataset, pi: Partition) -> float:
 
 def eval_dev(ds: Dataset, pi: Partition) -> float:
     """Summed distance of every point to its cluster centroid; minimized."""
-    dists, _, _ = _own_centroid_distances(ds, pi)
+    dists, _ = _own_centroid_distances(ds, pi)
     return float(dists.sum())
 
 
@@ -211,7 +211,7 @@ def eval_var(ds: Dataset, pi: Partition) -> float:
 
 def eval_twcv(ds: Dataset, pi: Partition) -> float:
     """Total within-cluster variance (squared distances); minimized."""
-    dists, _, _ = _own_centroid_distances(ds, pi)
+    dists, _ = _own_centroid_distances(ds, pi)
     return float((dists ** 2).sum())
 
 
@@ -275,15 +275,15 @@ def eval_dcd(ds: Dataset, pi: Partition, k_size: int = 10) -> float:
 def eval_abgss(ds: Dataset, pi: Partition) -> float:
     """Size-weighted mean distance of cluster centroids to the dataset
     centroid; maximized."""
-    cents, gbar = centroids(ds, pi)
-    d = np.linalg.norm(cents - gbar, axis=1)
+    cents = centroids(ds, pi)
+    d = np.linalg.norm(cents - ds.points.mean(axis=0), axis=1)
     return float((pi.sizes * d).sum() / pi.k)
 
 
 def eval_sep_al(ds: Dataset, pi: Partition) -> float:
     """Mean centroid-pair distance; maximized."""
     _require_k_at_least_2(pi, "sep_al")
-    cents, _ = centroids(ds, pi)
+    cents = centroids(ds, pi)
     sep = _centroid_pair_distances(cents)[np.triu_indices(pi.k, k=1)]
     return float(sep.mean())
 
@@ -328,10 +328,11 @@ def eval_ch(ds: Dataset, pi: Partition) -> float:
     (non-squared) distances; maximized."""
     if pi.k < 2 or pi.k >= ds.n:
         raise KTooSmallError(f"ch needs 2 <= k <= n-1, got k={pi.k}", "ch")
-    dists, cents, gbar = _own_centroid_distances(ds, pi)
+    dists, cents = _own_centroid_distances(ds, pi)
     within = float(dists.sum())
     if within == 0.0:
         raise DegenerateError("ch: zero within-cluster dispersion", "ch")
+    gbar = ds.points.mean(axis=0)
     between = float((pi.sizes * np.linalg.norm(cents - gbar, axis=1)).sum())
     return (between / within) * (ds.n - pi.k) / (pi.k - 1)
 
@@ -340,7 +341,7 @@ def eval_db(ds: Dataset, pi: Partition) -> float:
     """Davies-Bouldin: mean over clusters of the worst scatter-to-separation
     ratio; minimized."""
     _require_k_at_least_2(pi, "db")
-    dists, cents, _ = _own_centroid_distances(ds, pi)
+    dists, cents = _own_centroid_distances(ds, pi)
     scatter = np.zeros(pi.k)
     np.add.at(scatter, pi.assignment, dists)
     scatter /= pi.sizes
@@ -417,8 +418,8 @@ def silhouette(sums: np.ndarray, pi: Partition) -> float:
 def eval_pbm(ds: Dataset, pi: Partition) -> float:
     """PBM index with hard memberships: (1/k) * (E0/Ek) * Dk; maximized."""
     _require_k_at_least_2(pi, "pbm")
-    dists, cents, gbar = _own_centroid_distances(ds, pi)
-    e0 = float(np.linalg.norm(ds.points - gbar, axis=1).sum())
+    dists, cents = _own_centroid_distances(ds, pi)
+    e0 = float(np.linalg.norm(ds.points - ds.points.mean(axis=0), axis=1).sum())
     ek = float((dists ** 2).sum())
     if ek == 0.0:
         raise DegenerateError("pbm: zero within-cluster scatter", "pbm")
@@ -430,7 +431,7 @@ def eval_xb(ds: Dataset, pi: Partition) -> float:
     """Xie-Beni-style ratio with hard memberships and non-squared
     distances; minimized."""
     _require_k_at_least_2(pi, "xb")
-    dists, cents, _ = _own_centroid_distances(ds, pi)
+    dists, cents = _own_centroid_distances(ds, pi)
     sep = _centroid_pair_distances(cents)[np.triu_indices(pi.k, k=1)]
     min_sep = float(sep.min())
     if min_sep == 0.0:

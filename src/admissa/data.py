@@ -257,11 +257,11 @@ def cluster_means(points: np.ndarray, assignment: np.ndarray,
     return sums.reshape(k, d) / sizes[:, None]
 
 
-def centroids(ds: Dataset, pi: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster mean vectors plus the overall dataset centroid."""
+def centroids(ds: Dataset, pi: Partition) -> np.ndarray:
+    """Per-cluster mean vectors."""
     if pi.n != ds.n:
         raise DataError("partition size does not match dataset")
-    return cluster_means(ds.points, pi.assignment, pi.sizes), ds.points.mean(axis=0)
+    return cluster_means(ds.points, pi.assignment, pi.sizes)
 
 
 def components(n: int, a, b) -> np.ndarray:

@@ -43,8 +43,8 @@ class EmocConfig:
 
     def __post_init__(self):
         self.objectives = tuple(self.objectives)
-        if len(self.objectives) < 2:
-            raise ValueError("need at least 2 objectives")
+        if len(self.objectives) != 2:
+            raise ValueError("need exactly 2 objectives")
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be even and >= 4")
         if self.generations < 0:
@@ -240,44 +240,30 @@ class FrontMember:
 class ParetoFront:
     members: list[FrontMember]
 
-    def __len__(self) -> int:
-        return len(self.members)
 
-
-def _minimized(vectors: list[ObjectiveVector]) -> np.ndarray:
-    """(members x objectives) values with maximized objectives negated.
-    Every vector of a run has the run's specs, so one sign row serves."""
-    return np.array([v.values for v in vectors]) * minimize_signs(vectors[0].specs)
-
-
-def _rank_population(vectors: list[ObjectiveVector | None]
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Front rank and crowding distance per member. Disqualified members
-    (``None``) rank after every front, with zero crowding."""
-    size = len(vectors)
+def _rank_population(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Front rank and crowding distance per row of a (members x objectives)
+    array in minimization form. Disqualified members (NaN rows) rank after
+    every front, with zero crowding."""
+    size = len(values)
     rank = np.full(size, size)
-    feasible = np.flatnonzero([v is not None for v in vectors])
-    if feasible.size:
-        values = _minimized([vectors[i] for i in feasible])
-        for r, front in enumerate(fast_nondominated_sort(values)):
-            rank[feasible[front]] = r
-    return rank, _crowding(vectors, rank)
+    feasible = np.flatnonzero(~np.isnan(values[:, 0]))
+    for r, front in enumerate(fast_nondominated_sort(values[feasible])):
+        rank[feasible[front]] = r
+    return rank, _crowding(values, rank)
 
 
-def _crowding(vectors: list[ObjectiveVector | None],
-              rank: np.ndarray) -> np.ndarray:
+def _crowding(values: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Crowding distance of each member within its front, the members of
     one rank taken in member order; disqualified members get zero.
     ``crowding_distance`` breaks value ties by row order, so a reordered
     population needs its crowding again even where its fronts stay."""
-    crowding = np.zeros(len(vectors))
-    feasible = np.flatnonzero([v is not None for v in vectors])
-    if feasible.size:
-        values = _minimized([vectors[i] for i in feasible])
-        fronts = rank[feasible]
-        for r in np.unique(fronts):
-            front = np.flatnonzero(fronts == r)
-            crowding[feasible[front]] = crowding_distance(values[front])
+    crowding = np.zeros(len(values))
+    feasible = np.flatnonzero(~np.isnan(values[:, 0]))
+    fronts = rank[feasible]
+    for r in np.unique(fronts):
+        front = feasible[fronts == r]
+        crowding[front] = crowding_distance(values[front])
     return crowding
 
 
@@ -299,18 +285,20 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
     """Run the evolutionary clusterer seeded from an initial population.
 
     The population is a (members x loci) gene array with each member's
-    partition, objective vector, front rank and crowding. Members whose
-    objective vector cannot be evaluated (criterion errors such as k=1
-    under a separation index) are kept with worst-rank fitness instead of
-    aborting the run."""
+    partition, a (members x 2) array of its objective values in
+    minimization form, and each member's front rank and crowding. Members
+    whose objective vector cannot be evaluated (criterion errors such as
+    k=1 under a separation index) are kept as NaN rows with worst-rank
+    fitness instead of aborting the run."""
     if not init.partitions:
         raise EmocError("initial population is empty")
     scheme = delta_relevant_loci(ds, config.delta_percent, L=config.L)
     geometry = ComponentGeometry(ds, scheme.base_labels, scheme.n_base)
-    # The vector is a pure function of the partition, so a partition met
-    # before in the run takes its vector from the memo, keyed on the
-    # cluster of each base component.
-    memo: dict[bytes, ObjectiveVector | None] = {}
+    signs = minimize_signs(config.objectives)
+    # The values are a pure function of the partition, so a partition met
+    # before in the run takes its row from the memo, keyed on the cluster
+    # of each base component.
+    memo: dict[bytes, np.ndarray] = {}
     rng = rng_for(config.seed, "emoc")
     size = config.population_size
 
@@ -320,7 +308,7 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
              for i in range(size - len(rows))]
     genes = np.empty((0, len(scheme.relevant_loci)), dtype=np.int64)
     parts: list[Partition] = []
-    vectors: list[ObjectiveVector | None] = []
+    values = np.empty((0, 2))
     for gen in range(config.generations + 1):
         if gen:
             rows = []
@@ -329,37 +317,38 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
                 p2 = _tournament(rank, crowding, rng)
                 rows.extend(variation(scheme, genes[p1], genes[p2], config, rng))
         genes = np.concatenate([genes, rows])
+        new = []
         for g in rows:
             pi = decode(scheme, g)
             key = pi.assignment[geometry.first].tobytes()
             if key not in memo:
                 try:
-                    memo[key] = evaluate_vector(ds, pi, config.objectives,
-                                                geometry.evaluate)
+                    memo[key] = signs * evaluate_vector(
+                        ds, pi, config.objectives, geometry.evaluate).values
                 except CriterionError:
-                    memo[key] = None
+                    memo[key] = np.full(2, np.nan)
             parts.append(pi)
-            vectors.append(memo[key])
-        if gen == 0 and all(v is None for v in vectors):
+            new.append(memo[key])
+        values = np.concatenate([values, new])
+        if gen == 0 and np.isnan(values[:, 0]).all():
             raise EmocError("every initial individual was disqualified")
-        rank, crowding = _rank_population(vectors)
+        rank, crowding = _rank_population(values)
         keep = _truncate(rank, crowding, size)
         genes = genes[keep]
         parts = [parts[i] for i in keep]
-        vectors = [vectors[i] for i in keep]
-        if len(config.objectives) == 2:
-            # Two objectives form no dominance cycle (fast_nondominated_sort),
-            # so each front's members are dominated only from earlier fronts,
-            # and truncation keeps those whole: every survivor keeps its front.
-            # A disqualified survivor's rank drops to the new population size.
-            rank = np.minimum(rank[keep], size)
-            crowding = _crowding(vectors, rank)
-        else:
-            rank, crowding = _rank_population(vectors)
+        values = values[keep]
+        # Two objectives form no dominance cycle (fast_nondominated_sort),
+        # so each front's members are dominated only from earlier fronts,
+        # and truncation keeps those whole: every survivor keeps its front.
+        # A disqualified survivor's rank drops to the new population size.
+        rank = np.minimum(rank[keep], size)
+        crowding = _crowding(values, rank)
 
     members: dict[bytes, FrontMember] = {}
     for i in np.flatnonzero(rank == 0):
-        members.setdefault(parts[i].key, FrontMember(parts[i], vectors[i]))
+        # Negating is exact, so the signs give back the evaluated values.
+        vector = ObjectiveVector(config.objectives, tuple((signs * values[i]).tolist()))
+        members.setdefault(parts[i].key, FrontMember(parts[i], vector))
     return ParetoFront(members=list(members.values()))
 
 

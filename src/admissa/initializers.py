@@ -271,12 +271,15 @@ class InitPopulation:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InitPopulation":
-        """Inverse of ``to_dict``; other keys are ignored."""
+        """Inverse of ``to_dict``; other keys are ignored. Labels must be
+        integers, not values that int64 would truncate."""
         rows = doc["partitions"]
+        labels = [np.array(r["assignment"]) for r in rows]
+        if any(a.dtype.kind != "i" for a in labels):
+            raise ValueError("cluster labels must be integers")
         return cls(source=doc["source"], dataset=doc["dataset"],
                    k_star=doc["k_star"], master_seed=doc["master_seed"],
-                   partitions=[Partition(np.array(r["assignment"], dtype=np.int64))
-                               for r in rows],
+                   partitions=[Partition(a) for a in labels],
                    records=[{key: r[key] for key in ("seed", "params", "out_of_range")}
                             for r in rows])
 

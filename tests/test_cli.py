@@ -426,7 +426,8 @@ class TestErrors:
         assert "disqualified" in err
 
     @pytest.mark.parametrize("damage", ["partition-without-seed",
-                                        "partitions-not-a-list"])
+                                        "partitions-not-a-list",
+                                        "assignment-short", "assignment-float"])
     def test_damaged_population_is_a_data_error(self, tmp_path, capsys, damage):
         cfg = tiny_config(tmp_path)
         out = tmp_path / "o"
@@ -434,10 +435,15 @@ class TestErrors:
             assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
         path = out / "populations" / "blobs3__mst.json"
         doc = json.loads(path.read_text())
+        assignment = doc["partitions"][0]["assignment"]
         if damage == "partition-without-seed":
             del doc["partitions"][0]["seed"]
-        else:
+        elif damage == "partitions-not-a-list":
             doc["partitions"] = 5
+        elif damage == "assignment-short":
+            assignment.pop()
+        else:  # labels that int64 would truncate back to the right ones
+            assignment[:] = [label + 0.5 for label in assignment]
         path.write_text(json.dumps(doc))
         # the stamp still matches, so init keeps the file
         assert main(["init", "--config", str(cfg), "--out", str(out)]) == 0
@@ -643,13 +649,15 @@ class TestErrors:
         {"datasets": [blobs("/abs", 3)]},
         {"datasets": [blobs("a\u0000b", 3)]},
         {"datasets": [blobs(".", 3)]},
+        {"pairs": [["var"]]},
+        {"pairs": [["var", "con", "sep_cl"]]},
     ], ids=["generations-float", "population-float", "crossover-bool",
             "delta-bool", "L-bool", "L-float", "no-pairs-L", "no-pairs-delta",
             "emoc-seed", "param-bool", "dup-datasets", "dup-initializers",
             "dup-objectives", "dup-pairs", "generator-and-csv",
             "generator-and-label-column", "optimize-initializer-not-built",
             "name-parent", "name-subdir", "name-absolute", "name-nul",
-            "name-dot"])
+            "name-dot", "pair-of-one", "pair-of-three"])
     def test_config_values_checked_against_their_fields(self, tmp_path, capsys, over):
         cfg = tiny_config(tmp_path, **over)
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -16,7 +16,7 @@ from admissa.components import ComponentGeometry
 from admissa.criteria import (CriterionError, ObjectiveVector, evaluate_vector,
                               minimize_signs)
 from admissa.emoc import (EmocError, FrontMember, ParetoFront, _crowding,
-                          _minimized, _rank_population, _tournament, _truncate,
+                          _rank_population, _tournament, _truncate,
                           crowding_distance, fast_nondominated_sort, mutate)
 from admissa.initializers import InitPopulation, mst_cluster
 from admissa.seeding import rng_for
@@ -305,10 +305,10 @@ class TestSortingMachinery:
         assert [f.tolist() for f in fronts] == [[0, 1, 2], [3]]
 
     def test_disqualified_rank_after_every_front(self):
-        specs = objectives("var", "con")
-        vectors = [None] + [ObjectiveVector(specs=specs, values=v)
-                            for v in [(1.0, 1.0), (2.0, 2.0), (0.0, 3.0)]] + [None]
-        rank, crowding = _rank_population(vectors)
+        nan = np.nan
+        values = np.array([[nan, nan], [1.0, 1.0], [2.0, 2.0], [0.0, 3.0],
+                           [nan, nan]])
+        rank, crowding = _rank_population(values)
         assert rank.tolist() == [5, 0, 1, 0, 5]
         assert crowding[[0, 4]].tolist() == [0.0, 0.0]
         assert np.isinf(crowding[1:4]).all()  # fronts of one or two members
@@ -320,31 +320,40 @@ class TestSortingMachinery:
         # keep their ranks and only their crowding is computed again. It
         # gives the ranks and crowding, and so the next truncation order,
         # of ranking the survivors from scratch, on tie-heavy values with
-        # duplicate rows and disqualified members.
+        # duplicate rows and disqualified members (NaN rows).
         rng = np.random.default_rng(seed)
         specs = objectives("var", "sep_cl")  # minimize, maximize
         size = int(rng.integers(2, 30))
         grid = rng.integers(0, int(rng.integers(1, 6)), size=(2 * size, 2))
-        vectors = [None if rng.random() < 0.15 else
-                   ObjectiveVector(specs=specs, values=tuple(map(float, row)))
-                   for row in grid]
-        rank, crowding = _rank_population(vectors)
+        values = np.array([
+            np.full(2, np.nan) if rng.random() < 0.15 else
+            ObjectiveVector(specs=specs, values=tuple(map(float, row))).minimized()
+            for row in grid])
+        rank, crowding = _rank_population(values)
         keep = _truncate(rank, crowding, size)
-        survivors = [vectors[i] for i in keep]
+        survivors = values[keep]
         want_rank, want_crowding = _rank_population(survivors)
         got_rank = np.minimum(rank[keep], size)
         assert np.array_equal(got_rank, want_rank)
         assert np.array_equal(_crowding(survivors, got_rank), want_crowding)
 
     def test_minimized_rows_equal_each_vector_minimized(self):
+        # evolve keeps each member's values as ``signs * vector.values`` and
+        # rebuilds a front member's vector as ``signs * row``: both are exact.
         specs = objectives("var", "sep_cl", "sil")
-        assert minimize_signs(specs).tolist() == [1.0, -1.0, -1.0]
+        signs = minimize_signs(specs)
+        assert signs.tolist() == [1.0, -1.0, -1.0]
         rng = np.random.default_rng(3)
         vectors = [ObjectiveVector(specs=specs, values=tuple(
                        rng.normal(size=3) * 10.0 ** rng.integers(-5, 5, size=3)))
-                   for _ in range(20)]
-        assert np.array_equal(_minimized(vectors),
-                              np.array([v.minimized() for v in vectors]))
+                   for _ in range(20)] + [ObjectiveVector(specs, (0.0, -0.0, 0.0))]
+        rows = np.array([signs * v.values for v in vectors])
+        assert np.array_equal(rows, np.array([v.minimized() for v in vectors]))
+        for v, row in zip(vectors, rows):
+            back = tuple((signs * row).tolist())
+            assert back == v.values
+            assert [math.copysign(1, x) for x in back] == \
+                [math.copysign(1, x) for x in v.values]
 
     def test_truncate_orders_by_rank_crowding_index(self):
         rng = np.random.default_rng(4)
@@ -411,7 +420,7 @@ class TestEvolve:
         ds = gen_blobs(3, 15, 8.0, seed=7)
         pop = generate_population(ds, "mst", master_seed=0)
         fronts = fronts_by_generation(ds, pop, small_config(generations=10))
-        best = np.array([_minimized([m.vector for m in front.members]).min(axis=0)
+        best = np.array([np.min([m.vector.minimized() for m in front.members], axis=0)
                          for front in fronts])
         assert np.all(np.diff(best, axis=0) <= 1e-9)
 
@@ -481,6 +490,8 @@ class TestEvolve:
             small_config(generations=-1)
         with pytest.raises(ValueError):
             EmocConfig(objectives=objectives("var"))
+        with pytest.raises(ValueError, match="exactly 2 objectives"):
+            EmocConfig(objectives=objectives("var", "con", "sep_cl"))
         with pytest.raises(ValueError):
             small_config(crossover_prob=1.5)
 
