@@ -16,6 +16,8 @@ Every figure is the best of REPEAT calls, in seconds per call:
 - ``component_build_s``: a scheme's ``ComponentGeometry`` with the
   aggregates that its first sep_cl evaluation builds;
 - ``component_evaluate_s``: one sep_cl evaluation from those aggregates;
+- ``component_evaluate_con_s``: one con evaluation (default L and
+  penalty) from the scheme's cross-component links, built beforehand;
 - ``generation_s``: ``evolve`` with G=1 minus ``evolve`` with G=0.
 
 The results go under ``layers.<side>`` of the JSON file given by
@@ -102,6 +104,10 @@ def time_layers(n):
     geo = geometry()
     out["component_evaluate_s"] = best_of(
         lambda: parts, lambda ps: [geo.evaluate(ds, pi, sep_cl) for pi in ps]) / len(parts)
+    con = objective("con")
+    geo.evaluate(ds, parts[0], con)  # builds the links
+    out["component_evaluate_con_s"] = best_of(
+        lambda: parts, lambda ps: [geo.evaluate(ds, pi, con) for pi in ps]) / len(parts)
 
     def run(generations):
         cfg = EmocConfig(objectives=specs, population_size=POPULATION,

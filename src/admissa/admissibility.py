@@ -24,7 +24,7 @@ import numpy as np
 from .criteria import (MINIMIZE, ObjectiveSpec, ObjectiveVector,
                        CriterionError, evaluate)
 from .data import Dataset, Partition
-from .initializers import InitPopulation, generate_population
+from .initializers import InitPopulation
 
 INADMISSIBLE = "inadmissible"
 OPTIMAL_IN_INIT = "optimal_in_init"
@@ -224,15 +224,12 @@ def classify_cell(ds: Dataset, pop: InitPopulation, spec: ObjectiveSpec,
                                 witness_idx, margin), skips
 
 
-def build_admissibility_table(datasets, initializer: str, specs,
-                              master_seed: int = 0, populations=None,
+def build_admissibility_table(datasets, initializer: str, specs, populations,
                               memos=None) -> AdmissibilityTable:
-    """Full verdict matrix for one initializer over a dataset suite.
-
-    Populations are generated on demand unless supplied (one per dataset,
-    aligned with ``datasets``). ``memos``, one dict per dataset aligned
-    the same way, carries criterion values from one initializer's table
-    to the next (see ``classify_cell``)."""
+    """Full verdict matrix for one initializer over a dataset suite, from
+    ``populations``, one per dataset aligned with ``datasets``. ``memos``,
+    one dict per dataset aligned the same way, carries criterion values
+    from one initializer's table to the next (see ``classify_cell``)."""
     datasets = list(datasets)
     specs = list(specs)
     table = AdmissibilityTable(initializer=initializer,
@@ -240,10 +237,7 @@ def build_admissibility_table(datasets, initializer: str, specs,
                                specs=specs)
     for i, ds in enumerate(datasets):
         truth = ds.true_partition()  # raises if labels are missing
-        if populations is not None:
-            pop = populations[i]
-        else:
-            pop = generate_population(ds, initializer, master_seed=master_seed)
+        pop = populations[i]
         memo = memos[i] if memos is not None else {}
         row: list[AdmissibilityVerdict | None] = []
         for spec in specs:

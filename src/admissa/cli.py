@@ -416,9 +416,8 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
                                                   datasets)]
             for init, files in pop_files.items()}
     memos = [{} for _ in datasets]  # criterion values shared by the tables
-    tables = [build_admissibility_table(datasets, init, specs,
-                                        master_seed=cfg.seed,
-                                        populations=pops[init], memos=memos)
+    tables = [build_admissibility_table(datasets, init, specs, pops[init],
+                                        memos=memos)
               for init in cfg.initializers]
     outputs = {}
     for fmt in cfg.formats:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Partition, centroids, components
+from .data import DataError, Dataset, Partition, centroids, components
 
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
@@ -386,16 +386,10 @@ def eval_sil(ds: Dataset, pi: Partition) -> float:
     contribute 0."""
     _require_k_at_least_2(pi, "sil")
     D = ds.distances
-    sums = np.zeros((ds.n, pi.k))
+    n, k = ds.n, pi.k
+    sums = np.zeros((n, k))
     for i, idx in enumerate(pi.members):
         sums[:, i] = D[:, idx].sum(axis=1)
-    return silhouette(sums, pi)
-
-
-def silhouette(sums: np.ndarray, pi: Partition) -> float:
-    """Mean silhouette width from the (n, k) summed distances of each point
-    to each cluster."""
-    n = pi.n
     own = pi.assignment
     own_size = pi.sizes[own]
     rows = np.arange(n)
@@ -445,7 +439,10 @@ def eval_xb(ds: Dataset, pi: Partition) -> float:
 
 def evaluate(ds: Dataset, pi: Partition, spec: ObjectiveSpec) -> float:
     """The value of ``spec``'s criterion on ``pi``. ``eval_<id>`` is looked
-    up at call time, so a wrapper put in its place sees every call."""
+    up at call time, so a wrapper put in its place sees every call. A
+    partition of another size than ``ds`` is a ``DataError``."""
+    if pi.n != ds.n:
+        raise DataError(f"partition has {pi.n} points, dataset {ds.name!r} has {ds.n}")
     params = {}
     if spec.id == "con":
         params = {"L": spec.L, "penalty": spec.con_penalty}

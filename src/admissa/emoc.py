@@ -6,9 +6,9 @@ parent, or redirect to one of i's L nearest neighbors. Selection is
 elitist non-dominated sorting with crowding-distance tie-breaks; all
 comparisons reuse the shared strictness tolerance so fronts agree with
 the admissibility dominance operator. Every decoded partition is a union
-of the components of the fixed links, so individuals are evaluated on
-those components (``components.ComponentGeometry``), once per distinct
-partition in a run.
+of the components of the fixed links, so sep_cl and con are evaluated on
+those components (``components.ComponentGeometry``); every objective is
+evaluated once per distinct partition in a run.
 """
 
 from __future__ import annotations
@@ -292,6 +292,9 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
     fitness instead of aborting the run."""
     if not init.partitions:
         raise EmocError("initial population is empty")
+    if any(pi.n != ds.n for pi in init.partitions):
+        raise EmocError(f"an initial partition does not have the {ds.n} points "
+                        f"of dataset {ds.name!r}")
     scheme = delta_relevant_loci(ds, config.delta_percent, L=config.L)
     geometry = ComponentGeometry(ds, scheme.base_labels, scheme.n_base)
     signs = minimize_signs(config.objectives)

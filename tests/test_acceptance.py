@@ -154,7 +154,8 @@ def test_c06_twenty_analog_admissibility():
     for seed in range(5):
         ds = gen_blobs(k_star=20, per_cluster_n=30, separation=10.0,
                        seed=seed, name="twenty")
-        table = build_admissibility_table([ds], "mst", specs, master_seed=seed)
+        pop = generate_population(ds, "mst", master_seed=seed)
+        table = build_admissibility_table([ds], "mst", specs, [pop])
         row = {s.id: v.verdict if v else None
                for s, v in zip(specs, table.cells[0])}
         for crit in TWENTY_OPTIMAL:

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admissa import (ADMISSIBLE, INADMISSIBLE, OPTIMAL_IN_INIT,
-                     build_admissibility_table, classify_objective, dominates,
-                     gen_blobs, generate_population, objective, objectives,
-                     render_tables)
+from admissa import (ADMISSIBLE, INADMISSIBLE, OPTIMAL_IN_INIT, DataError,
+                     Partition, build_admissibility_table, classify_objective,
+                     dominates, gen_blobs, generate_population, objective,
+                     objectives, render_tables)
 from admissa.criteria import MAXIMIZE, MINIMIZE, ObjectiveVector
 from admissa import admissibility
 from admissa.admissibility import ABS_FLOOR, REL_TOL, classify_cell, dominance
+from admissa.initializers import InitPopulation
 from oracles import oracle_dominance
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -208,7 +209,7 @@ class TestClassifyCell:
 class TestBuildTable:
     def test_single_cell_consistency(self, fix4):
         table = build_admissibility_table([fix4], "mst", [objective("var")],
-                                          master_seed=0)
+                                          [generate_population(fix4, "mst")])
         assert len(table.cells) == 1 and len(table.cells[0]) == 1
         cell = table.cells[0][0]
         # finer partitions have strictly smaller var than the truth
@@ -219,7 +220,8 @@ class TestBuildTable:
     def test_summary_matches_recount(self):
         ds = gen_blobs(4, 15, 8.0, seed=2)
         specs = [objective(c) for c in ("var", "dunn", "con", "sep_cl")]
-        table = build_admissibility_table([ds], "km", specs, master_seed=1)
+        table = build_admissibility_table(
+            [ds], "km", specs, [generate_population(ds, "km", master_seed=1)])
         summary = table.summary()
         for j, spec in enumerate(specs):
             col = [row[j] for row in table.cells]
@@ -233,12 +235,25 @@ class TestBuildTable:
     def test_unlabeled_dataset_rejected(self):
         from admissa import Dataset
         ds = Dataset(np.random.default_rng(0).normal(size=(10, 2)))
+        pop = generate_population(ds, "mst", k_star=2)
         with pytest.raises(Exception):
-            build_admissibility_table([ds], "mst", [objective("var")])
+            build_admissibility_table([ds], "mst", [objective("var")], [pop])
+
+    def test_partition_of_wrong_size_rejected(self):
+        ds = gen_blobs(3, 12, 10.0, seed=0)
+        pop = InitPopulation(source="mst", dataset=ds.name, k_star=3,
+                             master_seed=0,
+                             partitions=[Partition(np.arange(35) % 3)],
+                             records=[{"seed": None, "params": {"k": 3},
+                                       "out_of_range": False}])
+        for crit in ("var", "sep_cl", "mod", "con"):
+            with pytest.raises(DataError, match="partition has 35 points"):
+                build_admissibility_table([ds], "mst", [objective(crit)], [pop])
 
     def test_exports(self, fix4):
         specs = [objective("var"), objective("dunn")]
-        table = build_admissibility_table([fix4], "mst", specs, master_seed=0)
+        table = build_admissibility_table([fix4], "mst", specs,
+                                          [generate_population(fix4, "mst")])
         csv = render_tables([table], [], "csv")["admissibility_mst.csv"]
         assert csv.splitlines()[0] == "dataset,var,dunn"
         assert "fix4" in csv
@@ -279,10 +294,9 @@ class TestBuildTable:
         assert shared_calls == stored < fresh_calls
 
     def test_witness_points_at_proof(self, fix4):
-        table = build_admissibility_table([fix4], "mst", [objective("var")],
-                                          master_seed=0)
-        cell = table.cells[0][0]
         pop = generate_population(fix4, "mst", master_seed=0)
+        table = build_admissibility_table([fix4], "mst", [objective("var")], [pop])
+        cell = table.cells[0][0]
         from admissa import evaluate
         witness_value = evaluate(fix4, pop.partitions[cell.witness],
                                  objective("var"))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from admissa import criteria
-from admissa import (Dataset, DegenerateError, KTooSmallError, Partition,
-                     ZeroVectorError, canonical_labels, evaluate,
-                     evaluate_vector, mst_cluster, objective, objectives)
+from admissa import (DataError, Dataset, DegenerateError, KTooSmallError,
+                     Partition, ZeroVectorError, canonical_labels, evaluate,
+                     evaluate_vector, gen_blobs, mst_cluster, objective,
+                     objectives)
 from admissa.criteria import (ALL_IDS, DIRECTIONS, MAXIMIZE, MINIMIZE,
                               eval_abgss, eval_ch, eval_con, eval_db,
                               eval_dcd, eval_dev, eval_dunn, eval_ent,
@@ -163,6 +164,13 @@ class TestErrors:
         ds = Dataset(np.zeros((4, 2)))
         with pytest.raises(DegenerateError):
             eval_mod(ds, Partition(np.array([0, 0, 1, 1])))
+
+    @pytest.mark.parametrize("n", [35, 37])
+    @pytest.mark.parametrize("crit", ALL_IDS)
+    def test_partition_of_wrong_size_rejected(self, crit, n):
+        ds = gen_blobs(3, 12, 10.0, seed=0)
+        with pytest.raises(DataError, match=f"partition has {n} points"):
+            evaluate(ds, Partition(np.arange(n) % 3), objective(crit))
 
     def test_xb_singletons_zero_numerator(self):
         ds = Dataset(np.array([[0.0], [1.0], [5.0]]))

@@ -182,15 +182,14 @@ def _outcome(evaluate):
 
 
 class TestComponentGeometry:
-    COARSE_SPECS = [objective("sep_cl"), objective("mod"), objective("sil"),
-                    objective("dunn"), objective("con", L=1),
+    COARSE_SPECS = [objective("sep_cl"), objective("con", L=1),
                     objective("con", L=3, con_penalty="rank"),
                     objective("con", L=7)]
 
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-           st.sampled_from(["random", "ties", "duplicates"]))
-    @settings(max_examples=60, deadline=None)
-    def test_coarse_kernels_match_point_level(self, seed, kind):
+    @staticmethod
+    def random_geometry(seed, kind):
+        """A random, tie-grid or duplicate-point dataset, its scheme and
+        the scheme's geometry, all drawn from ``seed``."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
         if kind == "random":
@@ -203,7 +202,14 @@ class TestComponentGeometry:
         ds = Dataset(pts)
         scheme = delta_relevant_loci(ds, delta_percent=float(rng.uniform(1, 100)),
                                      L=int(rng.integers(1, 6)))
-        geometry = ComponentGeometry(ds, scheme.base_labels, scheme.n_base)
+        return rng, ds, scheme, ComponentGeometry(ds, scheme.base_labels,
+                                                  scheme.n_base)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from(["random", "ties", "duplicates"]))
+    @settings(max_examples=60, deadline=None)
+    def test_coarse_kernels_match_point_level(self, seed, kind):
+        rng, ds, scheme, geometry = self.random_geometry(seed, kind)
         for _ in range(3):
             genes = np.array([d[rng.integers(len(d))] for d in domains(scheme)])
             pi = decode(scheme, genes)
@@ -211,8 +217,7 @@ class TestComponentGeometry:
                 want = _outcome(lambda: evaluate_vector(ds, pi, [spec]).values[0])
                 got = _outcome(lambda: evaluate_vector(
                     ds, pi, [spec], geometry.evaluate).values[0])
-                exact = spec.id == "dunn" or (spec.id == "con"
-                                              and spec.con_penalty == "paper")
+                exact = spec.id == "con" and spec.con_penalty == "paper"
                 if isinstance(want, type):
                     assert got is want, spec
                 elif exact:
@@ -220,10 +225,24 @@ class TestComponentGeometry:
                 else:
                     assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), spec
 
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from(["random", "ties", "duplicates"]))
+    @settings(max_examples=60, deadline=None)
+    def test_sums_equal_two_step_reduceat_bits(self, seed, kind):
+        # The (n_base x n) stack of each component's distance-row sums,
+        # reduced over the components' columns in one call.
+        _, ds, _, geometry = self.random_geometry(seed, kind)
+        order = np.argsort(geometry.labels, kind="stable")
+        starts = np.searchsorted(geometry.labels[order], np.arange(geometry.n_base))
+        P = np.stack([ds.distances[geometry.labels == c].sum(axis=0)
+                      for c in range(geometry.n_base)])
+        want = np.add.reduceat(P[:, order], starts, axis=1)
+        assert np.array_equal(geometry.sums.view(np.int64), want.view(np.int64))
+
     def test_other_criteria_are_point_level(self, fix4, fix4_truth):
         scheme = delta_relevant_loci(fix4, delta_percent=100.0)
         geometry = ComponentGeometry(fix4, scheme.base_labels, scheme.n_base)
-        specs = objectives("var", "ch", "dcd", "xb")
+        specs = objectives("var", "ch", "dcd", "xb", "mod", "sil", "dunn")
         assert (evaluate_vector(fix4, fix4_truth, specs, geometry.evaluate)
                 == evaluate_vector(fix4, fix4_truth, specs))
 
@@ -471,6 +490,16 @@ class TestEvolve:
                              master_seed=0)
         with pytest.raises(EmocError):
             evolve(fix4, small_config(), pop)
+
+    def test_init_of_wrong_size_rejected(self):
+        ds = gen_blobs(3, 12, 10.0, seed=0)
+        pop = InitPopulation(source="mst", dataset=ds.name, k_star=3,
+                             master_seed=0,
+                             partitions=[Partition(np.arange(37) % 3)],
+                             records=[{"seed": None, "params": {"k": 3},
+                                       "out_of_range": False}])
+        with pytest.raises(EmocError, match="36 points"):
+            evolve(ds, small_config(), pop)
 
     def test_all_disqualified_rejected(self, fix4):
         pop = InitPopulation(source="mst", dataset="fix4", k_star=2,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from admissa import (Partition, aggregate_runs, ari, build_admissibility_table,
-                     five_number_summary, objective, render_tables)
+                     five_number_summary, generate_population, objective,
+                     render_tables)
 from admissa.evaluation import RunSummary, summaries_to_csv
 from oracles import oracle_ari_paircount
 
@@ -121,7 +122,7 @@ class TestRenderTables:
 
     def test_one_cell_table_csv(self, fix4):
         table = build_admissibility_table([fix4], "mst", [objective("var")],
-                                          master_seed=0)
+                                          [generate_population(fix4, "mst")])
         docs = render_tables([table], [], "csv")
         body = docs["admissibility_mst.csv"].splitlines()
         assert body[0] == "dataset,var"
@@ -136,7 +137,7 @@ class TestRenderTables:
 
     def test_markdown_in_op_summary(self, fix4):
         table = build_admissibility_table([fix4], "mst", [objective("var")],
-                                          master_seed=0)
+                                          [generate_population(fix4, "mst")])
         docs = render_tables([table], [], "markdown")
         text = docs["admissibility_summary.md"]
         assert "| initializer | objective | IN | OP |" in text
