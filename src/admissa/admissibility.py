@@ -17,7 +17,7 @@ also present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -134,17 +134,7 @@ class AdmissibilityTable:
             "datasets": self.dataset_names,
             "objectives": [s.id for s in self.specs],
             "cells": [
-                [
-                    None if v is None else {
-                        "objective": v.objective,
-                        "dataset": v.dataset,
-                        "initializer": v.initializer,
-                        "verdict": v.verdict,
-                        "witness": v.witness,
-                        "margin": v.margin,
-                    }
-                    for v in row
-                ]
+                [None if v is None else asdict(v) for v in row]
                 for row in self.cells
             ],
             "summary": {k: {"IN": v[0], "OP": v[1]}
@@ -171,20 +161,17 @@ def _memo_evaluate(memo: dict, ds: Dataset, pi: Partition,
 
 
 def classify_cell(ds: Dataset, pop: InitPopulation, spec: ObjectiveSpec,
-                  initializer: str, truth: Partition | None = None,
-                  memo: dict | None = None) -> tuple[AdmissibilityVerdict | None, list[str]]:
+                  initializer: str, truth: Partition,
+                  memo: dict) -> tuple[AdmissibilityVerdict | None, list[str]]:
     """Classify one dataset under one objective given its base population.
 
     Base partitions that raise a criterion error are skipped (recorded);
-    partitions identical to the truth are excluded from the strictness test
-    but set the truth-found flag. ``memo`` holds the values already
-    computed on ``ds`` (see ``_memo_evaluate``); pass one dict per dataset
-    to share them across initializers."""
+    partitions identical to ``truth``, the dataset's true partition, are
+    excluded from the strictness test but set the truth-found flag.
+    ``memo`` holds the values already computed on ``ds`` (see
+    ``_memo_evaluate``); pass one dict per dataset to share them across
+    initializers."""
     skips: list[str] = []
-    if truth is None:
-        truth = ds.true_partition()
-    if memo is None:
-        memo = {}
     true_value = _memo_evaluate(memo, ds, truth, spec)
     if isinstance(true_value, CriterionError):
         skips.append(f"{ds.name}/{spec.id}: true partition not evaluable ({true_value})")

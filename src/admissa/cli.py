@@ -539,8 +539,9 @@ def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
                                         pair=pair_label(pair), run_aris=aris,
                                         truth_dominated_runs=flags))
             box[pair_label(pair)] = five_number_summary(aris)
-        rel = f"optimize/boxplots/{entry.name}.json"
-        outputs[rel] = _write(out / rel, _json_text(box))
+        if box:  # a dataset without pairs has no box plot
+            rel = f"optimize/boxplots/{entry.name}.json"
+            outputs[rel] = _write(out / rel, _json_text(box))
     for fmt in cfg.formats:
         for name, text in evaluation.render_tables([], summaries, fmt).items():
             outputs[f"optimize/{name}"] = _write(out / "optimize" / name, text)

@@ -52,13 +52,12 @@ class ComponentGeometry:
         (component a, component b, weight): each of a point's L nearest
         neighbors in another component adds 1 (``paper``) or 1/h for the
         h-th neighbor (``rank``). Links inside a component never split."""
-        L = max(1, min(int(L), self.ds.n - 1))
         key = (L, penalty)
         if key not in self._links:
-            nn = self.ds.neighbor_index[:, :L]
+            nn = self.ds.neighbors(L)
             a = np.broadcast_to(self.labels[:, None], nn.shape)
             b = self.labels[nn]
-            h = np.broadcast_to(np.arange(1.0, L + 1.0), nn.shape)
+            h = np.broadcast_to(np.arange(1.0, nn.shape[1] + 1.0), nn.shape)
             cross = a != b
             pairs, inverse = np.unique(a[cross] * self.n_base + b[cross],
                                        return_inverse=True)

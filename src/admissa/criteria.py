@@ -144,12 +144,11 @@ def ksize_graph(ds: Dataset, k_size: int):
     Returns (edges, weights) with edges (a < b) sorted by ascending
     (weight, a, b). Cached per dataset and k_size.
     """
-    k_size = max(1, min(int(k_size), ds.n - 1))
     cache = ds.__dict__.setdefault("_ksize_graph_cache", {})
     if k_size in cache:
         return cache[k_size]
-    nn = ds.neighbor_index[:, :k_size]
-    a = np.repeat(np.arange(ds.n), k_size)
+    nn = ds.neighbors(k_size)
+    a = np.repeat(np.arange(ds.n), nn.shape[1])
     b = nn.ravel()
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
@@ -224,14 +223,13 @@ def eval_con(ds: Dataset, pi: Partition, L: int = 10,
     """Connectivity: penalty per point whose near neighbors land in a
     different cluster; minimized. ``penalty="paper"`` charges 1/k per
     broken link, ``"rank"`` charges 1/h for the h-th neighbor."""
-    L = max(1, min(int(L), ds.n - 1))
-    nn = ds.neighbor_index[:, :L]
+    nn = ds.neighbors(L)
     labels = pi.assignment
     split = labels[nn] != labels[:, None]
     if penalty == "paper":
         return float(split.sum()) / pi.k
     if penalty == "rank":
-        return float((split / np.arange(1.0, L + 1.0)).sum())
+        return float((split / np.arange(1.0, nn.shape[1] + 1.0)).sum())
     raise ValueError(f"unknown con penalty {penalty!r}")
 
 
@@ -458,15 +456,10 @@ def evaluate(ds: Dataset, pi: Partition, spec: ObjectiveSpec) -> float:
 
 def evaluate_vector(ds: Dataset, pi: Partition, specs,
                     evaluator=evaluate) -> ObjectiveVector:
-    """Evaluate a list of objectives; the first criterion error aborts,
-    annotated with the offending criterion id. ``evaluator`` computes one
-    criterion; the evolutionary clusterer passes the component-level
-    ``ComponentGeometry.evaluate``."""
+    """Evaluate a list of objectives; the first criterion error aborts, as
+    raised, with its ``criterion`` set by the evaluator. ``evaluator``
+    computes one criterion; the evolutionary clusterer passes the
+    component-level ``ComponentGeometry.evaluate``."""
     specs = tuple(specs)
-    values = []
-    for spec in specs:
-        try:
-            values.append(evaluator(ds, pi, spec))
-        except CriterionError as err:
-            raise type(err)(f"[{spec.id}] {err}", spec.id) from None
-    return ObjectiveVector(specs=specs, values=tuple(values))
+    return ObjectiveVector(specs=specs,
+                           values=tuple(evaluator(ds, pi, spec) for spec in specs))

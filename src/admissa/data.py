@@ -205,6 +205,12 @@ class Dataset:
         out.setflags(write=False)
         return out
 
+    def neighbors(self, k) -> np.ndarray:
+        """The first k columns of ``neighbor_index``, k clamped to
+        [1, n-1]: each point's k nearest neighbors. Every neighbor-list
+        reader takes its columns here and its count from the shape."""
+        return self.neighbor_index[:, :max(1, min(int(k), self.n - 1))]
+
     @cached_property
     def neighbor_rank(self) -> np.ndarray:
         """(n-1, 2) array: for MST edge r = (a, b), the 1-based position of

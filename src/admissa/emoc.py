@@ -76,7 +76,6 @@ class DeltaScheme:
     so that a mutation draws every new gene in one call."""
 
     relevant_loci: np.ndarray  # child endpoints of the top-DI MST edges
-    fixed_edges: np.ndarray  # (m, 2): (child, parent) of every other MST edge
     parent: np.ndarray  # MST parent per node (root -> itself)
     domain_pad: np.ndarray  # (loci, widest domain) gene values
     domain_len: np.ndarray  # domain size per locus
@@ -100,21 +99,21 @@ def delta_relevant_loci(ds: Dataset, delta_percent: float | None = None,
     child = np.where(parent[ranked[:, 0]] == ranked[:, 1],
                      ranked[:, 0], ranked[:, 1])
     relevant = np.sort(child[:count])
-    fixed = np.column_stack([child[count:], parent[child[count:]]])
+    fixed = child[count:]
 
-    L_eff = max(1, min(int(L), n - 1))
-    pad = np.full((count, L_eff + 2), -1, dtype=np.int64)
+    nn = ds.neighbors(L)
+    pad = np.full((count, nn.shape[1] + 2), -1, dtype=np.int64)
     lens = np.empty(count, dtype=np.int64)
     for j, i in enumerate(relevant.tolist()):
         dom = [i, int(parent[i])]
-        dom.extend(int(v) for v in ds.neighbor_index[i, :L_eff])
+        dom.extend(int(v) for v in nn[i])
         dom = list(dict.fromkeys(dom))
         pad[j, :len(dom)] = dom
         lens[j] = len(dom)
 
-    base = canonical_labels(components(n, fixed[:, 0], fixed[:, 1]))
-    return DeltaScheme(relevant_loci=relevant, fixed_edges=fixed,
-                       parent=parent, domain_pad=pad, domain_len=lens,
+    base = canonical_labels(components(n, fixed, parent[fixed]))
+    return DeltaScheme(relevant_loci=relevant, parent=parent,
+                       domain_pad=pad, domain_len=lens,
                        base_labels=base, n_base=int(base.max()) + 1)
 
 

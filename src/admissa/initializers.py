@@ -175,9 +175,8 @@ def snn_cluster(ds: Dataset, knn_k: int, eps: float, min_pts: int) -> Partition:
     core, ties to the smaller index.
     """
     n = ds.n
-    knn_k = max(1, min(int(knn_k), n - 1))
-    nn = ds.neighbor_index[:, :knn_k]
-    a = np.repeat(np.arange(n), knn_k)
+    nn = ds.neighbors(knn_k)
+    a = np.repeat(np.arange(n), nn.shape[1])
     b = nn.ravel()
     keys = np.sort(a * n + b)
 

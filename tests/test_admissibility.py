@@ -9,7 +9,8 @@ from admissa import (ADMISSIBLE, INADMISSIBLE, OPTIMAL_IN_INIT, DataError,
                      objectives, render_tables)
 from admissa.criteria import MAXIMIZE, MINIMIZE, ObjectiveVector
 from admissa import admissibility
-from admissa.admissibility import ABS_FLOOR, REL_TOL, classify_cell, dominance
+from admissa.admissibility import (ABS_FLOOR, REL_TOL, AdmissibilityVerdict,
+                                   classify_cell, dominance)
 from admissa.initializers import InitPopulation
 from oracles import oracle_dominance
 
@@ -180,13 +181,13 @@ class TestClassifyCell:
         pop = generate_population(ds, "mst", master_seed=0)
         truth = ds.true_partition()
         assert any(p.same_as(truth) for p in pop.partitions)
-        verdict, _ = classify_cell(ds, pop, objective("dunn"), "mst")
+        verdict, _ = classify_cell(ds, pop, objective("dunn"), "mst", truth, {})
         assert verdict.verdict in (OPTIMAL_IN_INIT, INADMISSIBLE)
         # adding one more copy of the truth never flips the verdict
         pop.partitions.append(truth)
         pop.records.append({"seed": None, "params": {"k": truth.k},
                             "out_of_range": False})
-        verdict2, _ = classify_cell(ds, pop, objective("dunn"), "mst")
+        verdict2, _ = classify_cell(ds, pop, objective("dunn"), "mst", truth, {})
         assert verdict2.verdict == verdict.verdict
 
     def test_optimal_witness_is_first_truth_copy(self):
@@ -194,14 +195,15 @@ class TestClassifyCell:
         pop = generate_population(ds, "mst", master_seed=0)
         truth = ds.true_partition()
         pop.partitions.insert(0, truth)  # a second copy, ahead of the first
-        verdict, _ = classify_cell(ds, pop, objective("sil"), "mst")
+        verdict, _ = classify_cell(ds, pop, objective("sil"), "mst", truth, {})
         assert verdict.verdict == OPTIMAL_IN_INIT
         assert verdict.witness == 0
 
-    def test_criterion_errors_recorded_not_fatal(self, fix4):
+    def test_criterion_errors_recorded_not_fatal(self, fix4, fix4_truth):
         pop = generate_population(fix4, "mst", master_seed=0)
         # the k=4 all-singletons member breaks dunn; the cell still resolves
-        verdict, skips = classify_cell(fix4, pop, objective("dunn"), "mst")
+        verdict, skips = classify_cell(fix4, pop, objective("dunn"), "mst",
+                                       fix4_truth, {})
         assert verdict is not None
         assert any("skipped" in s for s in skips)
 
@@ -262,6 +264,19 @@ class TestBuildTable:
         rec = table.to_records()
         assert rec["initializer"] == "mst"
         assert rec["summary"]["var"]["IN"] in (0, 1)
+
+    def test_records_rebuild_verdicts(self, fix4):
+        # fix4 holds the zero vector, so its ent cell is null
+        datasets = [fix4, gen_blobs(3, 8, 6.0, seed=4)]
+        specs = [objective(c) for c in ("var", "dunn", "sil", "ent")]
+        table = build_admissibility_table(
+            datasets, "mst", specs, [generate_population(ds, "mst") for ds in datasets])
+        cells = table.to_records()["cells"]
+        assert cells[0][3] is None
+        assert [[None if c is None else AdmissibilityVerdict(**c) for c in row]
+                for row in cells] == table.cells
+        assert list(cells[1][0]) == [
+            "objective", "dataset", "initializer", "verdict", "witness", "margin"]
 
     def test_shared_memos_evaluate_each_partition_once(self, fix4, monkeypatch):
         calls = []

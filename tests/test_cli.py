@@ -395,7 +395,11 @@ class TestErrors:
 
     def test_no_pairs_take_any_optimize_initializer(self, tmp_path):
         # without pairs nothing is optimized, so the mst population is not needed
-        run_all(tiny_config(tmp_path, initializers=["km"], pairs=[]), tmp_path / "o")
+        out = tmp_path / "o"
+        run_all(tiny_config(tmp_path, initializers=["km"], pairs=[]), out)
+        # and no dataset has a box plot of its runs
+        assert not (out / "optimize" / "boxplots").exists()
+        assert json.loads((out / "manifest_optimize.json").read_text())["outputs"] == {}
 
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

@@ -9,7 +9,11 @@ from admissa import (DataError, Dataset, Partition, canonical_labels,
                      centroids, dataset_csv, load_dataset,
                      minimum_spanning_tree)
 from admissa import data
+from admissa.components import ComponentGeometry
+from admissa.criteria import eval_con, ksize_graph
 from admissa.data import cluster_means, components
+from admissa.emoc import delta_relevant_loci
+from admissa.initializers import snn_cluster
 from conftest import tie_grids, translated
 from oracles import (neighbor_list, oracle_cluster_means, oracle_components,
                      oracle_distances, oracle_mst_edges, oracle_mst_weight,
@@ -157,6 +161,37 @@ class TestKnnIndex:
             for (a, b), ranks in zip(ds.mst_edges.tolist(), ds.neighbor_rank.tolist()):
                 assert ranks == [neighbor_list(pts.tolist(), a).index(b) + 1,
                                  neighbor_list(pts.tolist(), b).index(a) + 1]
+
+
+class TestNeighbors:
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=2, max_value=12), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_reader_clamps_k_through_neighbors(self, seed, n, ties):
+        rng = np.random.default_rng(seed)
+        pts = (rng.integers(0, 4, size=(n, 2)).astype(float) if ties
+               else rng.normal(size=(n, 2)))
+        ds = Dataset(pts)
+        for k in (1, n - 1, n, n + 7):
+            assert np.array_equal(ds.neighbors(k), ds.neighbor_index[:, :min(k, n - 1)])
+
+        pi = Partition(canonical_labels(rng.integers(0, 3, n)))
+        eps, min_pts = int(rng.integers(0, n)), int(rng.integers(1, n + 1))
+        delta = float(rng.uniform(1, 100))
+        scheme = delta_relevant_loci(ds, delta_percent=delta)
+        geometry = ComponentGeometry(ds, scheme.base_labels, scheme.n_base)
+
+        def read(k):
+            """What each neighbor-list reader gives at k."""
+            domains = delta_relevant_loci(ds, delta_percent=delta, L=k)
+            return [eval_con(ds, pi, k, "paper"), eval_con(ds, pi, k, "rank"),
+                    *ksize_graph(ds, k), snn_cluster(ds, k, eps, min_pts).assignment,
+                    domains.domain_pad, domains.domain_len,
+                    *geometry.links(k, "paper"), *geometry.links(k, "rank")]
+
+        widest = read(n - 1)
+        for k in (n, n + 7):
+            assert all(np.array_equal(g, w) for g, w in zip(read(k), widest, strict=True))
 
 
 def block_crossing_sets():

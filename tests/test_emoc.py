@@ -13,8 +13,8 @@ from admissa import (Dataset, EmocConfig, Partition, ari, decode,
                      objectives, truth_dominated, variation)
 from admissa.admissibility import dominance
 from admissa.components import ComponentGeometry
-from admissa.criteria import (CriterionError, ObjectiveVector, evaluate_vector,
-                              minimize_signs)
+from admissa.criteria import (CriterionError, KTooSmallError, ObjectiveVector,
+                              evaluate, evaluate_vector, minimize_signs)
 from admissa.emoc import (EmocError, FrontMember, ParetoFront, _crowding,
                           _rank_population, _tournament, _truncate,
                           crowding_distance, fast_nondominated_sort, mutate)
@@ -36,6 +36,14 @@ def domains(scheme):
     return [row[:n] for row, n in zip(scheme.domain_pad, scheme.domain_len)]
 
 
+def fixed_edges(ds, loci):
+    """(c, MST parent of c) for every point c but the root that is not a
+    locus: the MST links that no genotype cuts."""
+    parent, loci = ds.mst_parent, set(loci.tolist())
+    return [(c, int(parent[c])) for c in range(ds.n)
+            if parent[c] != c and c not in loci]
+
+
 def fronts_by_generation(ds, pop, cfg):
     """The front after each generation 0..cfg.generations of ``cfg``'s run.
     A run of g generations is the first g + 1 generations of a longer run
@@ -52,8 +60,7 @@ class TestDeltaScheme:
 
     def test_delta_100_percent_all_edges(self, fix4):
         scheme = delta_relevant_loci(fix4, delta_percent=100.0)
-        assert len(scheme.relevant_loci) == fix4.n - 1
-        assert scheme.fixed_edges.shape == (0, 2)
+        assert scheme.relevant_loci.tolist() == list(range(1, fix4.n))
 
     def test_fix4_single_relevant_is_cross_edge(self, fix4):
         scheme = delta_relevant_loci(fix4, delta_percent=25.0)  # 1 edge
@@ -114,7 +121,7 @@ class TestDecodeEncode:
             for genes in genotypes:
                 pi = decode(scheme, genes)
                 assert pi.assignment.tolist() == oracle_decode(
-                    ds.n, scheme.fixed_edges.tolist(), loci.tolist(), genes.tolist())
+                    ds.n, fixed_edges(ds, loci), loci.tolist(), genes.tolist())
 
     @pytest.mark.parametrize("n", [2, 3, 17, 128, 129, 301])
     def test_long_parent_chains_match_oracle(self, n):
@@ -133,7 +140,7 @@ class TestDecodeEncode:
                       for _ in range(3)]
         for genes in genotypes:
             assert decode(scheme, genes).assignment.tolist() == oracle_decode(
-                ds.n, scheme.fixed_edges.tolist(), loci.tolist(), genes.tolist())
+                ds.n, fixed_edges(ds, loci), loci.tolist(), genes.tolist())
 
     @pytest.mark.parametrize("n", [17, 100, 300])
     def test_one_long_cycle_matches_oracle(self, n):
@@ -151,7 +158,7 @@ class TestDecodeEncode:
         assert all(g in d for g, d in zip(ring, domains(scheme)))
         for genes in (ring, np.where(loci == n // 2, loci, ring)):
             assert decode(scheme, genes).assignment.tolist() == oracle_decode(
-                ds.n, scheme.fixed_edges.tolist(), loci.tolist(), genes.tolist())
+                ds.n, fixed_edges(ds, loci), loci.tolist(), genes.tolist())
 
     @pytest.mark.parametrize("seed", range(3))
     def test_links_inside_own_component_match_oracle(self, seed):
@@ -170,7 +177,7 @@ class TestDecodeEncode:
                 else d[rng.integers(len(d))]
                 for g, d in zip(inside, domains(scheme))])
             assert decode(scheme, genes).assignment.tolist() == oracle_decode(
-                ds.n, scheme.fixed_edges.tolist(), loci.tolist(), genes.tolist())
+                ds.n, fixed_edges(ds, loci), loci.tolist(), genes.tolist())
 
 
 def _outcome(evaluate):
@@ -238,6 +245,25 @@ class TestComponentGeometry:
                       for c in range(geometry.n_base)])
         want = np.add.reduceat(P[:, order], starts, axis=1)
         assert np.array_equal(geometry.sums.view(np.int64), want.view(np.int64))
+
+    def test_evaluate_vector_passes_evaluator_error_on(self, fix4):
+        scheme = delta_relevant_loci(fix4, delta_percent=100.0)
+        geometry = ComponentGeometry(fix4, scheme.base_labels, scheme.n_base)
+        one = Partition(np.zeros(fix4.n, dtype=np.int64))
+        for evaluator in (evaluate, geometry.evaluate):
+            raised = []
+
+            def recording(ds, pi, spec):
+                try:
+                    return evaluator(ds, pi, spec)
+                except CriterionError as err:
+                    raised.append(err)
+                    raise
+
+            with pytest.raises(KTooSmallError) as err:
+                evaluate_vector(fix4, one, objectives("var", "sep_cl"), recording)
+            assert err.value is raised[0]
+            assert err.value.criterion == "sep_cl"
 
     def test_other_criteria_are_point_level(self, fix4, fix4_truth):
         scheme = delta_relevant_loci(fix4, delta_percent=100.0)
