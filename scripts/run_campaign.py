@@ -12,7 +12,6 @@ Pass --smoke for a fast sanity pass (tiny datasets, 2 runs per cell).
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from admissa.cli import main as cli_main

@@ -45,6 +45,20 @@ def dominance(a, b) -> np.ndarray:
     relative to the larger magnitude, and at least ABS_FLOOR. With one
     objective this is the plain "strictly better" test.
 
+    Each objective takes one difference ``d = x - y``: ``x`` is better when
+    ``d < -tol`` and no worse when ``d <= tol``. Rounding is sign-symmetric
+    and ``tol`` symmetric in (x, y), so "``a`` is no worse than ``b``" is
+    exactly "``b`` is not better than ``a``": no two rows dominate each
+    other. On one objective "better" is irreflexive and kept by a smaller
+    ``x`` or a larger ``y`` (the difference moves by the whole step, the
+    tolerance by REL_TOL of it), so on finitely many rows it is a
+    semiorder: there are scores s with "better" meaning s(x) + 1 < s(y)
+    (Scott & Suppes, J. Symbolic Logic 1958). A dominating row is at most
+    one score worse on every objective and more than one better on some,
+    so with two objectives its score sum is lower: domination has no cycle
+    of any length, and peeling off the undominated rows ends. Three or
+    more objectives can cycle.
+
     Each objective is compared in its own pass over the broadcast leading
     axes and the passes are combined with ``&`` and ``|``: reducing a short
     trailing axis with ``all``/``any`` costs several times as much."""
@@ -54,8 +68,9 @@ def dominance(a, b) -> np.ndarray:
     for j in range(a.shape[-1]):
         x, y = a[..., j], b[..., j]
         tol = np.maximum(REL_TOL * np.maximum(np.abs(x), np.abs(y)), ABS_FLOOR)
-        no_worse = no_worse & (x <= y + tol)
-        better = better | (x < y - tol)
+        d = x - y
+        no_worse = no_worse & (d <= tol)
+        better = better | (d < -tol)
     return no_worse & better
 
 

@@ -3,12 +3,14 @@
 The genotype fixes most of the MST and exposes only the most interesting
 links as evolvable loci: gene i may cut its link (g_i = i), keep the MST
 parent, or redirect to one of i's L nearest neighbors. Selection is
-elitist non-dominated sorting with crowding-distance tie-breaks; all
-comparisons reuse the shared strictness tolerance so fronts agree with
-the admissibility dominance operator. Every decoded partition is a union
-of the components of the fixed links, so sep_cl and con are evaluated on
-those components (``components.ComponentGeometry``); every objective is
-evaluated once per distinct partition in a run.
+elitist non-dominated sorting with crowding-distance tie-breaks. Every
+comparison is the shared tolerant ``admissibility.dominance``, under
+which two objectives form no dominance cycle, so the fronts are a plain
+peel of the undominated rows and no front member dominates another.
+Every decoded partition is a union of the components of the fixed links,
+so sep_cl and con are evaluated on those components
+(``components.ComponentGeometry``); every objective is evaluated once per
+distinct partition in a run.
 """
 
 from __future__ import annotations
@@ -185,50 +187,6 @@ def mutate(scheme: DeltaScheme, genes: np.ndarray, prob: float,
     return genes
 
 
-# --------------------------------------------------------------------------
-# Non-dominated sorting machinery
-
-
-def fast_nondominated_sort(values: np.ndarray) -> list[np.ndarray]:
-    """Fronts (arrays of row indices) from best to worst; rows are
-    objective vectors in minimization form.
-
-    Tolerant dominance is not transitive, so with three or more objectives
-    the remaining rows can all dominate each other in a cycle. The next
-    front then holds the remaining rows with the fewest remaining
-    dominators. Two objectives cannot form a cycle: counted in tolerance
-    steps, a dominated row is more than one step worse on one objective
-    and at most one step better on the other, so the sum of both strictly
-    grows along every domination."""
-    dom = dominance(values[:, None, :], values[None, :, :])
-    dominated_by = dom.sum(axis=0)
-    fronts = []
-    remaining = np.ones(len(values), dtype=bool)
-    while remaining.any():
-        fewest = dominated_by[remaining].min()
-        front = np.flatnonzero(remaining & (dominated_by == fewest))
-        fronts.append(front)
-        remaining[front] = False
-        dominated_by = dominated_by - dom[front].sum(axis=0)
-    return fronts
-
-
-def crowding_distance(values: np.ndarray) -> np.ndarray:
-    n, z = values.shape
-    dist = np.zeros(n)
-    if n <= 2:
-        return np.full(n, np.inf)
-    for m in range(z):
-        order = np.argsort(values[:, m], kind="stable")
-        lo, hi = values[order[0], m], values[order[-1], m]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        if hi - lo <= 0:
-            continue
-        gaps = (values[order[2:], m] - values[order[:-2], m]) / (hi - lo)
-        dist[order[1:-1]] += gaps
-    return dist
-
-
 @dataclass
 class FrontMember:
     partition: Partition
@@ -241,28 +199,47 @@ class ParetoFront:
 
 
 def _rank_population(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Front rank and crowding distance per row of a (members x objectives)
-    array in minimization form. Disqualified members (NaN rows) rank after
-    every front, with zero crowding."""
+    """Front rank and crowding distance per row of a (members x 2) array
+    in minimization form. Each front is the remaining rows that no
+    remaining row dominates; two objectives form no dominance cycle
+    (``dominance``), so every front has a member and the peel ends.
+    Disqualified members (NaN rows) rank after every front, with zero
+    crowding."""
     size = len(values)
     rank = np.full(size, size)
     feasible = np.flatnonzero(~np.isnan(values[:, 0]))
-    for r, front in enumerate(fast_nondominated_sort(values[feasible])):
+    dom = dominance(values[feasible, None, :], values[None, feasible, :])
+    dominators = dom.sum(axis=0)
+    remaining = np.ones(len(feasible), dtype=bool)
+    r = 0
+    while remaining.any():
+        front = remaining & (dominators == 0)
         rank[feasible[front]] = r
+        remaining &= ~front
+        dominators -= dom[front].sum(axis=0)
+        r += 1
     return rank, _crowding(values, rank)
 
 
 def _crowding(values: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Crowding distance of each member within its front, the members of
-    one rank taken in member order; disqualified members get zero.
-    ``crowding_distance`` breaks value ties by row order, so a reordered
-    population needs its crowding again even where its fronts stay."""
+    one rank taken in member order; disqualified members get zero. The
+    stable sorts break value ties by row order, so a reordered population
+    needs its crowding again even where its fronts stay."""
     crowding = np.zeros(len(values))
     feasible = np.flatnonzero(~np.isnan(values[:, 0]))
     fronts = rank[feasible]
     for r in np.unique(fronts):
         front = feasible[fronts == r]
-        crowding[front] = crowding_distance(values[front])
+        if len(front) <= 2:
+            crowding[front] = np.inf
+            continue
+        for m in range(values.shape[1]):
+            order = front[np.argsort(values[front, m], kind="stable")]
+            col = values[order, m]
+            crowding[order[[0, -1]]] = np.inf
+            if col[-1] - col[0] > 0:
+                crowding[order[1:-1]] += (col[2:] - col[:-2]) / (col[-1] - col[0])
     return crowding
 
 
@@ -339,9 +316,9 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
         genes = genes[keep]
         parts = [parts[i] for i in keep]
         values = values[keep]
-        # Two objectives form no dominance cycle (fast_nondominated_sort),
-        # so each front's members are dominated only from earlier fronts,
-        # and truncation keeps those whole: every survivor keeps its front.
+        # The peel ranks each member one past its latest dominator's front,
+        # and truncation keeps every earlier front whole, so ranking the
+        # survivors again would peel the same fronts: each keeps its rank.
         # A disqualified survivor's rank drops to the new population size.
         rank = np.minimum(rank[keep], size)
         crowding = _crowding(values, rank)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from admissa import Dataset, Partition
+from admissa.admissibility import ABS_FLOOR, REL_TOL
 
 
 @pytest.fixture
@@ -51,3 +53,31 @@ def tie_grids(seed, draws=20):
         grid = np.c_[gx.ravel(), gy.ravel()].astype(float)
         sets += [grid[rng.permutation(g * g)] for _ in range(draws // 4)]
     return sets
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+# near zero ABS_FLOOR sets the tolerance, elsewhere REL_TOL does
+centers = st.one_of(st.just(0.0), st.floats(-1e-11, 1e-11), finite)
+
+
+def near(center):
+    """Values within two tolerances of ``center``."""
+    tol = max(REL_TOL * abs(center), ABS_FLOOR)
+    return st.floats(-2.0, 2.0).map(lambda k: center + k * tol)
+
+
+@st.composite
+def edge_values(draw, widths=st.integers(1, 4)):
+    """(rows x objectives) values at the tolerance's edges, as many
+    objectives as ``widths`` draws (1-4 by default): zeros, sign flips,
+    scalings by 1 +- 1e-9 and steps of about ABS_FLOOR from a shared
+    center per objective."""
+    cs = [draw(centers) for _ in range(draw(widths))]
+    scale = st.sampled_from([1 - 2e-9, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 2e-9])
+    step = st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0])
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows.append([draw(st.one_of(
+            st.just(0.0), st.just(c), st.just(-c), scale.map(lambda f, c=c: c * f),
+            step.map(lambda k, c=c: c + k * ABS_FLOOR), near(c), finite)) for c in cs])
+    return np.array(rows)

@@ -9,9 +9,11 @@ the bit-level reference for its later form: the k-means pair (a
 the one-call draw and centroid step, ``oracle_masked_dunn`` (a
 per-cluster diameter, a copy of the cross-cluster distances) for the
 masked reductions, ``oracle_dominance`` (``all``/``any`` over the
-objective axis) for the per-objective passes, ``oracle_cluster_means``
-(``np.add.at``) for the one-``bincount`` means, and ``oracle_mutate`` (a
-scalar draw per mutated locus) for the one-call mutation draw.
+objective axis) for the per-objective passes, the dominator-count sort
+and the per-front crowding array for EMOC's peel and crowding,
+``oracle_cluster_means`` (``np.add.at``) for the one-``bincount`` means,
+and ``oracle_mutate`` (a scalar draw per mutated locus) for the one-call
+mutation draw.
 """
 
 import collections
@@ -432,18 +434,56 @@ def oracle_single_linkage(points):
 
 
 # --------------------------------------------------------------------------
-# Tolerant dominance and centroids
+# Tolerant dominance, non-dominated sorting and centroids
 
 
 def oracle_dominance(a, b):
     """Tolerant Pareto dominance of ``a`` over ``b`` as one expression over
     the objective axis (the last): no worse on every objective and better
     on some, each beyond 1e-9 relative to the larger magnitude and at least
-    1e-12."""
+    1e-12, both read from the one difference ``a - b``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     tol = np.maximum(1e-9 * np.maximum(np.abs(a), np.abs(b)), 1e-12)
-    return np.all(a <= b + tol, axis=-1) & np.any(a < b - tol, axis=-1)
+    d = a - b
+    return np.all(d <= tol, axis=-1) & np.any(d < -tol, axis=-1)
+
+
+def oracle_nondominated_sort(values):
+    """Fronts (arrays of row indices) from best to worst by counting each
+    row's remaining dominators; rows are objective vectors in minimization
+    form. When every remaining row has a dominator (a dominance cycle,
+    possible with three or more objectives), the next front holds the
+    remaining rows with the fewest remaining dominators."""
+    dom = oracle_dominance(values[:, None, :], values[None, :, :])
+    dominated_by = dom.sum(axis=0)
+    fronts = []
+    remaining = np.ones(len(values), dtype=bool)
+    while remaining.any():
+        fewest = dominated_by[remaining].min()
+        front = np.flatnonzero(remaining & (dominated_by == fewest))
+        fronts.append(front)
+        remaining[front] = False
+        dominated_by = dominated_by - dom[front].sum(axis=0)
+    return fronts
+
+
+def oracle_crowding_distance(values):
+    """NSGA-II crowding distance of the rows of one front, as one
+    ``dist`` array filled objective by objective."""
+    n, z = values.shape
+    dist = np.zeros(n)
+    if n <= 2:
+        return np.full(n, np.inf)
+    for m in range(z):
+        order = np.argsort(values[:, m], kind="stable")
+        lo, hi = values[order[0], m], values[order[-1], m]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        if hi - lo <= 0:
+            continue
+        gaps = (values[order[2:], m] - values[order[:-2], m]) / (hi - lo)
+        dist[order[1:-1]] += gaps
+    return dist
 
 
 def oracle_cluster_means(points, assignment, sizes):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from admissa import (ADMISSIBLE, EmocConfig, INADMISSIBLE, OPTIMAL_IN_INIT,
+from admissa import (EmocConfig, INADMISSIBLE, OPTIMAL_IN_INIT,
                      Partition, ari, build_admissibility_table,
                      classify_objective, dominates, evaluate, evaluate_vector,
                      evolve, gen_blobs, gen_elongated, gen_mixed, gen_nested,

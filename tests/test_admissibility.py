@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admissa import (ADMISSIBLE, INADMISSIBLE, OPTIMAL_IN_INIT, DataError,
@@ -12,17 +12,8 @@ from admissa import admissibility
 from admissa.admissibility import (ABS_FLOOR, REL_TOL, AdmissibilityVerdict,
                                    classify_cell, dominance)
 from admissa.initializers import InitPopulation
+from conftest import centers, edge_values, finite, near
 from oracles import oracle_dominance
-
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-# near zero ABS_FLOOR sets the tolerance, elsewhere REL_TOL does
-centers = st.one_of(st.just(0.0), st.floats(-1e-11, 1e-11), finite)
-
-
-def near(center):
-    """Values within two tolerances of ``center``."""
-    tol = max(REL_TOL * abs(center), ABS_FLOOR)
-    return st.floats(-2.0, 2.0).map(lambda k: center + k * tol)
 
 
 @st.composite
@@ -34,26 +25,12 @@ def close_values(draw):
     return [[draw(st.one_of(near(c), finite)) for c in cs] for _ in range(m)]
 
 
-@st.composite
-def edge_values(draw):
-    """(rows x 1-4 objectives) values at the tolerance's edges: zeros,
-    sign flips, scalings by 1 +- 1e-9 and steps of about ABS_FLOOR from a
-    shared center per objective."""
-    cs = [draw(centers) for _ in range(draw(st.integers(1, 4)))]
-    scale = st.sampled_from([1 - 2e-9, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 2e-9])
-    step = st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0])
-    rows = []
-    for _ in range(draw(st.integers(1, 8))):
-        rows.append([draw(st.one_of(
-            st.just(0.0), st.just(c), st.just(-c), scale.map(lambda f, c=c: c * f),
-            step.map(lambda k, c=c: c + k * ABS_FLOOR), near(c), finite)) for c in cs])
-    return np.array(rows)
-
-
 def strictly_better(a, b, direction):
-    """Reference scalar rule: a beats b beyond the shared tolerance."""
+    """Reference scalar rule: a beats b beyond the shared tolerance, read
+    from the one difference a - b."""
     tol = max(REL_TOL * max(abs(a), abs(b)), ABS_FLOOR)
-    return a < b - tol if direction == MINIMIZE else a > b + tol
+    d = a - b
+    return d < -tol if direction == MINIMIZE else d > tol
 
 
 def vec(values, specs=None):
@@ -113,6 +90,19 @@ class TestDominanceKernel:
         assert np.array_equal(dominance(values[:, None, :], values[None, :, :]), want)
         for a, b in zip(values, values[::-1]):
             assert dominance(a, b) == oracle_dominance(a, b)
+
+    @given(edge_values())
+    @example(np.array([[0.9999999995, 1.0000000005], [1.0000000005, 0.9999999995]]))
+    @example(np.array([[5e-13, 1.5e-12], [1.5e-12, 5e-13]]))
+    @settings(max_examples=300, deadline=None)
+    def test_no_two_rows_dominate_each_other(self, values):
+        # "No worse" and "better" read one difference per objective, so a
+        # row no worse than another is one the other is not better than.
+        # The pinned pairs sit at the tolerance's edge (relative near 1,
+        # absolute near 0), where a "no worse" test of x <= y + tol and a
+        # "better" test of x < y - tol let each row dominate the other.
+        dom = dominance(values[:, None, :], values[None, :, :])
+        assert not (dom & dom.T).any()
 
     @given(centers.flatmap(lambda c: st.tuples(
         st.one_of(near(c), finite), st.one_of(near(c), finite))))
