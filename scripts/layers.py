@@ -16,8 +16,8 @@ Every figure is the best of REPEAT calls, in seconds per call:
 - ``component_build_s``: a scheme's ``ComponentGeometry`` with the
   aggregates that its first sep_cl evaluation builds;
 - ``component_evaluate_s``: one sep_cl evaluation from those aggregates;
-- ``component_evaluate_con_s``: one con evaluation (default L and
-  penalty) from the scheme's cross-component links, built beforehand;
+- ``component_evaluate_con_s``: one con evaluation (default L) from the
+  scheme's cross-component links, built beforehand;
 - ``generation_s``: ``evolve`` with G=1 minus ``evolve`` with G=0.
 
 The results go under ``layers.<side>`` of the JSON file given by

@@ -101,14 +101,11 @@ def classify_objective(values, true_value: float, direction: str,
     values = list(values)
     if not values:
         raise ValueError("classify_objective needs at least one base value")
-    if direction == MINIMIZE:
-        best_idx = int(np.argmin(values))
-        margin = true_value - values[best_idx]
-    else:
-        best_idx = int(np.argmax(values))
-        margin = values[best_idx] - true_value
     sign = 1.0 if direction == MINIMIZE else -1.0
-    if dominance([sign * values[best_idx]], [sign * true_value]):
+    best_idx = int(np.argmin(sign * np.asarray(values)))
+    best, truth = sign * values[best_idx], sign * true_value
+    margin = truth - best
+    if dominance([best], [truth]):
         return INADMISSIBLE, best_idx, margin
     if truth_found:
         return OPTIMAL_IN_INIT, None, margin

@@ -93,7 +93,7 @@ class DatasetEntry:
     group: str = ""
     generator: GeneratorSpec | None = None
     csv: str | None = None
-    label_column: str | None = "label"
+    label_column: str = "label"
 
     @classmethod
     def from_dict(cls, doc: dict, master_seed: int) -> "DatasetEntry":
@@ -269,11 +269,10 @@ def _stamp(config_slice, file_digests: list[str | None]) -> str:
 def materialize_datasets(out: Path,
                          cfg: CampaignConfig) -> list[tuple[Path, str | None]]:
     """The CSV each dataset of ``cfg`` is read from, with the sha256 of its
-    bytes (None when it is missing): the entry's own file, or the
-    generated one under out/datasets. A generated dataset is written
-    there, so downstream commands and workers read identical bytes,
-    whenever its CSV is missing or the dataset manifest does not record
-    the entry's generator spec for it."""
+    bytes (None when it is missing): the entry's own file, or the one
+    ``admissa gen`` wrote under out/datasets. Only gen writes there, so a
+    generated CSV that is missing, or that the dataset manifest records
+    for another generator spec, is a data error."""
     recorded = {d.get("name"): _canonical(d.get("generator"))
                 for d in _json_doc(_read(out / "datasets" / "manifest.json"), list)
                 if isinstance(d, dict)}
@@ -283,17 +282,12 @@ def materialize_datasets(out: Path,
             found.append((Path(entry.csv), _digest(_read(Path(entry.csv)))))
             continue
         path = out / "datasets" / f"{entry.name}.csv"
+        data = _read(path)
         current = recorded.get(entry.name) == _canonical(asdict(entry.generator))
-        data = _read(path) if current else None
-        if data is None:
-            try:
-                ds = entry.generator.build()
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"dataset {entry.name!r}: bad generator params "
-                                  f"({err})") from None
-            found.append((path, _write(path, dataset_csv(ds))))
-        else:
-            found.append((path, _digest(data)))
+        if data is None or not current:
+            raise DataError(f"dataset {entry.name!r}: {path} is missing or was "
+                            f"generated from another spec (run `admissa gen`)")
+        found.append((path, _digest(data)))
     return found
 
 
@@ -314,9 +308,21 @@ def run_path(out: Path, dataset: str, pair, run_idx: int) -> Path:
 
 
 def cmd_gen(cfg: CampaignConfig, out: Path) -> int:
+    """Write each generated dataset's CSV under out/datasets and the
+    dataset manifest, which describes every dataset of ``cfg``. Every
+    other stage reads the CSVs gen wrote."""
     manifest = []
-    for entry, (csv, _) in zip(cfg.datasets, materialize_datasets(out, cfg)):
-        ds = load_dataset(csv, label_column=entry.label_column, name=entry.name)
+    for entry in cfg.datasets:
+        if entry.csv is not None:
+            ds = load_dataset(entry.csv, label_column=entry.label_column,
+                              name=entry.name)
+        else:
+            try:
+                ds = entry.generator.build()
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"dataset {entry.name!r}: bad generator params "
+                                  f"({err})") from None
+            _write(out / "datasets" / f"{entry.name}.csv", dataset_csv(ds))
         manifest.append({
             "name": entry.name,
             "group": entry.group,
@@ -350,8 +356,6 @@ def cmd_init(cfg: CampaignConfig, out: Path) -> int:
             if ds is None:
                 ds = load_dataset(csv, label_column=entry.label_column,
                                   name=entry.name)
-                if ds.k_star is None:
-                    raise DataError(f"dataset {entry.name!r} has no labels; k* unknown")
             pop = generate_population(ds, init, master_seed=cfg.seed)
             doc = {**pop.to_dict(), "inputs": stamp}
             _write(path, json.dumps(doc, indent=1) + "\n")

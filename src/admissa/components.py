@@ -11,7 +11,7 @@ every other criterion is evaluated on the points.
 
 ``criteria`` stays the point-level reference: each kernel here raises the
 same ``CriterionError`` subtype as its reference and agrees with it to
-1e-9 relative; con with the ``paper`` penalty agrees exactly.
+1e-9 relative; con agrees exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class ComponentGeometry:
         self._order = np.argsort(base_labels, kind="stable")
         self._starts = np.searchsorted(base_labels[self._order], np.arange(n_base))
         self.first = self._order[self._starts]  # smallest point per component
-        self._links: dict[tuple[int, str], tuple[np.ndarray, ...]] = {}
+        self._links: dict[int, tuple[np.ndarray, ...]] = {}
 
     @cached_property
     def sums(self) -> np.ndarray:
@@ -47,25 +47,20 @@ class ComponentGeometry:
             out[c] = np.add.reduceat(D[idx].sum(axis=0)[self._order], self._starts)
         return out
 
-    def links(self, L: int, penalty: str) -> tuple[np.ndarray, ...]:
+    def links(self, L: int) -> tuple[np.ndarray, ...]:
         """Neighbor links between different components, as a sparse list of
-        (component a, component b, weight): each of a point's L nearest
-        neighbors in another component adds 1 (``paper``) or 1/h for the
-        h-th neighbor (``rank``). Links inside a component never split."""
-        key = (L, penalty)
-        if key not in self._links:
+        (component a, component b, count): each of a point's L nearest
+        neighbors in another component adds 1. Links inside a component
+        never split."""
+        if L not in self._links:
             nn = self.ds.neighbors(L)
             a = np.broadcast_to(self.labels[:, None], nn.shape)
             b = self.labels[nn]
-            h = np.broadcast_to(np.arange(1.0, nn.shape[1] + 1.0), nn.shape)
             cross = a != b
-            pairs, inverse = np.unique(a[cross] * self.n_base + b[cross],
-                                       return_inverse=True)
-            weights = 1.0 / h[cross] if penalty == "rank" else None
-            self._links[key] = (pairs // self.n_base, pairs % self.n_base,
-                                np.bincount(inverse, weights=weights,
-                                            minlength=pairs.size).astype(float))
-        return self._links[key]
+            pairs, counts = np.unique(a[cross] * self.n_base + b[cross],
+                                      return_counts=True)
+            self._links[L] = (pairs // self.n_base, pairs % self.n_base, counts)
+        return self._links[L]
 
     def evaluate(self, ds: Dataset, pi: Partition, spec: ObjectiveSpec) -> float:
         """``criteria.evaluate`` for a partition that is a union of the
@@ -84,9 +79,8 @@ def _sep_cl(geo: ComponentGeometry, pi: Partition, cc, spec) -> float:
 
 
 def _con(geo: ComponentGeometry, pi: Partition, cc, spec) -> float:
-    a, b, w = geo.links(spec.L, spec.con_penalty)
-    broken = float(w[cc[a] != cc[b]].sum())
-    return broken / pi.k if spec.con_penalty == "paper" else broken
+    a, b, w = geo.links(spec.L)
+    return float(w[cc[a] != cc[b]].sum()) / pi.k
 
 
 _KERNELS = {"sep_cl": _sep_cl, "con": _con}

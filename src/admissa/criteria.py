@@ -6,8 +6,7 @@ cannot hold raise typed errors so callers can skip a partition instead of
 propagating NaNs.
 
 Conventions baked in here (see README for the reasoning):
-  - connectivity charges the literal 1/k penalty per broken neighbor link
-    by default; ``con_penalty="rank"`` switches to the 1/h variant,
+  - connectivity charges the literal 1/k penalty per broken neighbor link,
   - the k_size neighbor graph is undirected with union semantics (an edge
     exists if either endpoint lists the other),
   - graph separation is the per-cluster mean cross-edge weight averaged
@@ -70,15 +69,12 @@ class ObjectiveSpec:
     id: str
     L: int = 10
     k_size: int = 10
-    con_penalty: str = "paper"
 
     def __post_init__(self):
         if self.id not in DIRECTIONS:
             raise ValueError(f"unknown criterion {self.id!r}")
         if self.L < 1 or self.k_size < 1:
             raise ValueError("L and k_size must be positive")
-        if self.con_penalty not in ("paper", "rank"):
-            raise ValueError("con_penalty must be 'paper' or 'rank'")
 
     @property
     def direction(self) -> str:
@@ -218,19 +214,13 @@ def eval_twcv(ds: Dataset, pi: Partition) -> float:
 # Connectedness criteria
 
 
-def eval_con(ds: Dataset, pi: Partition, L: int = 10,
-             penalty: str = "paper") -> float:
-    """Connectivity: penalty per point whose near neighbors land in a
-    different cluster; minimized. ``penalty="paper"`` charges 1/k per
-    broken link, ``"rank"`` charges 1/h for the h-th neighbor."""
+def eval_con(ds: Dataset, pi: Partition, L: int = 10) -> float:
+    """Connectivity: the number of broken links from a point to one of its
+    L nearest neighbors in another cluster, divided by k; minimized."""
     nn = ds.neighbors(L)
     labels = pi.assignment
     split = labels[nn] != labels[:, None]
-    if penalty == "paper":
-        return float(split.sum()) / pi.k
-    if penalty == "rank":
-        return float((split / np.arange(1.0, nn.shape[1] + 1.0)).sum())
-    raise ValueError(f"unknown con penalty {penalty!r}")
+    return float(split.sum()) / pi.k
 
 
 def eval_dcd(ds: Dataset, pi: Partition, k_size: int = 10) -> float:
@@ -443,7 +433,7 @@ def evaluate(ds: Dataset, pi: Partition, spec: ObjectiveSpec) -> float:
         raise DataError(f"partition has {pi.n} points, dataset {ds.name!r} has {ds.n}")
     params = {}
     if spec.id == "con":
-        params = {"L": spec.L, "penalty": spec.con_penalty}
+        params = {"L": spec.L}
     elif spec.id in ("dcd", "sep_graph"):
         params = {"k_size": spec.k_size}
     try:

@@ -116,13 +116,13 @@ def oracle_twcv(points, labels):
     return total
 
 
-def oracle_con(points, labels, L, penalty="paper"):
+def oracle_con(points, labels, L):
     k = int(max(labels)) + 1
     total = 0.0
     for a in range(len(points)):
-        for h, b in enumerate(neighbor_list(points, a)[:L], start=1):
+        for b in neighbor_list(points, a)[:L]:
             if labels[a] != labels[b]:
-                total += (1.0 / k) if penalty == "paper" else (1.0 / h)
+                total += 1.0 / k
     return total
 
 
@@ -316,7 +316,7 @@ ORACLES = {
     "dev": lambda pts, lab, prm: oracle_dev(pts, lab),
     "var": lambda pts, lab, prm: oracle_var(pts, lab),
     "twcv": lambda pts, lab, prm: oracle_twcv(pts, lab),
-    "con": lambda pts, lab, prm: oracle_con(pts, lab, prm["L"], prm["con_penalty"]),
+    "con": lambda pts, lab, prm: oracle_con(pts, lab, prm["L"]),
     "dcd": lambda pts, lab, prm: oracle_dcd(pts, lab, prm["k_size"]),
     "abgss": lambda pts, lab, prm: oracle_abgss(pts, lab),
     "sep_al": lambda pts, lab, prm: oracle_sep_al(pts, lab),

@@ -357,10 +357,33 @@ class TestStamps:
     def test_out_of_date_population_is_a_data_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         run_all(tiny_config(tmp_path), out)
-        cfg = tiny_config(tmp_path, seed=8)
+        cfg = tiny_config(tmp_path, seed=8)  # re-seeds the generated dataset too
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
         for cmd in ("admissibility", "optimize"):
             assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
             assert "out of date" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["generator", "csv-deleted"])
+    def test_stages_after_gen_never_rebuild_a_dataset(self, tmp_path, capsys, change):
+        # Only gen writes datasets/, so its manifest, and the report's
+        # Datasets table, always describe the CSVs the other stages read.
+        out = tmp_path / "out"
+        run_all(tiny_config(tmp_path, datasets=[blobs("b", 3)]), out)
+        entry = blobs("b", 3)
+        if change == "generator":
+            entry["generator"]["params"]["per_cluster_n"] = 12
+        else:
+            (out / "datasets" / "b.csv").unlink()
+        cfg = tiny_config(tmp_path, datasets=[entry])
+        before = tree_bytes(out)
+        for cmd in ("init", "admissibility", "optimize"):
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: dataset 'b': ")
+            assert err.rstrip().endswith("(run `admissa gen`)")
+        assert main(["report", "--out", str(out)]) == 0
+        assert tree_bytes(out) == before
+        assert "| b |  | 30 | 2 | 3 | generated |" in (out / "report.md").read_text()
 
 
 class TestErrors:
@@ -475,13 +498,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {csv}: not UTF-8 text")
 
-    def test_init_without_labels(self, tmp_path):
+    def test_init_without_labels(self, tmp_path, capsys):
+        # no stage can use a dataset without labels, so gen refuses it already
         csv = tmp_path / "nolabel.csv"
         csv.write_text("x0,x1\n0,0\n1,1\n2,2\n3,3\n")
         cfg = tiny_config(tmp_path, datasets=[
             {"name": "nolabel", "csv": str(csv), "label_column": None}])
-        assert main(["init", "--config", str(cfg), "--out",
-                     str(tmp_path / "o")]) == 2
+        for cmd in ("gen", "init"):
+            assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: dataset 'nolabel': label_column")
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", [
         '[{"name": "a", "group"',
@@ -577,6 +604,7 @@ class TestErrors:
                        "generator": {"archetype": "gaussian_blobs",
                                      "params": {"k_star": 3,
                                                 "per_clustr_n": 12}}}]},
+        {"criteria_params": {"con_penalty": "rank"}},
     ])
     def test_unknown_config_keys(self, tmp_path, capsys, over):
         cfg = tiny_config(tmp_path, **over)

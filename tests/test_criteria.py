@@ -54,7 +54,7 @@ class TestFix4Values:
     def test_cross_checked_against_oracles(self, fix4, fix4_truth):
         pts = fix4.points.tolist()
         lab = fix4_truth.assignment.tolist()
-        prm = {"L": 10, "k_size": 10, "con_penalty": "paper"}
+        prm = {"L": 10, "k_size": 10}
         for crit, expected in FIX4_EXPECTED.items():
             assert ORACLES[crit](pts, lab, prm) == pytest.approx(expected, rel=1e-9)
 
@@ -95,12 +95,6 @@ class TestTrivialCases:
         assert eval_con(fix4, fix4_truth, L=1) == 0.0
         assert eval_con(fix4, singletons(4), L=1) == pytest.approx(1.0)
         assert eval_con(fix4, single_cluster(4), L=3) == 0.0
-
-    def test_con_rank_penalty(self, fix4):
-        # singletons: every neighbor split; rank penalty sums 1/h per point
-        want = 4 * (1.0 + 0.5 + 1.0 / 3.0)
-        assert eval_con(fix4, singletons(4), L=3,
-                        penalty="rank") == pytest.approx(want)
 
     def test_dcd_cases(self, fix4, fix4_truth):
         assert eval_dcd(fix4, fix4_truth, k_size=1) == pytest.approx(1.0)
@@ -247,7 +241,7 @@ class TestIdentitiesAndInvariance:
 class TestOracleEquivalence:
     def test_all_criteria_match_oracles_on_random_instances(self):
         rng = np.random.default_rng(23)
-        prm = {"L": 4, "k_size": 3, "con_penalty": "paper"}
+        prm = {"L": 4, "k_size": 3}
         for _ in range(50):
             ds, pi = random_instance(rng)
             pts = ds.points.tolist()
@@ -257,15 +251,6 @@ class TestOracleEquivalence:
                 got = evaluate(ds, pi, spec)
                 want = ORACLES[crit](pts, lab, prm)
                 assert got == pytest.approx(want, rel=1e-9), crit
-
-    def test_con_rank_penalty_matches_oracle(self):
-        rng = np.random.default_rng(29)
-        for _ in range(10):
-            ds, pi = random_instance(rng)
-            got = eval_con(ds, pi, L=5, penalty="rank")
-            want = ORACLES["con"](ds.points.tolist(), pi.assignment.tolist(),
-                                  {"L": 5, "con_penalty": "rank"})
-            assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_dcd_matches_oracle_on_tie_grids(self, seed):
@@ -368,7 +353,5 @@ class TestEvaluateVector:
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             objective("con", L=0)
-        with pytest.raises(ValueError):
-            objective("con", con_penalty="nope")
         with pytest.raises(ValueError):
             objective("nope")

@@ -184,10 +184,9 @@ class TestNeighbors:
         def read(k):
             """What each neighbor-list reader gives at k."""
             domains = delta_relevant_loci(ds, delta_percent=delta, L=k)
-            return [eval_con(ds, pi, k, "paper"), eval_con(ds, pi, k, "rank"),
-                    *ksize_graph(ds, k), snn_cluster(ds, k, eps, min_pts).assignment,
-                    domains.domain_pad, domains.domain_len,
-                    *geometry.links(k, "paper"), *geometry.links(k, "rank")]
+            return [eval_con(ds, pi, k), *ksize_graph(ds, k),
+                    snn_cluster(ds, k, eps, min_pts).assignment,
+                    domains.domain_pad, domains.domain_len, *geometry.links(k)]
 
         widest = read(n - 1)
         for k in (n, n + 7):

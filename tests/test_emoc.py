@@ -189,8 +189,7 @@ def _outcome(evaluate):
 
 class TestComponentGeometry:
     COARSE_SPECS = [objective("sep_cl"), objective("con", L=1),
-                    objective("con", L=3, con_penalty="rank"),
-                    objective("con", L=7)]
+                    objective("con", L=3), objective("con", L=7)]
 
     @staticmethod
     def random_geometry(seed, kind):
@@ -223,10 +222,9 @@ class TestComponentGeometry:
                 want = _outcome(lambda: evaluate_vector(ds, pi, [spec]).values[0])
                 got = _outcome(lambda: evaluate_vector(
                     ds, pi, [spec], geometry.evaluate).values[0])
-                exact = spec.id == "con" and spec.con_penalty == "paper"
                 if isinstance(want, type):
                     assert got is want, spec
-                elif exact:
+                elif spec.id == "con":
                     assert got == want, spec
                 else:
                     assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), spec
