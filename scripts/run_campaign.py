@@ -14,7 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from admissa.cli import main as cli_main
+from admissa.cli import DEFAULT_PAIRS, main as cli_main
+from admissa.initializers import ALGORITHMS
 
 FULL_DATASETS = [
     {"name": "blobs4", "group": "G1",
@@ -64,9 +65,8 @@ def build_config(args) -> dict:
         "seed": args.seed,
         "runs": 2 if args.smoke else args.runs,
         "datasets": datasets,
-        "initializers": ["km", "al", "sl", "snn", "mst"],
-        "pairs": [["var", "sep_cl"], ["ch", "sep_cl"], ["var", "ch"],
-                  ["ch", "con"], ["var", "con"], ["con", "sep_cl"]],
+        "initializers": list(ALGORITHMS),
+        "pairs": [list(p) for p in DEFAULT_PAIRS],
         "optimize_initializer": "mst",
         "emoc": {"population_size": 40 if args.smoke else 100,
                  "generations": 10 if args.smoke else 100},

@@ -269,25 +269,21 @@ def _stamp(config_slice, file_digests: list[str | None]) -> str:
 def materialize_datasets(out: Path,
                          cfg: CampaignConfig) -> list[tuple[Path, str | None]]:
     """The CSV each dataset of ``cfg`` is read from, with the sha256 of its
-    bytes (None when it is missing): the entry's own file, or the one
-    ``admissa gen`` wrote under out/datasets. Only gen writes there, so a
-    generated CSV that is missing, or that the dataset manifest records
-    for another generator spec, is a data error."""
-    recorded = {d.get("name"): _canonical(d.get("generator"))
-                for d in _json_doc(_read(out / "datasets" / "manifest.json"), list)
-                if isinstance(d, dict)}
+    bytes: the entry's own file, or the one ``admissa gen`` wrote under
+    out/datasets. An entry is a data error unless its row in gen's dataset
+    manifest records this entry and this digest."""
+    rows = [r for r in _json_doc(_read(out / "datasets" / "manifest.json"), list)
+            if isinstance(r, dict)]
     found = []
     for entry in cfg.datasets:
-        if entry.csv is not None:
-            found.append((Path(entry.csv), _digest(_read(Path(entry.csv)))))
-            continue
-        path = out / "datasets" / f"{entry.name}.csv"
-        data = _read(path)
-        current = recorded.get(entry.name) == _canonical(asdict(entry.generator))
-        if data is None or not current:
-            raise DataError(f"dataset {entry.name!r}: {path} is missing or was "
-                            f"generated from another spec (run `admissa gen`)")
-        found.append((path, _digest(data)))
+        path = (out / "datasets" / f"{entry.name}.csv" if entry.csv is None
+                else Path(entry.csv))
+        described = {**asdict(entry), "sha256": _digest(_read(path))}
+        row = next((r for r in rows if r.get("name") == entry.name), {})
+        if _canonical({key: row.get(key) for key in described}) != _canonical(described):
+            raise DataError(f"dataset {entry.name!r}: {path} is missing or is not the "
+                            f"CSV the dataset manifest describes (run `admissa gen`)")
+        found.append((path, described["sha256"]))
     return found
 
 
@@ -308,29 +304,30 @@ def run_path(out: Path, dataset: str, pair, run_idx: int) -> Path:
 
 
 def cmd_gen(cfg: CampaignConfig, out: Path) -> int:
-    """Write each generated dataset's CSV under out/datasets and the
-    dataset manifest, which describes every dataset of ``cfg``. Every
-    other stage reads the CSVs gen wrote."""
+    """Write each generated dataset's CSV under out/datasets, and the
+    dataset manifest, the one description of the data the other stages
+    check: per dataset of ``cfg``, ``asdict(entry)`` with n, d, k_star,
+    source and the sha256 of the CSV the stages read."""
     manifest = []
     for entry in cfg.datasets:
         if entry.csv is not None:
             ds = load_dataset(entry.csv, label_column=entry.label_column,
                               name=entry.name)
+            sha256 = _digest(_read(Path(entry.csv)))
         else:
             try:
                 ds = entry.generator.build()
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"dataset {entry.name!r}: bad generator params "
                                   f"({err})") from None
-            _write(out / "datasets" / f"{entry.name}.csv", dataset_csv(ds))
+            sha256 = _write(out / "datasets" / f"{entry.name}.csv", dataset_csv(ds))
         manifest.append({
-            "name": entry.name,
-            "group": entry.group,
+            **asdict(entry),
             "n": ds.n,
             "d": ds.dim,
             "k_star": ds.k_star,
             "source": "csv" if entry.csv else "generated",
-            "generator": asdict(entry.generator) if entry.generator else None,
+            "sha256": sha256,
         })
     _write(out / "datasets" / "manifest.json", _json_text(manifest))
     _write_manifest(out, "gen", cfg)
@@ -493,7 +490,6 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
                          and truth_dominated(front, truth_vec))
             doc = {
                 "dataset": entry.name,
-                "group": entry.group,
                 "pair": label,
                 "run": run_idx,
                 "seed": seed,

@@ -59,7 +59,7 @@ def test_c01_metric_identity_dev_equals_n_var():
 def test_c02_oracle_equivalence_all_criteria():
     start = time.monotonic()
     rng = np.random.default_rng(102)
-    prm = {"L": 4, "k_size": 3, "con_penalty": "paper"}
+    prm = {"L": 4, "k_size": 3}
     worst = {crit: 0.0 for crit in ALL_IDS}
     for _ in range(50):
         ds, pi = random_instance(rng)

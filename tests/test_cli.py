@@ -385,6 +385,46 @@ class TestStamps:
         assert tree_bytes(out) == before
         assert "| b |  | 30 | 2 | 3 | generated |" in (out / "report.md").read_text()
 
+    @pytest.mark.parametrize("change", ["rows-added", "label-column"])
+    def test_csv_entry_changed_after_gen_needs_gen(self, tmp_path, capsys, change):
+        # A CSV entry is held to its manifest row as a generated one is:
+        # its entry and the digest of its bytes.
+        csv = labelled_csv(tmp_path / "d.csv", ["1", "2", "3"])
+        entry = {"name": "d", "csv": str(csv)}
+        out = tmp_path / "out"
+        run_all(tiny_config(tmp_path, datasets=[entry]), out)
+        if change == "rows-added":
+            with open(csv, "a") as f:
+                f.writelines(f"{40 + i},{i % 2},1\n" for i in range(6))
+        else:
+            entry["label_column"] = "x1"
+        cfg = tiny_config(tmp_path, datasets=[entry])
+        before = tree_bytes(out)
+        for cmd in ("init", "admissibility", "optimize"):
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: dataset 'd': ")
+            assert err.rstrip().endswith("(run `admissa gen`)")
+            assert "Traceback" not in err
+        assert tree_bytes(out) == before
+        assert "| d |  | 21 | 2 | 3 | csv |" in (out / "report.md").read_text()
+
+    def test_changed_group_needs_gen_and_stays_out_of_run_files(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_all(tiny_config(tmp_path, datasets=[blobs("b", 3) | {"group": "G"}]), out)
+        cfg = tiny_config(tmp_path, datasets=[blobs("b", 3) | {"group": "H"}])
+        before = tree_bytes(out)
+        for cmd in ("init", "admissibility", "optimize"):
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("data error: dataset 'b': ")
+        assert tree_bytes(out) == before
+        run_all(cfg, out)
+        runs = [json.loads(p.read_text()) for p in (out / "optimize" / "runs").iterdir()]
+        assert len(runs) == 4 and not any("group" in doc for doc in runs)
+        rows = (out / "optimize" / "optimization_summary.csv").read_text().splitlines()
+        assert len(rows) == 3 and all(row.startswith("b,H,") for row in rows[1:])
+        assert "| b | H | 30 | 2 | 3 | generated |" in (out / "report.md").read_text()
+
 
 class TestErrors:
     def test_missing_config(self, tmp_path):
@@ -523,6 +563,16 @@ class TestErrors:
         assert err.startswith("data error:") and str(manifest) in err
         assert "Traceback" not in err
 
+    def test_stage_on_dataset_manifest_with_a_list_for_a_name(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, datasets=[blobs("b", 3)])
+        out = tmp_path / "o"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "datasets" / "manifest.json").write_text('[{"name": ["b"]}]')
+        capsys.readouterr()
+        assert main(["init", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: dataset 'b': ") and "Traceback" not in err
+
     @pytest.mark.parametrize("rel", ["admissibility/admissibility_mst.md",
                                      "optimize/optimization_summary.md"])
     def test_report_on_table_not_utf8(self, tmp_path, capsys, rel):
@@ -634,6 +684,8 @@ class TestErrors:
         csv = tmp_path / "three.csv"
         csv.write_text("x0,label\n0,a\n1,b\n2,c\n")
         cfg = tiny_config(tmp_path, datasets=[{"name": "three", "csv": str(csv)}])
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
         assert main(["init", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("data error:")
