@@ -38,14 +38,13 @@ from .criteria import (ALL_IDS, CriterionError, ObjectiveSpec, evaluate_vector,
                        objective)
 from .data import DataError, dataset_csv, load_dataset
 from .datagen import GENERATORS, GeneratorSpec
-from .emoc import EmocConfig, EmocError, evolve, truth_dominated
+from .emoc import EmocConfig, evolve, truth_dominated
 from .evaluation import RunSummary, ari, five_number_summary
 from .initializers import ALGORITHMS, InitPopulation, generate_population
 from .seeding import derive_seed
 
 DEFAULT_PAIRS = [["var", "sep_cl"], ["ch", "sep_cl"], ["var", "ch"],
                  ["ch", "con"], ["var", "con"], ["con", "sep_cl"]]
-FORMATS = ("csv", "json", "markdown")
 
 
 class ConfigError(ValueError):
@@ -114,7 +113,6 @@ class DatasetEntry:
                 if key in doc:
                     raise ConfigError(f"{where}: a generated dataset takes no {key}")
             gdoc = {"seed": derive_seed(master_seed, "datagen", entry.name),
-                    "name": entry.name,
                     **_checked(GeneratorSpec, entry.generator, f"{where} generator")}
             try:
                 entry.generator = GeneratorSpec(**gdoc)
@@ -138,7 +136,7 @@ class CampaignConfig:
     optimize_initializer: str = "mst"
     emoc: dict = field(default_factory=dict)
     criteria_params: dict = field(default_factory=dict)
-    formats: list[str] = field(default_factory=lambda: list(FORMATS))
+    formats: list[str] = field(default_factory=lambda: list(evaluation.FORMATS))
 
     def validate(self):
         if not self.datasets:
@@ -153,7 +151,7 @@ class CampaignConfig:
         for what, items, known in (
                 ("initializer", self.initializers + [self.optimize_initializer], ALGORITHMS),
                 ("objective", self.objectives + sum(self.pairs, []), ALL_IDS),
-                ("format", self.formats, FORMATS)):
+                ("format", self.formats, evaluation.FORMATS)):
             unknown = [x for x in items if x not in known]
             if unknown:
                 raise ConfigError(f"unknown {what} {unknown[0]!r}")
@@ -186,8 +184,8 @@ class CampaignConfig:
 def load_config(path: str) -> CampaignConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as err:
+        raise ConfigError(f"config file cannot be read: {err}")
     except ValueError as err:  # not UTF-8, or not JSON
         raise ConfigError(f"config is not valid UTF-8 JSON: {err}")
 
@@ -483,7 +481,7 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
         for run_idx, seed, stamp in todo:
             try:
                 front = evolve(ds, cfg.emoc_config(pair, seed), pop)
-            except EmocError as err:
+            except DataError as err:
                 raise DataError(f"dataset {entry.name!r}, pair {label}: {err}") from None
             aris = [ari(m.partition, truth) for m in front.members]
             dominated = (truth_vec is not None
@@ -502,7 +500,7 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
                 "ari": aris,
                 "best_ari": max(aris),
                 "truth_dominated": bool(dominated),
-                "selection_rule": "best-ari-on-front",
+                "selection_rule": evaluation.SELECTION_RULE,
                 "inputs": stamp,
             }
             rel = runs[run_idx][0]
@@ -662,7 +660,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as err:
+    except (DataError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except AssertionError as err:

@@ -29,11 +29,8 @@ MAXIMIZE = "maximize"
 
 
 class CriterionError(ValueError):
-    """A criterion cannot be evaluated on this partition."""
-
-    def __init__(self, message: str, criterion: str | None = None):
-        super().__init__(message)
-        self.criterion = criterion
+    """A criterion cannot be evaluated on this partition. The message
+    names the criterion, except for ``ent``'s zero-vector errors."""
 
 
 class KTooSmallError(CriterionError):
@@ -120,7 +117,7 @@ def minimize_signs(specs: tuple[ObjectiveSpec, ...]) -> np.ndarray:
 
 def _require_k_at_least_2(pi: Partition, crit: str):
     if pi.k < 2:
-        raise KTooSmallError(f"{crit} needs k >= 2, got k={pi.k}", crit)
+        raise KTooSmallError(f"{crit} needs k >= 2, got k={pi.k}")
 
 
 def _centroid_pair_distances(cents: np.ndarray) -> np.ndarray:
@@ -178,11 +175,11 @@ def eval_ent(ds: Dataset, pi: Partition) -> float:
     and its members; maximized."""
     norms = np.linalg.norm(ds.points, axis=1)
     if np.any(norms == 0.0):
-        raise ZeroVectorError("cosine similarity undefined for zero point vector", "ent")
+        raise ZeroVectorError("cosine similarity undefined for zero point vector")
     cents = centroids(ds, pi)
     cnorms = np.linalg.norm(cents, axis=1)
     if np.any(cnorms == 0.0):
-        raise ZeroVectorError("cosine similarity undefined for zero centroid", "ent")
+        raise ZeroVectorError("cosine similarity undefined for zero centroid")
     total = 0.0
     for i, idx in enumerate(pi.members):
         cos = (ds.points[idx] @ cents[i]) / (norms[idx] * cnorms[i])
@@ -315,11 +312,11 @@ def eval_ch(ds: Dataset, pi: Partition) -> float:
     """Between/within dispersion ratio scaled by (n-k)/(k-1), with plain
     (non-squared) distances; maximized."""
     if pi.k < 2 or pi.k >= ds.n:
-        raise KTooSmallError(f"ch needs 2 <= k <= n-1, got k={pi.k}", "ch")
+        raise KTooSmallError(f"ch needs 2 <= k <= n-1, got k={pi.k}")
     dists, cents = _own_centroid_distances(ds, pi)
     within = float(dists.sum())
     if within == 0.0:
-        raise DegenerateError("ch: zero within-cluster dispersion", "ch")
+        raise DegenerateError("ch: zero within-cluster dispersion")
     gbar = ds.points.mean(axis=0)
     between = float((pi.sizes * np.linalg.norm(cents - gbar, axis=1)).sum())
     return (between / within) * (ds.n - pi.k) / (pi.k - 1)
@@ -335,7 +332,7 @@ def eval_db(ds: Dataset, pi: Partition) -> float:
     scatter /= pi.sizes
     sep = _centroid_pair_distances(cents)
     if np.any(sep[np.triu_indices(pi.k, k=1)] == 0.0):
-        raise DegenerateError("db: coincident centroids", "db")
+        raise DegenerateError("db: coincident centroids")
     ratio = (scatter[:, None] + scatter[None, :]) / np.where(sep > 0, sep, 1.0)
     np.fill_diagonal(ratio, -np.inf)
     return float(ratio.max(axis=1).mean())
@@ -350,7 +347,7 @@ def eval_dunn(ds: Dataset, pi: Partition) -> float:
     same = labels[:, None] == labels[None, :]
     max_diam = float(D.max(where=same, initial=0.0))
     if max_diam == 0.0:
-        raise DegenerateError("dunn: every cluster has zero diameter", "dunn")
+        raise DegenerateError("dunn: every cluster has zero diameter")
     cross = np.logical_not(same, out=same)  # in place: one n x n mask at a time
     return float(D.min(where=cross, initial=np.inf)) / max_diam
 
@@ -360,7 +357,7 @@ def eval_mod(ds: Dataset, pi: Partition) -> float:
     D = ds.distances
     total = float(D.sum())
     if total == 0.0:
-        raise DegenerateError("mod: all points identical", "mod")
+        raise DegenerateError("mod: all points identical")
     value = 0.0
     for idx in pi.members:
         intra = float(D[np.ix_(idx, idx)].sum())
@@ -404,7 +401,7 @@ def eval_pbm(ds: Dataset, pi: Partition) -> float:
     e0 = float(np.linalg.norm(ds.points - ds.points.mean(axis=0), axis=1).sum())
     ek = float((dists ** 2).sum())
     if ek == 0.0:
-        raise DegenerateError("pbm: zero within-cluster scatter", "pbm")
+        raise DegenerateError("pbm: zero within-cluster scatter")
     dk = float(_centroid_pair_distances(cents).max())
     return (e0 / ek) * dk / pi.k
 
@@ -417,7 +414,7 @@ def eval_xb(ds: Dataset, pi: Partition) -> float:
     sep = _centroid_pair_distances(cents)[np.triu_indices(pi.k, k=1)]
     min_sep = float(sep.min())
     if min_sep == 0.0:
-        raise DegenerateError("xb: coincident centroids", "xb")
+        raise DegenerateError("xb: coincident centroids")
     return float(dists.sum()) / (ds.n * min_sep)
 
 
@@ -428,7 +425,8 @@ def eval_xb(ds: Dataset, pi: Partition) -> float:
 def evaluate(ds: Dataset, pi: Partition, spec: ObjectiveSpec) -> float:
     """The value of ``spec``'s criterion on ``pi``. ``eval_<id>`` is looked
     up at call time, so a wrapper put in its place sees every call. A
-    partition of another size than ``ds`` is a ``DataError``."""
+    partition of another size than ``ds`` is a ``DataError``; a
+    ``CriterionError`` passes through as the criterion raised it."""
     if pi.n != ds.n:
         raise DataError(f"partition has {pi.n} points, dataset {ds.name!r} has {ds.n}")
     params = {}
@@ -436,20 +434,14 @@ def evaluate(ds: Dataset, pi: Partition, spec: ObjectiveSpec) -> float:
         params = {"L": spec.L}
     elif spec.id in ("dcd", "sep_graph"):
         params = {"k_size": spec.k_size}
-    try:
-        return globals()[f"eval_{spec.id}"](ds, pi, **params)
-    except CriterionError as err:
-        if err.criterion is None:
-            err.criterion = spec.id
-        raise
+    return globals()[f"eval_{spec.id}"](ds, pi, **params)
 
 
 def evaluate_vector(ds: Dataset, pi: Partition, specs,
                     evaluator=evaluate) -> ObjectiveVector:
     """Evaluate a list of objectives; the first criterion error aborts, as
-    raised, with its ``criterion`` set by the evaluator. ``evaluator``
-    computes one criterion; the evolutionary clusterer passes the
-    component-level ``ComponentGeometry.evaluate``."""
+    raised. ``evaluator`` computes one criterion; the evolutionary
+    clusterer passes the component-level ``ComponentGeometry.evaluate``."""
     specs = tuple(specs)
     return ObjectiveVector(specs=specs,
                            values=tuple(evaluator(ds, pi, spec) for spec in specs))

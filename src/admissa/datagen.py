@@ -208,17 +208,17 @@ GENERATORS = {"gaussian_blobs": gen_blobs, "elongated": gen_elongated,
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Declarative dataset recipe used in config files and manifests."""
+    """Declarative dataset recipe used in config files and manifests: an
+    archetype of ``GENERATORS``, its seed and its other parameters; the
+    config entry names the dataset."""
 
     archetype: str
     seed: int
     params: dict = field(default_factory=dict)
-    name: str | None = None
 
     def __post_init__(self):
         if self.archetype not in GENERATORS:
             raise ValueError(f"unknown archetype {self.archetype!r}")
 
     def build(self) -> Dataset:
-        return GENERATORS[self.archetype](seed=self.seed, name=self.name,
-                                          **self.params)
+        return GENERATORS[self.archetype](seed=self.seed, **self.params)

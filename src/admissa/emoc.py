@@ -23,13 +23,9 @@ from .admissibility import dominance, dominates
 from .components import ComponentGeometry
 from .criteria import (CriterionError, ObjectiveSpec, ObjectiveVector,
                        evaluate_vector, minimize_signs)
-from .data import Dataset, Partition, canonical_labels, components
+from .data import DataError, Dataset, Partition, canonical_labels, components
 from .initializers import InitPopulation, interesting_mst_edges
 from .seeding import rng_for
-
-
-class EmocError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -265,11 +261,13 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
     minimization form, and each member's front rank and crowding. Members
     whose objective vector cannot be evaluated (criterion errors such as
     k=1 under a separation index) are kept as NaN rows with worst-rank
-    fitness instead of aborting the run."""
+    fitness instead of aborting the run. An empty or mis-sized initial
+    population, or one whose every member is disqualified, is a
+    ``DataError``."""
     if not init.partitions:
-        raise EmocError("initial population is empty")
+        raise DataError("initial population is empty")
     if any(pi.n != ds.n for pi in init.partitions):
-        raise EmocError(f"an initial partition does not have the {ds.n} points "
+        raise DataError(f"an initial partition does not have the {ds.n} points "
                         f"of dataset {ds.name!r}")
     scheme = delta_relevant_loci(ds, config.delta_percent, L=config.L)
     geometry = ComponentGeometry(ds, scheme.base_labels, scheme.n_base)
@@ -310,7 +308,7 @@ def evolve(ds: Dataset, config: EmocConfig, init: InitPopulation) -> ParetoFront
             new.append(memo[key])
         values = np.concatenate([values, new])
         if gen == 0 and np.isnan(values[:, 0]).all():
-            raise EmocError("every initial individual was disqualified")
+            raise DataError("every initial individual was disqualified")
         rank, crowding = _rank_population(values)
         keep = _truncate(rank, crowding, size)
         genes = genes[keep]

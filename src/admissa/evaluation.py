@@ -14,6 +14,12 @@ import numpy as np
 
 from .data import Partition
 
+# Output format name -> file extension of its documents.
+FORMATS = {"csv": "csv", "json": "json", "markdown": "md"}
+
+# How a run's reported ARI is picked from its final front.
+SELECTION_RULE = "best-ari-on-front"
+
 
 def _comb2(x: np.ndarray) -> np.ndarray:
     x = x.astype(np.float64)
@@ -106,7 +112,7 @@ class RunSummary:
             "truth_dominated_freq": self.truth_dominated_frequency,
             "runs": self.run_aris,
             "truth_dominated_runs": self.truth_dominated_runs,
-            "selection_rule": "best-ari-on-front",
+            "selection_rule": SELECTION_RULE,
             "std_kind": "population",
         }
 
@@ -146,9 +152,9 @@ def render_tables(tables, summaries, fmt: str) -> dict[str, str]:
     in the requested format."""
     import json
 
-    if fmt not in ("csv", "json", "markdown"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    ext = {"csv": "csv", "json": "json", "markdown": "md"}[fmt]
+    ext = FORMATS[fmt]
     grid = {"csv": csv_grid, "markdown": markdown_grid}.get(fmt)
     docs: dict[str, str] = {}
     for table in tables:

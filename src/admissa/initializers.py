@@ -54,15 +54,16 @@ def _seed_centroids(ds: Dataset, k: int, rng: np.random.Generator) -> np.ndarray
     return ds.points[chosen].copy()
 
 
-def lloyd_run(ds: Dataset, k: int, rng: np.random.Generator,
-              max_iter: int = KMEANS_MAX_ITER) -> tuple[Partition, list[float]]:
-    """One Lloyd descent; returns the partition and the TWCV after each
-    iteration (non-increasing). Emptied clusters are repaired by reseeding
-    the centroid at the point farthest from its assigned centroid."""
+def lloyd_run(ds: Dataset, k: int,
+              rng: np.random.Generator) -> tuple[Partition, list[float]]:
+    """One Lloyd descent of at most ``KMEANS_MAX_ITER`` iterations; returns
+    the partition and the TWCV after each iteration (non-increasing).
+    Emptied clusters are repaired by reseeding the centroid at the point
+    farthest from its assigned centroid."""
     cents = _seed_centroids(ds, k, rng)
     assignment = None
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         diff = ds.points[:, None, :] - cents[None, :, :]
         d2 = np.einsum("nkd,nkd->nk", diff, diff)
         new_assignment = d2.argmin(axis=1)
@@ -283,20 +284,19 @@ class InitPopulation:
                             for r in rows])
 
 
-def generate_population(ds: Dataset, algorithm: str, k_star: int | None = None,
+def generate_population(ds: Dataset, algorithm: str,
                         master_seed: int = 0) -> InitPopulation:
     """One partition per k in {2..2k*} (km/al/sl/mst), or a fixed threshold
-    grid sweep for snn. Of partitions equal up to relabeling, the first
-    is kept as its generator returned it (canonical labels); the members
-    are sorted by k, ties in generation order."""
+    grid sweep for snn, where k* is the number of classes in ``ds``'s
+    labels; an unlabeled dataset is a ``ValueError``. Of partitions equal
+    up to relabeling, the first is kept as its generator returned it
+    (canonical labels); the members are sorted by k, ties in generation
+    order."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown initializer {algorithm!r}")
+    k_star = ds.k_star
     if k_star is None:
-        k_star = ds.k_star
-    if k_star is None:
-        raise ValueError("k_star unknown: dataset has no labels and none was given")
-    if k_star < 1:
-        raise ValueError(f"k_star must be >= 1, got {k_star}")
+        raise ValueError("k_star unknown: dataset has no labels")
     k_max = 2 * k_star
     if k_max > ds.n:
         raise DataError(f"{ds.name}: 2*k_star={k_max} exceeds n={ds.n}")

@@ -227,7 +227,8 @@ class TestBuildTable:
     def test_unlabeled_dataset_rejected(self):
         from admissa import Dataset
         ds = Dataset(np.random.default_rng(0).normal(size=(10, 2)))
-        pop = generate_population(ds, "mst", k_star=2)
+        labelled = Dataset(ds.points, labels=np.arange(10) % 2)
+        pop = generate_population(labelled, "mst")
         with pytest.raises(Exception):
             build_admissibility_table([ds], "mst", [objective("var")], [pop])
 

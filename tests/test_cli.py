@@ -655,6 +655,8 @@ class TestErrors:
                                      "params": {"k_star": 3,
                                                 "per_clustr_n": 12}}}]},
         {"criteria_params": {"con_penalty": "rank"}},
+        {"datasets": [{"name": "blobs3",
+                       "generator": {"archetype": "gaussian_blobs", "name": "x"}}]},
     ])
     def test_unknown_config_keys(self, tmp_path, capsys, over):
         cfg = tiny_config(tmp_path, **over)
@@ -679,6 +681,37 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("case, command, code", [
+        ("config-is-a-directory", "gen", 1),
+        ("out-is-a-file", "gen", 2),
+        ("out-is-a-file", "report", 2),
+        ("csv-is-a-directory", "gen", 2),
+        ("population-is-a-directory", "init", 2),
+    ])
+    def test_path_that_cannot_be_read_or_written(self, tmp_path, capsys, case,
+                                                 command, code):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "o"
+        if case == "config-is-a-directory":
+            cfg = tmp_path
+        elif case == "out-is-a-file":
+            out.write_text("")
+        elif case == "csv-is-a-directory":
+            (tmp_path / "d.csv").mkdir()
+            cfg = tiny_config(tmp_path, datasets=[{"name": "d",
+                                                   "csv": str(tmp_path / "d.csv")}])
+        else:
+            assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+            (out / "populations" / "blobs3__mst.json").mkdir(parents=True)
+            capsys.readouterr()
+        argv = [command, "--out", str(out)]
+        if command != "report":
+            argv += ["--config", str(cfg)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error:" if code == 1 else "data error:")
+        assert "Traceback" not in err
 
     def test_init_with_too_few_points_for_two_k_star(self, tmp_path, capsys):
         csv = tmp_path / "three.csv"

@@ -324,10 +324,9 @@ class TestEvaluateVector:
         assert vec.values == ()
 
     def test_error_annotated_with_criterion(self, fix4):
-        with pytest.raises(KTooSmallError, match="sep_al") as err:
+        with pytest.raises(KTooSmallError, match="sep_al"):
             evaluate_vector(fix4, single_cluster(4),
                             objectives("var", "sep_al"))
-        assert err.value.criterion == "sep_al"
 
     def test_criterion_functions_looked_up_at_call_time(self, fix4, fix4_truth,
                                                          monkeypatch):

@@ -104,9 +104,9 @@ class TestGeneratorSpec:
     def test_roundtrip(self):
         spec = GeneratorSpec(archetype="gaussian_blobs", seed=5,
                              params={"k_star": 3, "per_cluster_n": 10,
-                                     "separation": 8.0}, name="g")
+                                     "separation": 8.0})
         ds = spec.build()
-        assert ds.n == 30 and ds.name == "g"
+        assert ds.n == 30
         again = GeneratorSpec(**asdict(spec))
         assert np.array_equal(again.build().points, ds.points)
 

@@ -69,7 +69,7 @@ class TestKmeans:
     def test_twcv_monotone_within_run(self):
         ds = gen_blobs(3, 25, 4.0, seed=5)
         for seed in range(3):
-            _, history = lloyd_run(ds, 3, rng_for(seed, "t"), max_iter=50)
+            _, history = lloyd_run(ds, 3, rng_for(seed, "t"))
             diffs = np.diff(history)
             assert np.all(diffs <= 1e-9)
 
@@ -298,14 +298,9 @@ class TestGeneratePopulation:
 
     def test_k_star_one_single_member(self):
         rng = np.random.default_rng(0)
-        ds = Dataset(rng.normal(size=(10, 2)))
-        pop = generate_population(ds, "km", k_star=1, master_seed=0)
+        ds = Dataset(rng.normal(size=(10, 2)), labels=np.zeros(10, dtype=np.int64))
+        pop = generate_population(ds, "km", master_seed=0)
         assert len(pop.partitions) == 1 and pop.partitions[0].k == 2
-
-    @pytest.mark.parametrize("k_star", [0, -1])
-    def test_k_star_below_one_rejected(self, fix4, k_star):
-        with pytest.raises(ValueError, match="k_star must be >= 1"):
-            generate_population(fix4, "km", k_star=k_star)
 
     def test_snn_keeps_first_copy_sorted_by_k(self):
         # Reference: walk the grid in order, keep each partition's first
@@ -329,8 +324,9 @@ class TestGeneratePopulation:
             not 2 <= k <= 6 for k, _ in want]
 
     def test_k_star_too_large(self, fix4):
+        ds = Dataset(fix4.points, labels=np.array([0, 1, 2, 0]), name=fix4.name)
         with pytest.raises(DataError):
-            generate_population(fix4, "mst", k_star=3)
+            generate_population(ds, "mst")
 
     def test_missing_k_star(self):
         ds = Dataset(np.random.default_rng(1).normal(size=(8, 2)))
@@ -371,10 +367,10 @@ class TestGeneratePopulation:
         rng = np.random.default_rng(3)
         sets = tie_grids(3, draws=8) + [rng.normal(size=(60, 2))]
         for pts in sets:
-            ds = Dataset(pts)
-            k_star = max(1, min(3, ds.n // 2))
+            k_star = max(1, min(3, len(pts) // 2))
+            ds = Dataset(pts, labels=np.arange(len(pts)) % k_star)
             for algorithm in ALGORITHMS:
-                pop = generate_population(ds, algorithm, k_star=k_star)
+                pop = generate_population(ds, algorithm)
                 for pi in pop.partitions:
                     assert np.array_equal(pi.assignment,
                                           canonical_labels(pi.assignment))
