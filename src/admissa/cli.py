@@ -13,6 +13,10 @@ documents (dataset manifest, tables, summaries, box-plot data) are rebuilt
 from the current config, and every file is rewritten only when its bytes
 change, so reruns with the same config and seed are byte-identical.
 
+Stages that run in one process share each dataset they load: a later
+stage reuses the ``Dataset``, with its distances, neighbor index and MST,
+that an earlier one loaded from the same CSV bytes.
+
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal
 invariant violation.
 """
@@ -36,7 +40,7 @@ from . import __version__, evaluation
 from .admissibility import build_admissibility_table
 from .criteria import (ALL_IDS, CriterionError, ObjectiveSpec, evaluate_vector,
                        objective)
-from .data import DataError, dataset_csv, load_dataset
+from .data import DataError, Dataset, dataset_csv, load_dataset
 from .datagen import GENERATORS, GeneratorSpec
 from .emoc import EmocConfig, evolve, truth_dominated
 from .evaluation import RunSummary, ari, five_number_summary
@@ -264,25 +268,55 @@ def _stamp(config_slice, file_digests: list[str | None]) -> str:
     return hashlib.sha256(_canonical(doc).encode()).hexdigest()
 
 
+# The datasets loaded by the stages of this process, with their cached
+# geometry, by (CSV path, sha256 of its bytes, label column, name). Each
+# stage is its own `main` call, so they share it through the module. A
+# Dataset is a pure function of the key, so a rewritten CSV is a new key.
+_loaded: dict[tuple, Dataset] = {}
+
+
+def _dataset_key(entry: DatasetEntry, csv: Path, csv_digest: str | None) -> tuple:
+    return csv, csv_digest, entry.label_column, entry.name
+
+
 def materialize_datasets(out: Path,
                          cfg: CampaignConfig) -> list[tuple[Path, str | None]]:
     """The CSV each dataset of ``cfg`` is read from, with the sha256 of its
     bytes: the entry's own file, or the one ``admissa gen`` wrote under
     out/datasets. An entry is a data error unless its row in gen's dataset
-    manifest records this entry and this digest."""
+    manifest records this entry and this digest. Lets go of each loaded
+    dataset that is not one of these."""
     rows = [r for r in _json_doc(_read(out / "datasets" / "manifest.json"), list)
             if isinstance(r, dict)]
     found = []
     for entry in cfg.datasets:
         path = (out / "datasets" / f"{entry.name}.csv" if entry.csv is None
                 else Path(entry.csv))
-        described = {**asdict(entry), "sha256": _digest(_read(path))}
+        digest = _digest(_read(path))
+        described = asdict(entry)
         row = next((r for r in rows if r.get("name") == entry.name), {})
         if _canonical({key: row.get(key) for key in described}) != _canonical(described):
-            raise DataError(f"dataset {entry.name!r}: {path} is missing or is not the "
-                            f"CSV the dataset manifest describes (run `admissa gen`)")
-        found.append((path, described["sha256"]))
+            raise DataError(f"dataset {entry.name!r}: this config entry differs from "
+                            f"the dataset manifest's row (run `admissa gen`)")
+        if row.get("sha256") != digest:
+            raise DataError(f"dataset {entry.name!r}: the CSV {path} is missing or its "
+                            f"sha256 is not the manifest's (run `admissa gen`)")
+        found.append((path, digest))
+    keep = {_dataset_key(entry, *csv) for entry, csv in zip(cfg.datasets, found)}
+    for key in _loaded.keys() - keep:
+        del _loaded[key]
     return found
+
+
+def _dataset(entry: DatasetEntry, csv: Path, csv_digest: str | None) -> Dataset:
+    """The dataset of ``entry``, read from ``csv`` whose bytes have sha256
+    ``csv_digest``: the one a stage of this process loaded already, if
+    any."""
+    key = _dataset_key(entry, csv, csv_digest)
+    if key not in _loaded:
+        _loaded[key] = load_dataset(csv, label_column=entry.label_column,
+                                    name=entry.name)
+    return _loaded[key]
 
 
 def population_path(out: Path, dataset: str, initializer: str) -> Path:
@@ -349,8 +383,7 @@ def cmd_init(cfg: CampaignConfig, out: Path) -> int:
             if _json_doc(_read(path), dict).get("inputs") == stamp:
                 continue
             if ds is None:
-                ds = load_dataset(csv, label_column=entry.label_column,
-                                  name=entry.name)
+                ds = _dataset(entry, csv, csv_digest)
             pop = generate_population(ds, init, master_seed=cfg.seed)
             doc = {**pop.to_dict(), "inputs": stamp}
             _write(path, json.dumps(doc, indent=1) + "\n")
@@ -408,8 +441,8 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
         return 0
 
     specs = [cfg.spec_for(c) for c in cfg.objectives]
-    datasets = [load_dataset(csv, label_column=e.label_column, name=e.name)
-                for e, csv in zip(cfg.datasets, csvs)]
+    datasets = [_dataset(e, csv, digest)
+                for e, csv, digest in zip(cfg.datasets, csvs, csv_digests)]
     pops = {init: [_load_population(out, cfg, e, init, digest, data, ds.n)
                    for e, digest, data, ds in zip(cfg.datasets, csv_digests, files,
                                                   datasets)]
@@ -470,7 +503,7 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
         if not todo:
             continue
         if ds is None:
-            ds = load_dataset(csv, label_column=entry.label_column, name=entry.name)
+            ds = _dataset(entry, csv, csv_digest)
             truth = ds.true_partition()
             pop = _load_population(out, cfg, entry, cfg.optimize_initializer,
                                    csv_digest, pop_data, ds.n)
