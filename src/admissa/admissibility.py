@@ -235,7 +235,7 @@ def build_admissibility_table(datasets, initializer: str, specs, populations,
                                dataset_names=[ds.name for ds in datasets],
                                specs=specs)
     for i, ds in enumerate(datasets):
-        truth = ds.true_partition()  # raises if labels are missing
+        truth = ds.true_partition()
         pop = populations[i]
         memo = memos[i] if memos is not None else {}
         row: list[AdmissibilityVerdict | None] = []

@@ -149,6 +149,8 @@ class CampaignConfig:
             raise ConfigError("at least one objective is required")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:  # derive_seed reads the low 64 bits only
+            raise ConfigError("seed must lie in [0, 2**64)")
         for pair in self.pairs:
             if len(pair) != 2:
                 raise ConfigError(f"invalid objective pair {pair!r}")
@@ -343,9 +345,8 @@ def cmd_gen(cfg: CampaignConfig, out: Path) -> int:
     manifest = []
     for entry in cfg.datasets:
         if entry.csv is not None:
-            ds = load_dataset(entry.csv, label_column=entry.label_column,
-                              name=entry.name)
             sha256 = _digest(_read(Path(entry.csv)))
+            ds = _dataset(entry, Path(entry.csv), sha256)
         else:
             try:
                 ds = entry.generator.build()

@@ -1,4 +1,5 @@
-"""Datasets, partitions and shared geometry (distances, neighbors, MST).
+"""Labelled datasets, partitions and shared geometry (distances,
+neighbors, MST).
 
 Everything downstream (criteria, initializers, the evolutionary clusterer)
 consumes the cached O(n^2) distance table built here, so it is computed
@@ -93,7 +94,8 @@ class Partition:
 
 @dataclass(eq=False)
 class Dataset:
-    """Points in d-dimensional space with optional ground-truth labels.
+    """Points in d-dimensional space with their ground-truth labels, which
+    every verdict and every run's ARI is judged against.
 
     Heavy geometry (distance matrix, neighbor index, MST) is computed
     lazily and cached; the arrays are marked read-only so a dataset can be
@@ -101,7 +103,7 @@ class Dataset:
     """
 
     points: np.ndarray
-    labels: np.ndarray | None = None
+    labels: np.ndarray
     name: str = "dataset"
 
     def __post_init__(self):
@@ -115,15 +117,14 @@ class Dataset:
             raise DataError("points need at least one feature")
         if not np.all(np.isfinite(self.points)):
             raise DataError("points must be finite")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (n,):
-                raise DataError("labels must have one entry per point")
-            present = np.unique(self.labels)
-            k = present.size
-            if present[0] != 0 or present[-1] != k - 1:
-                raise DataError("labels must be dense ids 0..k*-1")
-            self.labels.setflags(write=False)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.shape != (n,):
+            raise DataError("labels must have one entry per point")
+        present = np.unique(self.labels)
+        k = present.size
+        if present[0] != 0 or present[-1] != k - 1:
+            raise DataError("labels must be dense ids 0..k*-1")
+        self.labels.setflags(write=False)
         self.points.setflags(write=False)
 
     @property
@@ -135,14 +136,10 @@ class Dataset:
         return self.points.shape[1]
 
     @property
-    def k_star(self) -> int | None:
-        if self.labels is None:
-            return None
+    def k_star(self) -> int:
         return int(self.labels.max()) + 1
 
     def true_partition(self) -> Partition:
-        if self.labels is None:
-            raise DataError(f"dataset {self.name!r} has no ground-truth labels")
         return Partition(canonical_labels(self.labels))
 
     @cached_property
@@ -326,9 +323,10 @@ def minimum_spanning_tree(dm: np.ndarray) -> np.ndarray:
     return parent
 
 
-def load_dataset(path, label_column: str | None = None, name: str | None = None) -> Dataset:
-    """Read a headered CSV of numeric feature columns plus an optional label
-    column. Labels are re-indexed densely in order of first appearance."""
+def load_dataset(path, label_column: str, name: str) -> Dataset:
+    """Read a headered CSV of numeric feature columns plus the label column
+    ``label_column``. Labels are re-indexed densely in order of first
+    appearance."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh.readlines())
@@ -348,12 +346,9 @@ def load_dataset(path, label_column: str | None = None, name: str | None = None)
     if not rows:
         raise DataError(f"{path}: no data rows")
 
-    if label_column is not None:
-        if label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} absent")
-        label_pos = header.index(label_column)
-    else:
-        label_pos = None
+    if label_column not in header:
+        raise DataError(f"{path}: label column {label_column!r} absent")
+    label_pos = header.index(label_column)
 
     feature_pos = [i for i in range(len(header)) if i != label_pos]
     points = np.empty((len(rows), len(feature_pos)))
@@ -365,24 +360,16 @@ def load_dataset(path, label_column: str | None = None, name: str | None = None)
                 raise DataError(f"{path}: non-numeric feature {row[pos]!r} "
                                 f"in column {header[pos]!r}") from None
 
-    labels = None
-    if label_pos is not None:
-        raw = [row[label_pos] for row in rows]
-        mapping = {v: i for i, v in enumerate(dict.fromkeys(raw))}
-        labels = np.array([mapping[v] for v in raw], dtype=np.int64)
-
-    if name is None:
-        name = str(path).rsplit("/", 1)[-1].removesuffix(".csv")
+    raw = [row[label_pos] for row in rows]
+    mapping = {v: i for i, v in enumerate(dict.fromkeys(raw))}
+    labels = np.array([mapping[v] for v in raw], dtype=np.int64)
     return Dataset(points, labels=labels, name=name)
 
 
 def dataset_csv(ds: Dataset) -> str:
     """The CSV text of ``ds`` in the schema load_dataset consumes, as the
     csv module writes it: CRLF line ends, and no field needs quoting."""
-    header = [f"x{i}" for i in range(ds.dim)]
-    rows = [[repr(float(v)) for v in point] for point in ds.points]
-    if ds.labels is not None:
-        header.append("label")
-        for row, label in zip(rows, ds.labels):
-            row.append(str(int(label)))
+    header = [f"x{i}" for i in range(ds.dim)] + ["label"]
+    rows = [[repr(float(v)) for v in point] + [str(int(label))]
+            for point, label in zip(ds.points, ds.labels)]
     return "".join(",".join(row) + "\r\n" for row in [header, *rows])

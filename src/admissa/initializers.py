@@ -288,15 +288,12 @@ def generate_population(ds: Dataset, algorithm: str,
                         master_seed: int = 0) -> InitPopulation:
     """One partition per k in {2..2k*} (km/al/sl/mst), or a fixed threshold
     grid sweep for snn, where k* is the number of classes in ``ds``'s
-    labels; an unlabeled dataset is a ``ValueError``. Of partitions equal
-    up to relabeling, the first is kept as its generator returned it
-    (canonical labels); the members are sorted by k, ties in generation
-    order."""
+    labels. Of partitions equal up to relabeling, the first is kept as its
+    generator returned it (canonical labels); the members are sorted by k,
+    ties in generation order."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown initializer {algorithm!r}")
     k_star = ds.k_star
-    if k_star is None:
-        raise ValueError("k_star unknown: dataset has no labels")
     k_max = 2 * k_star
     if k_max > ds.n:
         raise DataError(f"{ds.name}: 2*k_star={k_max} exceeds n={ds.n}")

@@ -21,7 +21,8 @@ def _tag_to_uint32(tag) -> int:
 
 
 def derive_seed(master_seed: int, *tags) -> int:
-    """A stable 64-bit seed for the sub-stream identified by ``tags``."""
+    """A stable 64-bit seed for the sub-stream identified by ``tags``. Only
+    the low 64 bits of ``master_seed`` are read."""
     words = [int(master_seed) & 0xFFFFFFFF, (int(master_seed) >> 32) & 0xFFFFFFFF]
     words.extend(_tag_to_uint32(t) for t in tags)
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])

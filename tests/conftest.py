@@ -25,6 +25,12 @@ def fix4_shifted():
     return Dataset(pts, labels=np.array([0, 0, 1, 1]), name="fix4s")
 
 
+def one_class(points, name="dataset"):
+    """A dataset whose ground truth puts every point in one class, for
+    tests that read only its geometry."""
+    return Dataset(points, np.zeros(len(points), dtype=np.int64), name)
+
+
 def translated(ds, vector):
     """``ds`` with every point moved by ``vector``."""
     return Dataset(ds.points + np.asarray(vector, dtype=np.float64),
@@ -39,7 +45,7 @@ def random_instance(rng, n_max=20, k_max=5):
     pts = rng.normal(loc=3.0, scale=2.0, size=(n, d))
     labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
     rng.shuffle(labels)
-    return Dataset(pts, name="rand"), Partition(labels)
+    return Dataset(pts, labels, name="rand"), Partition(labels)
 
 
 def tie_grids(seed, draws=20):

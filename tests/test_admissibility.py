@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from admissa import (ADMISSIBLE, INADMISSIBLE, OPTIMAL_IN_INIT, DataError,
-                     Partition, build_admissibility_table, classify_objective,
-                     dominates, gen_blobs, generate_population, objective,
+from admissa import (ADMISSIBLE, ALL_IDS, INADMISSIBLE, OPTIMAL_IN_INIT,
+                     DataError, Dataset, Partition, build_admissibility_table,
+                     classify_objective, dominates, gen_blobs, gen_elongated,
+                     gen_mixed, gen_nested, generate_population, objective,
                      objectives, render_tables)
 from admissa.criteria import MAXIMIZE, MINIMIZE, ObjectiveVector
 from admissa import admissibility
@@ -224,14 +225,6 @@ class TestBuildTable:
             n_in, n_op = summary[spec.id]
             assert n_in + n_op <= len(table.dataset_names)
 
-    def test_unlabeled_dataset_rejected(self):
-        from admissa import Dataset
-        ds = Dataset(np.random.default_rng(0).normal(size=(10, 2)))
-        labelled = Dataset(ds.points, labels=np.arange(10) % 2)
-        pop = generate_population(labelled, "mst")
-        with pytest.raises(Exception):
-            build_admissibility_table([ds], "mst", [objective("var")], [pop])
-
     def test_partition_of_wrong_size_rejected(self):
         ds = gen_blobs(3, 12, 10.0, seed=0)
         pop = InitPopulation(source="mst", dataset=ds.name, k_star=3,
@@ -308,3 +301,39 @@ class TestBuildTable:
                                  objective("var"))
         truth_value = evaluate(fix4, fix4.true_partition(), objective("var"))
         assert witness_value < truth_value
+
+
+def verdict_and_witness(v):
+    return None if v is None else (v.verdict, v.witness)
+
+
+class TestPointOrder:
+    """Metamorphic check: the order of the points is not part of the data.
+    Permuting them, labels carried along, leaves each deterministic
+    initializer's population (mapped back to the original order) and every
+    verdict and witness of the 17 objectives as they were. km is left out:
+    it draws its seeds by point index, so a permutation acts as a reseed."""
+
+    DATASETS = [gen_blobs(3, 20, 4.0, seed=11), gen_elongated("long", n=120, seed=12),
+                gen_nested(2, seed=13, n=130), gen_mixed("3mc", seed=14, n=120)]
+
+    @pytest.mark.parametrize("ds", DATASETS, ids=lambda ds: ds.name)
+    def test_permuting_points_changes_no_population_or_verdict(self, ds):
+        specs = objectives(*ALL_IDS)
+        orders = [np.random.default_rng(draw).permutation(ds.n) for draw in range(3)]
+        kinds = set()
+        for init in ("mst", "al", "sl", "snn"):
+            pop = generate_population(ds, init)
+            table = build_admissibility_table([ds], init, specs, [pop])
+            kinds.update(v.verdict for v in table.cells[0] if v is not None)
+            for order in orders:
+                moved = Dataset(ds.points[order], ds.labels[order], ds.name)
+                moved_pop = generate_population(moved, init)
+                back = np.empty((len(moved_pop.partitions), ds.n), dtype=np.int64)
+                back[:, order] = [pi.assignment for pi in moved_pop.partitions]
+                assert [Partition(a).key for a in back] == [pi.key for pi in pop.partitions]
+                assert moved_pop.records == pop.records
+                moved_table = build_admissibility_table([moved], init, specs, [moved_pop])
+                assert ([verdict_and_witness(v) for v in moved_table.cells[0]]
+                        == [verdict_and_witness(v) for v in table.cells[0]])
+        assert INADMISSIBLE in kinds and len(kinds) > 1  # not one verdict for all

@@ -452,7 +452,8 @@ class TestStamps:
     def test_csv_edited_in_place_between_campaigns_is_loaded_again(
             self, tmp_path, monkeypatch):
         # A dataset loaded by an earlier campaign of this process is keyed
-        # by its CSV's digest, so new bytes at the same path are a new load.
+        # by its CSV's digest, so new bytes at the same path are a new load:
+        # one per campaign, since gen loads it through the same cache.
         csv = labelled_csv(tmp_path / "d.csv", ["1", "2", "3"])
         cfg = tiny_config(tmp_path, datasets=[{"name": "d", "csv": str(csv)}])
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -461,7 +462,7 @@ class TestStamps:
             f.writelines(f"{40 + i},{i % 2},1\n" for i in range(6))
         calls = count_calls(monkeypatch, (cli, "load_dataset"))
         run_all(cfg, out)
-        assert calls == ["load_dataset"] * 2  # by gen, then by init
+        assert calls == ["load_dataset"]
         run_all(cfg, fresh)
         assert tree_bytes(out) == tree_bytes(fresh)
 
@@ -589,6 +590,14 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("config error: dataset 'nolabel': label_column")
             assert "Traceback" not in err
+
+    def test_csv_without_its_label_column(self, tmp_path, capsys):
+        csv = tmp_path / "nolabel.csv"
+        csv.write_text("x0,x1\n0,0\n1,1\n2,2\n3,3\n")
+        cfg = tiny_config(tmp_path, datasets=[{"name": "nolabel", "csv": str(csv)}])
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {csv}: label column 'label' absent\n"
 
     @pytest.mark.parametrize("text", [
         '[{"name": "a", "group"',
@@ -808,18 +817,26 @@ class TestErrors:
         {"datasets": [blobs(".", 3)]},
         {"pairs": [["var"]]},
         {"pairs": [["var", "con", "sep_cl"]]},
+        {"seed": -1},
+        {"seed": 2 ** 64},
     ], ids=["generations-float", "population-float", "crossover-bool",
             "delta-bool", "L-bool", "L-float", "no-pairs-L", "no-pairs-delta",
             "emoc-seed", "param-bool", "dup-datasets", "dup-initializers",
             "dup-objectives", "dup-pairs", "generator-and-csv",
             "generator-and-label-column", "optimize-initializer-not-built",
             "name-parent", "name-subdir", "name-absolute", "name-nul",
-            "name-dot", "pair-of-one", "pair-of-three"])
+            "name-dot", "pair-of-one", "pair-of-three", "seed-negative",
+            "seed-past-64-bits"])
     def test_config_values_checked_against_their_fields(self, tmp_path, capsys, over):
         cfg = tiny_config(tmp_path, **over)
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_range_ends_accepted(self, tmp_path, seed):
+        cfg = tiny_config(tmp_path, seed=seed)
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_int_accepted_for_float_fields(self, tmp_path):
         cfg = tiny_config(tmp_path, emoc={"population_size": 8, "generations": 1,

@@ -14,7 +14,7 @@ from admissa.criteria import (ALL_IDS, DIRECTIONS, MAXIMIZE, MINIMIZE,
                               eval_mod, eval_pbm, eval_sep_al, eval_sep_cl,
                               eval_sep_graph, eval_sil, eval_twcv, eval_var,
                               eval_xb)
-from conftest import random_instance, tie_grids, translated
+from conftest import one_class, random_instance, tie_grids, translated
 from oracles import ORACLES, oracle_dcd, oracle_ent, oracle_masked_dunn
 
 # Frozen reference values for the fix4 fixture, re-derived with the
@@ -68,7 +68,7 @@ class TestEnt:
 
     def test_aligned_cluster_has_unit_term(self):
         # both members point along their centroid direction: g=1, H=0
-        ds = Dataset(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 2.0]]))
+        ds = one_class(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 2.0]]))
         pi = Partition(np.array([0, 0, 1, 1]))
         assert eval_ent(ds, pi) == pytest.approx(2.0, rel=1e-9)
 
@@ -108,7 +108,7 @@ class TestTrivialCases:
     def test_sep_al_equidistant(self):
         t = 6.0
         pts = np.array([[0.0, 0.0], [t, 0.0], [t / 2, t * np.sqrt(3) / 2]])
-        ds = Dataset(np.repeat(pts, 2, axis=0))
+        ds = one_class(np.repeat(pts, 2, axis=0))
         pi = Partition(np.repeat(np.arange(3), 2))
         assert eval_sep_al(ds, pi) == pytest.approx(t, rel=1e-9)
 
@@ -147,7 +147,7 @@ class TestErrors:
 
     def test_db_xb_coincident_centroids(self):
         # two clusters arranged symmetrically around the same centroid
-        ds = Dataset(np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]]))
+        ds = one_class(np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]]))
         pi = Partition(np.array([0, 0, 1, 1]))
         with pytest.raises(DegenerateError):
             eval_db(ds, pi)
@@ -155,7 +155,7 @@ class TestErrors:
             eval_xb(ds, pi)
 
     def test_mod_all_identical(self):
-        ds = Dataset(np.zeros((4, 2)))
+        ds = one_class(np.zeros((4, 2)))
         with pytest.raises(DegenerateError):
             eval_mod(ds, Partition(np.array([0, 0, 1, 1])))
 
@@ -167,7 +167,7 @@ class TestErrors:
             evaluate(ds, Partition(np.arange(n) % 3), objective(crit))
 
     def test_xb_singletons_zero_numerator(self):
-        ds = Dataset(np.array([[0.0], [1.0], [5.0]]))
+        ds = one_class(np.array([[0.0], [1.0], [5.0]]))
         assert eval_xb(ds, singletons(3)) == 0.0
 
 
@@ -216,7 +216,7 @@ class TestIdentitiesAndInvariance:
         s = 3.7
         for _ in range(8):
             ds, pi = random_instance(rng)
-            scaled = Dataset(ds.points * s)
+            scaled = Dataset(ds.points * s, ds.labels)
             a = evaluate(ds, pi, spec)
             b = evaluate(scaled, pi, spec)
             if crit in self.SCALE_LINEAR:
@@ -258,7 +258,7 @@ class TestOracleEquivalence:
         # Borůvka's rounds close a cycle and keep a heavier forest.
         rng = np.random.default_rng(seed)
         for pts in tie_grids(seed):
-            ds = Dataset(pts)
+            ds = one_class(pts)
             labelings = [mst_cluster(ds, k).assignment for k in range(1, ds.n + 1)]
             labelings += [rng.integers(0, 3, ds.n) for _ in range(3)]
             for labels in labelings:
@@ -287,7 +287,7 @@ class TestDunn:
                                   for _ in range(10)]
         sets += [pts[rng.integers(0, len(pts), 2 * len(pts))] for pts in sets[-5:]]
         for pts in sets:
-            ds = Dataset(pts)
+            ds = one_class(pts)
             for labels in self.labelings(rng, ds.n):
                 pi = Partition(canonical_labels(labels))
                 want = oracle_masked_dunn(ds.distances, pi.assignment)
@@ -302,7 +302,7 @@ class TestDunn:
         # distances alone would take up to 8 n^2.
         rng = np.random.default_rng(5)
         n = 1500
-        ds = Dataset(rng.normal(size=(n, 2)))
+        ds = one_class(rng.normal(size=(n, 2)))
         pi = Partition(np.concatenate([np.arange(7), rng.integers(0, 7, n - 7)]))
         ds.distances  # the cached geometry is built outside the window
         tracemalloc.start()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admissa import (DataError, Dataset, Partition, canonical_labels,
+from admissa import (DataError, Partition, canonical_labels,
                      centroids, dataset_csv, load_dataset,
                      minimum_spanning_tree)
 from admissa import data
@@ -14,7 +14,7 @@ from admissa.criteria import eval_con, ksize_graph
 from admissa.data import cluster_means, components
 from admissa.emoc import delta_relevant_loci
 from admissa.initializers import snn_cluster
-from conftest import tie_grids, translated
+from conftest import one_class, tie_grids, translated
 from oracles import (neighbor_list, oracle_cluster_means, oracle_components,
                      oracle_distances, oracle_mst_edges, oracle_mst_weight,
                      oracle_neighbor_index)
@@ -29,44 +29,39 @@ def write_csv(tmp_path, text, name="data.csv"):
 class TestLoadDataset:
     def test_with_label_column(self, tmp_path):
         path = write_csv(tmp_path, "x0,x1,label\n0,0,a\n0,1,a\n10,0,b\n10,1,b\n")
-        ds = load_dataset(path, label_column="label")
+        ds = load_dataset(path, label_column="label", name="data")
         assert ds.n == 4 and ds.dim == 2 and ds.k_star == 2
         assert ds.labels.tolist() == [0, 0, 1, 1]
 
     def test_labels_numbered_in_order_of_first_appearance(self, tmp_path):
         path = write_csv(tmp_path, "x0,label\n0,b\n1,a\n2,b\n3,c\n")
-        ds = load_dataset(path, label_column="label")
+        ds = load_dataset(path, label_column="label", name="data")
         assert ds.labels.tolist() == [0, 1, 0, 2]
 
-    def test_without_label_column(self, tmp_path):
-        path = write_csv(tmp_path, "x0,x1\n0,0\n1,1\n")
-        ds = load_dataset(path)
-        assert ds.labels is None and ds.k_star is None
-
     def test_inconsistent_arity(self, tmp_path):
-        path = write_csv(tmp_path, "x0,x1\n0,0\n1,1,9\n")
+        path = write_csv(tmp_path, "x0,label\n0,0\n1,1,9\n")
         with pytest.raises(DataError, match="arity"):
-            load_dataset(path)
+            load_dataset(path, label_column="label", name="data")
 
     def test_non_numeric_feature(self, tmp_path):
-        path = write_csv(tmp_path, "x0,x1\n0,zap\n1,1\n")
+        path = write_csv(tmp_path, "x0,x1,label\n0,zap,0\n1,1,0\n")
         with pytest.raises(DataError, match="non-numeric"):
-            load_dataset(path)
+            load_dataset(path, label_column="label", name="data")
 
     def test_empty_file(self, tmp_path):
         path = write_csv(tmp_path, "")
         with pytest.raises(DataError, match="empty"):
-            load_dataset(path)
+            load_dataset(path, label_column="label", name="data")
 
     def test_missing_label_column(self, tmp_path):
         path = write_csv(tmp_path, "x0,x1\n0,0\n1,1\n")
         with pytest.raises(DataError, match="absent"):
-            load_dataset(path, label_column="label")
+            load_dataset(path, label_column="label", name="data")
 
     def test_roundtrip(self, tmp_path, fix4):
         path = tmp_path / "out.csv"
         path.write_bytes(dataset_csv(fix4).encode())
-        back = load_dataset(path, label_column="label")
+        back = load_dataset(path, label_column="label", name="data")
         assert np.array_equal(back.points, fix4.points)
         assert np.array_equal(back.labels, fix4.labels)
 
@@ -122,7 +117,7 @@ class TestDistances:
 
     def test_triangle_inequality_spot(self):
         rng = np.random.default_rng(0)
-        ds = Dataset(rng.normal(size=(12, 3)))
+        ds = one_class(rng.normal(size=(12, 3)))
         dm = ds.distances
         for a in range(12):
             for b in range(12):
@@ -135,16 +130,16 @@ class TestKnnIndex:
         assert fix4.neighbor_index[0].tolist() == [1, 2, 3]
 
     def test_tie_broken_by_index(self):
-        ds = Dataset(np.array([[0.0], [1.0], [-1.0]]))
+        ds = one_class(np.array([[0.0], [1.0], [-1.0]]))
         assert ds.neighbor_index[0].tolist() == [1, 2]
 
     def test_n2_length_one(self):
-        ds = Dataset(np.array([[0.0], [3.0]]))
+        ds = one_class(np.array([[0.0], [3.0]]))
         assert ds.neighbor_index.shape == (2, 1)
 
     def test_permutation_and_sorted(self):
         rng = np.random.default_rng(1)
-        ds = Dataset(rng.normal(size=(15, 2)))
+        ds = one_class(rng.normal(size=(15, 2)))
         nn = ds.neighbor_index
         for a in range(15):
             assert sorted(nn[a].tolist()) == [i for i in range(15) if i != a]
@@ -153,7 +148,7 @@ class TestKnnIndex:
 
     def test_tie_grids_match_oracle_and_rank_inverts(self):
         for pts in tie_grids(seed=4):
-            ds = Dataset(pts)
+            ds = one_class(pts)
             n = ds.n
             for a in range(n):
                 assert ds.neighbor_index[a].tolist() == neighbor_list(pts.tolist(), a)
@@ -171,7 +166,7 @@ class TestNeighbors:
         rng = np.random.default_rng(seed)
         pts = (rng.integers(0, 4, size=(n, 2)).astype(float) if ties
                else rng.normal(size=(n, 2)))
-        ds = Dataset(pts)
+        ds = one_class(pts)
         for k in (1, n - 1, n, n + 7):
             assert np.array_equal(ds.neighbors(k), ds.neighbor_index[:, :min(k, n - 1)])
 
@@ -216,20 +211,20 @@ class TestGeometryReferences:
     @pytest.mark.parametrize("pts", block_crossing_sets(),
                              ids=lambda p: f"n{len(p)}")
     def test_bits_match_references(self, pts):
-        ds = Dataset(pts)
+        ds = one_class(pts)
         ref = oracle_distances(pts)
         assert np.array_equal(ds.distances.view(np.int64), ref.view(np.int64))
         nn = oracle_neighbor_index(ref)
         assert ds.neighbor_index.shape == (ds.n, ds.n - 1)
         assert ds.neighbor_index.dtype == np.int64
         assert np.array_equal(ds.neighbor_index, nn)
-        fresh = Dataset(pts)
+        fresh = one_class(pts)
         ranks = [[list(nn[a]).index(b) + 1, list(nn[b]).index(a) + 1]
                  for a, b in fresh.mst_edges.tolist()]
         assert fresh.neighbor_rank.tolist() == ranks
 
     def test_rank_does_not_build_neighbor_index(self):
-        ds = Dataset(np.random.default_rng(2).normal(size=(40, 2)))
+        ds = one_class(np.random.default_rng(2).normal(size=(40, 2)))
         ds.neighbor_rank
         assert "neighbor_index" not in ds.__dict__
 
@@ -238,7 +233,7 @@ class TestGeometryReferences:
         # parent's whole-matrix builds peaked at about 16 n^2 bytes for the
         # neighbor index and 24 n^2 for the distances.
         n = 1500
-        ds = Dataset(np.random.default_rng(5).normal(size=(n, 2)))
+        ds = one_class(np.random.default_rng(5).normal(size=(n, 2)))
         tracemalloc.start()
         try:
             ds.distances
@@ -260,7 +255,7 @@ class TestFarFromOrigin:
         sets = tie_grids(seed, draws=4) + [
             rng.normal(size=(int(rng.integers(2, 40)), int(rng.integers(1, 4))))]
         for pts in sets:
-            ds = Dataset(pts)
+            ds = one_class(pts)
             far = translated(ds, np.full(ds.dim, 1e7))
             assert np.array_equal(far.neighbor_index, ds.neighbor_index)
             assert np.array_equal(far.mst_parent, ds.mst_parent)
@@ -309,7 +304,7 @@ class TestCentroids:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(10, 2))
         labels = np.concatenate([np.arange(3), rng.integers(0, 3, 7)])
-        ds = Dataset(pts)
+        ds = one_class(pts)
         pi = Partition(labels)
         cents = centroids(ds, pi)
         cents2 = centroids(translated(ds, [vx, vy]), pi)
@@ -324,11 +319,11 @@ class TestMst:
         assert total == pytest.approx(12.0, rel=1e-12)
 
     def test_n2_single_edge(self):
-        ds = Dataset(np.array([[0.0], [2.0]]))
+        ds = one_class(np.array([[0.0], [2.0]]))
         assert ds.mst_edges.tolist() == [[0, 1]]
 
     def test_collinear_chain(self):
-        ds = Dataset(np.arange(6, dtype=float).reshape(-1, 1))
+        ds = one_class(np.arange(6, dtype=float).reshape(-1, 1))
         assert ds.mst_edges.tolist() == [[i, i + 1] for i in range(5)]
 
     def test_matches_bruteforce_on_random(self):
@@ -336,14 +331,14 @@ class TestMst:
         for trial in range(12):
             n = int(rng.integers(3, 8))
             pts = rng.normal(size=(n, 2))
-            ds = Dataset(pts)
+            ds = one_class(pts)
             total = sum(ds.distances[a, b] for a, b in ds.mst_edges)
             assert total == pytest.approx(oracle_mst_weight(pts.tolist()),
                                           rel=1e-9)
 
     def test_deterministic_under_ties(self):
         # unit square: four tied side edges; lexicographically smaller wins
-        ds = Dataset(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
+        ds = one_class(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
         assert ds.mst_edges.tolist() == [[0, 1], [0, 2], [1, 3]]
         again = minimum_spanning_tree(ds.distances)
         assert np.array_equal(ds.mst_parent, again)
@@ -354,13 +349,13 @@ class TestMst:
         sets = tie_grids(seed) + [rng.normal(size=(int(rng.integers(2, 30)), 2))
                                   for _ in range(10)]
         for pts in sets:
-            ds = Dataset(pts)
+            ds = one_class(pts)
             assert ds.mst_edges.tolist() == oracle_mst_edges(pts.tolist())
 
     @pytest.mark.parametrize("seed", range(3))
     def test_parent_array_roots_the_tree_at_0(self, seed):
         for pts in tie_grids(seed):
-            ds = Dataset(pts)
+            ds = one_class(pts)
             parent = ds.mst_parent
             assert parent[0] == 0
             for v in range(ds.n):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from admissa import (DataError, Dataset, EmocConfig, Partition, ari, decode,
+from admissa import (DataError, EmocConfig, Partition, ari, decode,
                      delta_relevant_loci, encode, evolve, gen_blobs,
                      gen_elongated, generate_population, objective,
                      objectives, truth_dominated, variation)
@@ -18,7 +18,7 @@ from admissa.emoc import (FrontMember, ParetoFront, _crowding, _rank_population,
                           _tournament, _truncate, mutate)
 from admissa.initializers import InitPopulation, mst_cluster
 from admissa.seeding import rng_for
-from conftest import edge_values, tie_grids
+from conftest import edge_values, one_class, tie_grids
 from oracles import (oracle_crowding_distance, oracle_decode, oracle_mutate,
                      oracle_nondominated_sort)
 
@@ -110,7 +110,7 @@ class TestDecodeEncode:
     def test_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
         for pts in tie_grids(seed) + [rng.normal(size=(30, 2))]:
-            ds = Dataset(pts)
+            ds = one_class(pts)
             scheme = delta_relevant_loci(ds, delta_percent=float(rng.uniform(10, 100)),
                                          L=int(rng.integers(1, 5)))
             loci = scheme.relevant_loci
@@ -127,7 +127,7 @@ class TestDecodeEncode:
         # Points on a line with growing gaps: the MST is one path, and with
         # every edge relevant each point is its own base component, so
         # n_base = n and an all-parent genotype is one chain n long.
-        ds = Dataset(np.cumsum(np.arange(1.0, n + 1.0))[:, None])
+        ds = one_class(np.cumsum(np.arange(1.0, n + 1.0))[:, None])
         scheme = delta_relevant_loci(ds, delta_percent=100.0, L=2)
         assert scheme.n_base == n
         loci, parents = scheme.relevant_loci, scheme.parent[scheme.relevant_loci]
@@ -149,7 +149,7 @@ class TestDecodeEncode:
         # longest a genotype can make.
         angle = np.cumsum(np.linspace(1.0, 1.5, n - 1))
         angle *= 2 * np.pi / (angle[-1] + 1.25)
-        ds = Dataset(np.vstack([[0.0, 0.0], np.c_[np.cos(angle), np.sin(angle)]]))
+        ds = one_class(np.vstack([[0.0, 0.0], np.c_[np.cos(angle), np.sin(angle)]]))
         scheme = delta_relevant_loci(ds, delta_percent=100.0, L=2)
         loci = scheme.relevant_loci
         assert scheme.n_base == n and loci.tolist() == list(range(1, n))
@@ -164,7 +164,7 @@ class TestDecodeEncode:
         # Few loci leave large base components, so many domain values lie
         # in the locus's own component: such a link changes nothing.
         rng = np.random.default_rng(seed)
-        ds = Dataset(rng.normal(size=(200, 2)))
+        ds = one_class(rng.normal(size=(200, 2)))
         scheme = delta_relevant_loci(ds, delta_percent=float(rng.uniform(2, 20)), L=8)
         loci, base = scheme.relevant_loci, scheme.base_labels
         inside = [[g for g in d if g != i and base[g] == base[i]]
@@ -204,7 +204,7 @@ class TestComponentGeometry:
             pts = sets[int(rng.integers(len(sets)))]
         else:
             pts = rng.normal(size=(n // 3 + 1, 2))[rng.integers(0, n // 3 + 1, n)]
-        ds = Dataset(pts)
+        ds = one_class(pts)
         scheme = delta_relevant_loci(ds, delta_percent=float(rng.uniform(1, 100)),
                                      L=int(rng.integers(1, 6)))
         return rng, ds, scheme, ComponentGeometry(ds, scheme.base_labels,
@@ -281,7 +281,7 @@ class TestVariation:
         assert np.array_equal(c2, p2)
 
     def test_singleton_domain_mutation_is_identity(self):
-        ds = Dataset(np.array([[0.0], [1.0], [2.0]]))
+        ds = one_class(np.array([[0.0], [1.0], [2.0]]))
         scheme = delta_relevant_loci(ds, delta_percent=100.0, L=1)
         # shrink every domain to just the current gene
         genes = scheme.domain_pad[:, 0].copy()
@@ -295,7 +295,7 @@ class TestVariation:
     def test_mutate_matches_scalar_oracle(self, seed, prob):
         # The same genes, and the generator left in the same state.
         rng = np.random.default_rng(seed)
-        ds = Dataset(rng.normal(size=(int(rng.integers(2, 60)), 2)))
+        ds = one_class(rng.normal(size=(int(rng.integers(2, 60)), 2)))
         scheme = delta_relevant_loci(ds, delta_percent=float(rng.uniform(1, 100)),
                                      L=int(rng.integers(1, 8)))
         if prob is None:

@@ -12,7 +12,7 @@ from admissa import (ALGORITHMS, DataError, Dataset, Partition, ari,
 from admissa.initializers import (SNN_GRID, InitPopulation, _seed_centroids,
                                   interesting_mst_edges, lloyd_run)
 from admissa.seeding import rng_for
-from conftest import tie_grids
+from conftest import one_class, tie_grids
 from oracles import (oracle_lloyd, oracle_seed_centroids,
                      oracle_single_linkage, oracle_snn)
 
@@ -85,7 +85,7 @@ class TestKmeans:
         # a step must take the next index with mass, as rng.choice does,
         # never a zero-mass point. The first pick uses the first output and
         # the variate the second, (x >> 11) / 2**53 for output x.
-        ds = Dataset(np.array([[0.0], [0.0], [1.0], [-1.0]]))
+        ds = one_class(np.array([[0.0], [0.0], [1.0], [-1.0]]))
         plateau = 0
         for hi in range(1, 2 ** 64, 2 ** 60 - 7):
             rng = pcg64_with_second_output(int(u * 2 ** 64), hi)
@@ -118,7 +118,7 @@ class TestKmeans:
         # partition and every TWCV in the history agree to the bit.
         rng = np.random.default_rng(seed)
         for pts in tie_grids(seed) + self.random_sets(rng, (2, 3, 5)):
-            ds = Dataset(pts)
+            ds = one_class(pts)
             for k in sorted({2, 3, 7, ds.n} & set(range(2, ds.n + 1))):
                 for r in range(2):
                     part, history = lloyd_run(ds, k, rng_for(r, "lloyd", k))
@@ -133,7 +133,7 @@ class TestKmeans:
         # history may differ from the per-cluster mean; the partitions agree.
         rng = np.random.default_rng(seed + 20)
         for pts in self.random_sets(rng, (1,), count=20):
-            ds = Dataset(pts)
+            ds = one_class(pts)
             for k in sorted({2, 3, 7, ds.n} & set(range(2, ds.n + 1))):
                 part, _ = lloyd_run(ds, k, rng_for(seed, "lloyd", k))
                 want, _ = oracle_lloyd(ds.points, ds.distances, k,
@@ -149,7 +149,7 @@ class TestKmeans:
         sets = tie_grids(seed) + [rng.normal(size=(int(rng.integers(2, 40)), 2))
                                   for _ in range(10)]
         for pts in sets:
-            ds = Dataset(pts)
+            ds = one_class(pts)
             for k in range(1, ds.n + 1):
                 got, want = rng_for(seed, "seeding", k), rng_for(seed, "seeding", k)
                 assert np.array_equal(_seed_centroids(ds, k, got),
@@ -177,7 +177,7 @@ class TestLinkage:
 
     def test_single_matches_oracle_on_tie_grids(self):
         for pts in tie_grids(seed=5):
-            ds = Dataset(pts)
+            ds = one_class(pts)
             want = oracle_single_linkage(pts.tolist())
             for k in range(1, ds.n + 1):
                 assert linkage(ds, k, "single").same_as(Partition(want[k]))
@@ -187,7 +187,7 @@ class TestLinkage:
         # second merge joins point 2 (row-major smallest slot pair (0, 2)),
         # while the second MST edge in Kruskal order, (0, 3), joins point 3.
         gx, gy = np.meshgrid(np.arange(3), np.arange(3))
-        ds = Dataset(np.c_[gx.ravel(), gy.ravel()].astype(float))
+        ds = one_class(np.c_[gx.ravel(), gy.ravel()].astype(float))
         assert linkage(ds, 7, "single").members[0].tolist() == [0, 1, 2]
         edges = ds.mst_edges
         w = ds.distances[edges[:, 0], edges[:, 1]]
@@ -196,7 +196,7 @@ class TestLinkage:
 
     def test_average_matches_naive_cross_mean(self):
         rng = np.random.default_rng(2)
-        ds = Dataset(rng.normal(size=(12, 2)))
+        ds = one_class(rng.normal(size=(12, 2)))
         pi = linkage(ds, 3, "average")
         # re-run one step manually: merging the closest mean-distance pair
         # of the k=4 partition must give the k=3 partition
@@ -232,7 +232,7 @@ class TestSnn:
         sets = tie_grids(seed) + [rng.normal(size=(int(rng.integers(8, 40)), 2))
                                   for _ in range(5)]
         for pts in sets:
-            ds = Dataset(pts)
+            ds = one_class(pts)
             for knn_k, eps, min_pts in itertools.product(*SNN_GRID.values()):
                 want = oracle_snn(pts.tolist(), knn_k, eps, min_pts)
                 assert snn_cluster(ds, knn_k, eps, min_pts).assignment.tolist() == want
@@ -245,7 +245,7 @@ class TestSnn:
         sets = tie_grids(seed, draws=8) + [rng.normal(size=(int(rng.integers(3, 30)), 2))
                                            for _ in range(4)]
         for pts in sets:
-            ds = Dataset(pts)
+            ds = one_class(pts)
             for knn_k in (1, 3, ds.n - 1, ds.n + 2):
                 for eps, min_pts in itertools.product((0, 1, knn_k + 1), (1, 3)):
                     want = oracle_snn(pts.tolist(), knn_k, eps, min_pts)
@@ -298,7 +298,7 @@ class TestGeneratePopulation:
 
     def test_k_star_one_single_member(self):
         rng = np.random.default_rng(0)
-        ds = Dataset(rng.normal(size=(10, 2)), labels=np.zeros(10, dtype=np.int64))
+        ds = one_class(rng.normal(size=(10, 2)))
         pop = generate_population(ds, "km", master_seed=0)
         assert len(pop.partitions) == 1 and pop.partitions[0].k == 2
 
@@ -327,11 +327,6 @@ class TestGeneratePopulation:
         ds = Dataset(fix4.points, labels=np.array([0, 1, 2, 0]), name=fix4.name)
         with pytest.raises(DataError):
             generate_population(ds, "mst")
-
-    def test_missing_k_star(self):
-        ds = Dataset(np.random.default_rng(1).normal(size=(8, 2)))
-        with pytest.raises(ValueError):
-            generate_population(ds, "km")
 
     def test_unknown_algorithm(self, fix4):
         with pytest.raises(ValueError):
