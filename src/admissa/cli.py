@@ -13,9 +13,9 @@ documents (dataset manifest, tables, summaries, box-plot data) are rebuilt
 from the current config, and every file is rewritten only when its bytes
 change, so reruns with the same config and seed are byte-identical.
 
-Stages that run in one process share each dataset they load: a later
-stage reuses the ``Dataset``, with its distances, neighbor index and MST,
-that an earlier one loaded from the same CSV bytes.
+Each stage reads each dataset CSV once; its checks, stamps and parse use
+those bytes. Stages run in one process share each ``Dataset`` parsed from
+the same bytes, with its distances, neighbor index and MST.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal
 invariant violation.
@@ -27,6 +27,7 @@ import argparse
 import fnmatch
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -38,8 +39,8 @@ from pathlib import Path
 
 from . import __version__, evaluation
 from .admissibility import build_admissibility_table
-from .criteria import (ALL_IDS, CriterionError, ObjectiveSpec, evaluate_vector,
-                       objective)
+from .criteria import (ALL_IDS, PARAMS, CriterionError, ObjectiveSpec,
+                       evaluate_vector, objective)
 from .data import DataError, Dataset, dataset_csv, load_dataset
 from .datagen import GENERATORS, GeneratorSpec
 from .emoc import EmocConfig, evolve, truth_dominated
@@ -174,13 +175,17 @@ class CampaignConfig:
         _checked(ObjectiveSpec, self.criteria_params, "criteria_params", skip=("id",))
         _checked(EmocConfig, self.emoc, "emoc", skip=("objectives", "seed"))
         try:  # the range checks; each pair's config differs only in specs and seed
-            spec = self.spec_for(self.objectives[0])
+            spec = objective(self.objectives[0], **self.criteria_params)
             EmocConfig(objectives=(spec, spec), **self.emoc)
         except ValueError as err:
             raise ConfigError(f"bad criteria_params or emoc ({err})") from None
 
     def spec_for(self, crit_id: str):
-        return objective(crit_id, **self.criteria_params)
+        """The spec of ``crit_id`` with the criteria_params it reads only, so a
+        parameter it never reads leaves the stamps of its runs alone."""
+        reads = PARAMS.get(crit_id, ())
+        return objective(crit_id, **{key: value for key, value
+                                     in self.criteria_params.items() if key in reads})
 
     def emoc_config(self, pair, seed: int) -> EmocConfig:
         specs = tuple(self.spec_for(c) for c in pair)
@@ -271,53 +276,52 @@ def _stamp(config_slice, file_digests: list[str | None]) -> str:
 
 
 # The datasets loaded by the stages of this process, with their cached
-# geometry, by (CSV path, sha256 of its bytes, label column, name). Each
-# stage is its own `main` call, so they share it through the module. A
-# Dataset is a pure function of the key, so a rewritten CSV is a new key.
+# geometry, by (sha256 of the CSV bytes, label column, name). Each stage
+# is its own `main` call, so they share it through the module. A Dataset
+# is a pure function of the key, so a rewritten CSV is a new key.
 _loaded: dict[tuple, Dataset] = {}
 
 
-def _dataset_key(entry: DatasetEntry, csv: Path, csv_digest: str | None) -> tuple:
-    return csv, csv_digest, entry.label_column, entry.name
-
-
 def materialize_datasets(out: Path,
-                         cfg: CampaignConfig) -> list[tuple[Path, str | None]]:
-    """The CSV each dataset of ``cfg`` is read from, with the sha256 of its
-    bytes: the entry's own file, or the one ``admissa gen`` wrote under
-    out/datasets. An entry is a data error unless its row in gen's dataset
-    manifest records this entry and this digest. Lets go of each loaded
-    dataset that is not one of these."""
+                         cfg: CampaignConfig) -> list[tuple[Path, bytes, str]]:
+    """The CSV each dataset of ``cfg`` is read from, its bytes (read once)
+    and their sha256: the entry's own file, or the one ``admissa gen``
+    wrote under out/datasets. An entry is a data error unless the file
+    exists and its row in gen's dataset manifest records this entry and
+    this digest. Lets go of each loaded dataset that is not one of these."""
     rows = [r for r in _json_doc(_read(out / "datasets" / "manifest.json"), list)
             if isinstance(r, dict)]
     found = []
     for entry in cfg.datasets:
         path = (out / "datasets" / f"{entry.name}.csv" if entry.csv is None
                 else Path(entry.csv))
-        digest = _digest(_read(path))
+        data = _read(path)
+        digest = _digest(data)
         described = asdict(entry)
         row = next((r for r in rows if r.get("name") == entry.name), {})
         if _canonical({key: row.get(key) for key in described}) != _canonical(described):
             raise DataError(f"dataset {entry.name!r}: this config entry differs from "
                             f"the dataset manifest's row (run `admissa gen`)")
-        if row.get("sha256") != digest:
+        if data is None or row.get("sha256") != digest:
             raise DataError(f"dataset {entry.name!r}: the CSV {path} is missing or its "
                             f"sha256 is not the manifest's (run `admissa gen`)")
-        found.append((path, digest))
-    keep = {_dataset_key(entry, *csv) for entry, csv in zip(cfg.datasets, found)}
+        found.append((path, data, digest))
+    keep = {(d, e.label_column, e.name) for e, (_, _, d) in zip(cfg.datasets, found)}
     for key in _loaded.keys() - keep:
         del _loaded[key]
     return found
 
 
-def _dataset(entry: DatasetEntry, csv: Path, csv_digest: str | None) -> Dataset:
-    """The dataset of ``entry``, read from ``csv`` whose bytes have sha256
-    ``csv_digest``: the one a stage of this process loaded already, if
-    any."""
-    key = _dataset_key(entry, csv, csv_digest)
+def _dataset(entry: DatasetEntry, path: Path, data: bytes, digest: str) -> Dataset:
+    """The dataset of ``entry`` parsed from ``data``, the bytes of ``path``
+    with sha256 ``digest``: the one this process parsed already, if any."""
+    key = digest, entry.label_column, entry.name
     if key not in _loaded:
-        _loaded[key] = load_dataset(csv, label_column=entry.label_column,
-                                    name=entry.name)
+        try:
+            _loaded[key] = load_dataset(data, label_column=entry.label_column,
+                                        name=entry.name)
+        except DataError as err:
+            raise DataError(f"{path}: {err}") from None
     return _loaded[key]
 
 
@@ -345,8 +349,9 @@ def cmd_gen(cfg: CampaignConfig, out: Path) -> int:
     manifest = []
     for entry in cfg.datasets:
         if entry.csv is not None:
-            sha256 = _digest(_read(Path(entry.csv)))
-            ds = _dataset(entry, Path(entry.csv), sha256)
+            data = Path(entry.csv).read_bytes()
+            sha256 = _digest(data)
+            ds = _dataset(entry, Path(entry.csv), data, sha256)
         else:
             try:
                 ds = entry.generator.build()
@@ -369,22 +374,22 @@ def cmd_gen(cfg: CampaignConfig, out: Path) -> int:
 
 
 def _population_stamp(cfg: CampaignConfig, entry: DatasetEntry,
-                      initializer: str, csv_digest: str | None) -> str:
+                      initializer: str, csv_digest: str) -> str:
     return _stamp({"initializer": initializer, "seed": cfg.seed,
                    "label_column": entry.label_column}, [csv_digest])
 
 
 def cmd_init(cfg: CampaignConfig, out: Path) -> int:
     written = 0
-    for entry, (csv, csv_digest) in zip(cfg.datasets, materialize_datasets(out, cfg)):
+    for entry, (csv, data, digest) in zip(cfg.datasets, materialize_datasets(out, cfg)):
         ds = None  # loaded for the first stale population only
         for init in cfg.initializers:
             path = population_path(out, entry.name, init)
-            stamp = _population_stamp(cfg, entry, init, csv_digest)
+            stamp = _population_stamp(cfg, entry, init, digest)
             if _json_doc(_read(path), dict).get("inputs") == stamp:
                 continue
             if ds is None:
-                ds = _dataset(entry, csv, csv_digest)
+                ds = _dataset(entry, csv, data, digest)
             pop = generate_population(ds, init, master_seed=cfg.seed)
             doc = {**pop.to_dict(), "inputs": stamp}
             _write(path, json.dumps(doc, indent=1) + "\n")
@@ -396,7 +401,7 @@ def cmd_init(cfg: CampaignConfig, out: Path) -> int:
 
 
 def _load_population(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
-                     initializer: str, csv_digest: str | None,
+                     initializer: str, csv_digest: str,
                      data: bytes | None, n: int) -> InitPopulation:
     """The population of (entry, initializer) in ``data``, its file's
     bytes, checked against the current config and the CSV digest, with
@@ -422,7 +427,7 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
     """The verdict tables and box-plot data of every initializer. The
     manifest, written last, records the input stamp and the digest of
     every file written; when both still hold, nothing is recomputed."""
-    csvs, csv_digests = zip(*materialize_datasets(out, cfg))
+    csvs, csv_data, csv_digests = zip(*materialize_datasets(out, cfg))
     config = asdict(cfg)
     config_slice = {key: config[key] for key in ("datasets", "initializers",
                                                  "objectives", "criteria_params",
@@ -442,8 +447,7 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
         return 0
 
     specs = [cfg.spec_for(c) for c in cfg.objectives]
-    datasets = [_dataset(e, csv, digest)
-                for e, csv, digest in zip(cfg.datasets, csvs, csv_digests)]
+    datasets = list(map(_dataset, cfg.datasets, csvs, csv_data, csv_digests))
     pops = {init: [_load_population(out, cfg, e, init, digest, data, ds.n)
                    for e, digest, data, ds in zip(cfg.datasets, csv_digests, files,
                                                   datasets)]
@@ -472,39 +476,42 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
 
 
 def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
-                      csv: Path, csv_digest: str | None):
+                      csv: Path, csv_bytes: bytes, csv_digest: str):
     """Worker: the missing or stale seeded runs of one dataset, for every
     pair. A run's stamp covers the dataset CSV, the population file and
     the run's EmocConfig (the pair's specs, the emoc settings and the
     run's derived seed); a run is stale unless its stamp matches and its
     best ARI is a float and its truth-dominated flag a bool. Reads each
-    file once and loads the dataset and population only for a run to
-    compute. Returns, per pair, (path under out, sha256, best ARI, truth
-    dominated) of each run."""
+    file once and parses the dataset and population only for a run to
+    compute. Returns the sha256 of each run file by its path under out,
+    and one RunSummary per pair."""
     pop_data = _read(population_path(out, entry.name, cfg.optimize_initializer))
     files = [csv_digest, _digest(pop_data)]
     ds = None
-    results = []
+    digests = {}
+    summaries = []
     for pair in cfg.pairs:
         label = pair_label(pair)
-        runs = []
-        todo = []  # (run index, derived seed, stamp) of each run to compute
+        run_aris, run_flags = [], []  # the summary's lists, filled run by run below
+        summaries.append(RunSummary(dataset=entry.name, group=entry.group, pair=label,
+                                    run_aris=run_aris, truth_dominated_runs=run_flags))
+        todo = []  # (run index, derived seed, stamp, path under out) of runs to compute
         for run_idx in range(cfg.runs):
             seed = derive_seed(cfg.seed, "optimize", entry.name, label, run_idx)
             stamp = _stamp(asdict(cfg.emoc_config(pair, seed)), files)
-            path = run_path(out, entry.name, pair, run_idx)
-            data = _read(path)
+            rel = run_path(out, entry.name, pair, run_idx).relative_to(out).as_posix()
+            data = _read(out / rel)
             doc = _json_doc(data, dict)
             if (doc.get("inputs") != stamp or not isinstance(doc.get("best_ari"), float)
                     or not isinstance(doc.get("truth_dominated"), bool)):
-                todo.append((run_idx, seed, stamp))
-            runs.append((path.relative_to(out).as_posix(), _digest(data),
-                         doc.get("best_ari"), doc.get("truth_dominated")))
-        results.append(runs)
+                todo.append((run_idx, seed, stamp, rel))
+            digests[rel] = _digest(data)
+            run_aris.append(doc.get("best_ari"))
+            run_flags.append(doc.get("truth_dominated"))
         if not todo:
             continue
         if ds is None:
-            ds = _dataset(entry, csv, csv_digest)
+            ds = _dataset(entry, csv, csv_bytes, csv_digest)
             truth = ds.true_partition()
             pop = _load_population(out, cfg, entry, cfg.optimize_initializer,
                                    csv_digest, pop_data, ds.n)
@@ -512,7 +519,7 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
             truth_vec = evaluate_vector(ds, truth, tuple(cfg.spec_for(c) for c in pair))
         except CriterionError:
             truth_vec = None
-        for run_idx, seed, stamp in todo:
+        for run_idx, seed, stamp, rel in todo:
             try:
                 front = evolve(ds, cfg.emoc_config(pair, seed), pop)
             except DataError as err:
@@ -537,10 +544,10 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
                 "selection_rule": evaluation.SELECTION_RULE,
                 "inputs": stamp,
             }
-            rel = runs[run_idx][0]
-            runs[run_idx] = (rel, _write(out / rel, _json_text(doc)),
-                             doc["best_ari"], doc["truth_dominated"])
-    return results
+            digests[rel] = _write(out / rel, _json_text(doc))
+            run_aris[run_idx] = doc["best_ari"]
+            run_flags[run_idx] = doc["truth_dominated"]
+    return digests, summaries
 
 
 def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
@@ -553,27 +560,21 @@ def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
              for entry, csv in zip(cfg.datasets, csvs) for pair in cfg.pairs]
     if jobs > 1 and cells:
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            runs = [pair_runs for [pair_runs] in
-                    pool.map(functools.partial(_optimize_dataset, out), *zip(*cells))]
+            results = list(pool.map(functools.partial(_optimize_dataset, out),
+                                    *zip(*cells)))
     else:
-        runs = [pair_runs for entry, csv in zip(cfg.datasets, csvs)
-                for pair_runs in _optimize_dataset(out, cfg, entry, *csv)]
+        results = [_optimize_dataset(out, cfg, entry, *csv)
+                   for entry, csv in zip(cfg.datasets, csvs)]
 
-    summaries = []
     outputs = {}  # path under out -> sha256 of each run, summary and box plot
-    runs = iter(runs)  # per cell, in config order
-    for entry in cfg.datasets:
-        box = {}  # per pair: five-number summary of its runs' best ARIs
-        for pair in cfg.pairs:
-            rels, digests, aris, flags = map(list, zip(*next(runs)))
-            outputs.update(zip(rels, digests))
-            summaries.append(RunSummary(dataset=entry.name, group=entry.group,
-                                        pair=pair_label(pair), run_aris=aris,
-                                        truth_dominated_runs=flags))
-            box[pair_label(pair)] = five_number_summary(aris)
-        if box:  # a dataset without pairs has no box plot
-            rel = f"optimize/boxplots/{entry.name}.json"
-            outputs[rel] = _write(out / rel, _json_text(box))
+    summaries = []  # per pair of each dataset, in config order
+    for digests, cell_summaries in results:
+        outputs.update(digests)
+        summaries += cell_summaries
+    for name, pairs in itertools.groupby(summaries, key=lambda s: s.dataset):
+        box = {s.pair: five_number_summary(s.run_aris) for s in pairs}
+        rel = f"optimize/boxplots/{name}.json"
+        outputs[rel] = _write(out / rel, _json_text(box))
     for fmt in cfg.formats:
         for name, text in evaluation.render_tables([], summaries, fmt).items():
             outputs[f"optimize/{name}"] = _write(out / "optimize" / name, text)
@@ -589,13 +590,21 @@ def _link_list(sections: list[str], heading: str, rels: list[str]):
         sections += [heading, "", *(f"- [{Path(rel).name}]({rel})" for rel in rels), ""]
 
 
+def _no_markdown(stage: str, tables: list[str]) -> str:
+    """The report's warning for a stage whose ``tables`` (paths under out)
+    hold no markdown, the one format it embeds; printed to stderr too."""
+    formats = " and ".join(sorted({Path(rel).suffix[1:] for rel in tables}))
+    warning = (f"the {stage} tables were written in {formats} only; add markdown "
+               f"to the config's formats to show them here.")
+    print(f"report: warning, {warning}", file=sys.stderr)
+    return f"WARNING: {warning}"
+
+
 def cmd_report(out: Path) -> int:
     sections = ["# Campaign report", ""]
-    empty = True
 
     manifest_path = out / "datasets" / "manifest.json"
     if manifest_path.exists():
-        empty = False
         try:
             rows = [[r[key] for key in ("name", "group", "n", "d", "k_star", "source")]
                     for r in json.loads(manifest_path.read_bytes())]
@@ -615,10 +624,12 @@ def cmd_report(out: Path) -> int:
         current += [rel for rel in (outputs if isinstance(outputs, dict) else {})
                     if (out / rel).is_file()]
     current.sort()
-    for rel in fnmatch.filter(current, "admissibility/admissibility_*.md"):
-        empty = False
+    tables = fnmatch.filter(current, "admissibility/admissibility_*")
+    for rel in fnmatch.filter(tables, "*.md"):
         title = Path(rel).stem.replace("admissibility_", "")
         sections += [f"## Admissibility ({title})", "", _text(out / rel), ""]
+    if tables and not fnmatch.filter(tables, "*.md"):
+        sections += ["## Admissibility", "", _no_markdown("admissibility", tables), ""]
     _link_list(sections, "### Initialization ARI box-plot data",
                fnmatch.filter(current, "admissibility/boxplots/*.json"))
 
@@ -628,14 +639,17 @@ def cmd_report(out: Path) -> int:
     _link_list(sections, "## Not part of this config",
                sorted({p.relative_to(out).as_posix() for p in found} - set(current)))
 
-    if "optimize/optimization_summary.md" in current:
-        empty = False
-        sections += ["## Optimization (best ARI on front, mean of seeded runs)", "",
-                     _text(out / "optimize/optimization_summary.md"), ""]
-        _link_list(sections, "### Run ARI box-plot data",
-                   fnmatch.filter(current, "optimize/boxplots/*.json"))
+    summary = fnmatch.filter(current, "optimize/optimization_summary.*")
+    boxplots = fnmatch.filter(current, "optimize/boxplots/*.json")
+    if summary or boxplots:
+        sections += ["## Optimization (best ARI on front, mean of seeded runs)", ""]
+        if "optimize/optimization_summary.md" in summary:
+            sections += [_text(out / "optimize/optimization_summary.md"), ""]
+        elif summary:
+            sections += [_no_markdown("optimize", summary), ""]
+        _link_list(sections, "### Run ARI box-plot data", boxplots)
 
-    if empty:
+    if not manifest_path.exists() and not current:
         sections += ["WARNING: no campaign artifacts found in this directory.", ""]
         print("report: warning, no artifacts found", file=sys.stderr)
     _write(out / "report.md", "\n".join(sections))

@@ -58,6 +58,9 @@ DIRECTIONS = {
 
 ALL_IDS = tuple(DIRECTIONS)
 
+# The ObjectiveSpec parameters each criterion reads; the others read none.
+PARAMS = {"con": ("L",), "dcd": ("k_size",), "sep_graph": ("k_size",)}
+
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -429,11 +432,7 @@ def evaluate(ds: Dataset, pi: Partition, spec: ObjectiveSpec) -> float:
     ``CriterionError`` passes through as the criterion raised it."""
     if pi.n != ds.n:
         raise DataError(f"partition has {pi.n} points, dataset {ds.name!r} has {ds.n}")
-    params = {}
-    if spec.id == "con":
-        params = {"L": spec.L}
-    elif spec.id in ("dcd", "sep_graph"):
-        params = {"k_size": spec.k_size}
+    params = {name: getattr(spec, name) for name in PARAMS.get(spec.id, ())}
     return globals()[f"eval_{spec.id}"](ds, pi, **params)
 
 

@@ -1,5 +1,5 @@
-"""Labelled datasets, partitions and shared geometry (distances,
-neighbors, MST).
+"""Labelled datasets, parsed from CSV bytes without reading any file,
+partitions and shared geometry (distances, neighbors, MST).
 
 Everything downstream (criteria, initializers, the evolutionary clusterer)
 consumes the cached O(n^2) distance table built here, so it is computed
@@ -10,6 +10,7 @@ broken by ascending point index throughout so runs are bit-reproducible.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -323,31 +324,30 @@ def minimum_spanning_tree(dm: np.ndarray) -> np.ndarray:
     return parent
 
 
-def load_dataset(path, label_column: str, name: str) -> Dataset:
-    """Read a headered CSV of numeric feature columns plus the label column
-    ``label_column``. Labels are re-indexed densely in order of first
-    appearance."""
+def load_dataset(data: bytes, label_column: str, name: str) -> Dataset:
+    """Parse ``data``, the bytes of a headered UTF-8 CSV of numeric feature
+    columns plus the label column ``label_column``, whose labels are
+    re-indexed densely in order of first appearance. Opens no file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh.readlines())
+        reader = csv.reader(io.StringIO(data.decode(), newline=""))
     except UnicodeDecodeError as err:
-        raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
+        raise DataError(f"not UTF-8 text ({err.reason})") from None
     header = next(reader, None)
     if header is None:
-        raise DataError(f"{path}: empty file")
+        raise DataError("empty file")
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: inconsistent arity "
+            raise DataError(f"line {reader.line_num}: inconsistent arity "
                             f"({len(row)} fields, expected {len(header)})")
         rows.append(row)
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise DataError("no data rows")
 
     if label_column not in header:
-        raise DataError(f"{path}: label column {label_column!r} absent")
+        raise DataError(f"label column {label_column!r} absent")
     label_pos = header.index(label_column)
 
     feature_pos = [i for i in range(len(header)) if i != label_pos]
@@ -357,7 +357,7 @@ def load_dataset(path, label_column: str, name: str) -> Dataset:
             try:
                 points[r, c] = float(row[pos])
             except ValueError:
-                raise DataError(f"{path}: non-numeric feature {row[pos]!r} "
+                raise DataError(f"non-numeric feature {row[pos]!r} "
                                 f"in column {header[pos]!r}") from None
 
     raw = [row[label_pos] for row in rows]

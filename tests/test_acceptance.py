@@ -9,6 +9,7 @@ families at desk scale; sizes are reduced but the structural properties
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_c10_r15_spot_check():
         print(f"\nACCEPTANCE 10 r15-spot-check: SKIP (no CSV at {path}; "
               f"set {R15_ENV} to enable)")
         pytest.skip("R15 CSV not supplied")
-    ds = load_dataset(path, label_column="label", name="R15")
+    ds = load_dataset(Path(path).read_bytes(), label_column="label", name="R15")
     aris, _ = _optimization_runs(ds, ("ch", "con"), 5, master_seed=15,
                                  generations=50, population_size=100)
     mean = float(np.mean(aris))

@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import collections
 import functools
 import hashlib
@@ -208,6 +209,44 @@ class TestPipeline:
         calls = count_calls(monkeypatch, (cli, "load_dataset"))
         run_all(cfg, tmp_path / "out")
         assert calls == ["load_dataset"] * 2 and sorted(built) == ["a", "b"]
+
+    @pytest.mark.parametrize("own_process", [False, True],
+                             ids=["one-process", "process-per-stage"])
+    def test_each_stage_reads_a_csv_entry_once(self, tmp_path, monkeypatch, own_process):
+        # The manifest check, the stamps and the parse share one read, so
+        # a stage's digest of a CSV is the digest of the bytes it parsed.
+        csv = labelled_csv(tmp_path / "d.csv", ["1", "2", "3"])
+        cfg = tiny_config(tmp_path, datasets=[{"name": "d", "csv": str(csv)}])
+        stages = ("gen", "init", "admissibility", "optimize")
+        reads = collections.Counter()
+
+        def counting(original):
+            def read(file, *args, **kwargs):
+                if file in (csv, str(csv)):
+                    reads[stage] += 1
+                return original(file, *args, **kwargs)
+            return read
+
+        monkeypatch.setattr(builtins, "open", counting(builtins.open))
+        monkeypatch.setattr(Path, "read_bytes", counting(Path.read_bytes))
+        for stage in stages:
+            if own_process:
+                monkeypatch.setattr(cli, "_loaded", {})
+            assert main([stage, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert reads == dict.fromkeys(stages, 1)
+
+    def test_report_without_markdown_says_so(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_all(tiny_config(tmp_path, formats=["csv", "json"]), out)
+        report = (out / "report.md").read_text()
+        err = capsys.readouterr().err
+        for stage in ("admissibility", "optimize"):
+            warning = (f"the {stage} tables were written in csv and json only; "
+                       f"add markdown to the config's formats to show them here.")
+            assert f"WARNING: {warning}" in report
+            assert f"report: warning, {warning}" in err
+        for rel in ("admissibility/boxplots/blobs3.json", "optimize/boxplots/blobs3.json"):
+            assert f"- [blobs3.json]({rel})" in report
 
     def test_resumed_optimize_reads_each_run_file_once(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
@@ -448,6 +487,48 @@ class TestStamps:
         rows = (out / "optimize" / "optimization_summary.csv").read_text().splitlines()
         assert len(rows) == 3 and all(row.startswith("b,H,") for row in rows[1:])
         assert "| b | H | 30 | 2 | 3 | generated |" in (out / "report.md").read_text()
+
+    def test_csv_rewritten_after_the_check_in_init_changes_nothing(self, tmp_path,
+                                                                   monkeypatch):
+        # init parses the bytes its manifest check digested, so a CSV
+        # rewritten after that check, and then restored, leaves no
+        # population computed from other points under the check's digest.
+        csv = labelled_csv(tmp_path / "d.csv", ["1", "2", "3"])
+        original = csv.read_bytes()
+        cfg = tiny_config(tmp_path, datasets=[{"name": "d", "csv": str(csv)}])
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        materialize = cli.materialize_datasets
+
+        def rewritten_after_the_check(*args):
+            found = materialize(*args)
+            csv.write_text("x0,x1,label\n" + "".join(f"{i % 3},{i},{i % 3 + 1}\n"
+                                                     for i in range(21)))
+            return found
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_loaded", {})  # as in a process of its own
+            patched.setattr(cli, "materialize_datasets", rewritten_after_the_check)
+            assert main(["init", "--config", str(cfg), "--out", str(out)]) == 0
+        csv.write_bytes(original)
+        for cmd in ("admissibility", "optimize"):
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["report", "--out", str(out)]) == 0
+        run_all(cfg, fresh)
+        assert tree_bytes(out) == tree_bytes(fresh)
+
+    def test_criterion_param_no_pair_reads_keeps_the_runs(self, tmp_path):
+        # Only dcd and sep_graph read k_size, so the (var, con) runs keep
+        # their bytes and mtimes; con reads L, so an L change redoes them.
+        out = tmp_path / "out"
+        pairs = [["var", "con"]]
+        run_all(tiny_config(tmp_path, pairs=pairs), out)
+        runs = sorted((out / "optimize" / "runs").iterdir())
+        before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in runs}
+        run_all(tiny_config(tmp_path, pairs=pairs, criteria_params={"k_size": 5}), out)
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in runs} == before
+        run_all(tiny_config(tmp_path, pairs=pairs, criteria_params={"L": 5}), out)
+        assert len(runs) == 2 and all(p.read_bytes() != before[p][0] for p in runs)
 
     def test_csv_edited_in_place_between_campaigns_is_loaded_again(
             self, tmp_path, monkeypatch):

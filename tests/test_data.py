@@ -20,48 +20,38 @@ from oracles import (neighbor_list, oracle_cluster_means, oracle_components,
                      oracle_neighbor_index)
 
 
-def write_csv(tmp_path, text, name="data.csv"):
-    path = tmp_path / name
-    path.write_text(text)
-    return path
-
-
 class TestLoadDataset:
-    def test_with_label_column(self, tmp_path):
-        path = write_csv(tmp_path, "x0,x1,label\n0,0,a\n0,1,a\n10,0,b\n10,1,b\n")
-        ds = load_dataset(path, label_column="label", name="data")
+    def test_with_label_column(self):
+        ds = load_dataset(b"x0,x1,label\n0,0,a\n0,1,a\n10,0,b\n10,1,b\n",
+                          label_column="label", name="data")
         assert ds.n == 4 and ds.dim == 2 and ds.k_star == 2
         assert ds.labels.tolist() == [0, 0, 1, 1]
 
-    def test_labels_numbered_in_order_of_first_appearance(self, tmp_path):
-        path = write_csv(tmp_path, "x0,label\n0,b\n1,a\n2,b\n3,c\n")
-        ds = load_dataset(path, label_column="label", name="data")
+    def test_labels_numbered_in_order_of_first_appearance(self):
+        ds = load_dataset(b"x0,label\n0,b\n1,a\n2,b\n3,c\n",
+                          label_column="label", name="data")
         assert ds.labels.tolist() == [0, 1, 0, 2]
 
-    def test_inconsistent_arity(self, tmp_path):
-        path = write_csv(tmp_path, "x0,label\n0,0\n1,1,9\n")
-        with pytest.raises(DataError, match="arity"):
-            load_dataset(path, label_column="label", name="data")
+    def test_inconsistent_arity(self):
+        with pytest.raises(DataError, match=r"^line 3: inconsistent arity"):
+            load_dataset(b"x0,label\n0,0\n1,1,9\n", label_column="label", name="data")
 
-    def test_non_numeric_feature(self, tmp_path):
-        path = write_csv(tmp_path, "x0,x1,label\n0,zap,0\n1,1,0\n")
+    def test_non_numeric_feature(self):
         with pytest.raises(DataError, match="non-numeric"):
-            load_dataset(path, label_column="label", name="data")
+            load_dataset(b"x0,x1,label\n0,zap,0\n1,1,0\n",
+                         label_column="label", name="data")
 
-    def test_empty_file(self, tmp_path):
-        path = write_csv(tmp_path, "")
+    def test_empty_file(self):
         with pytest.raises(DataError, match="empty"):
-            load_dataset(path, label_column="label", name="data")
+            load_dataset(b"", label_column="label", name="data")
 
-    def test_missing_label_column(self, tmp_path):
-        path = write_csv(tmp_path, "x0,x1\n0,0\n1,1\n")
+    def test_missing_label_column(self):
         with pytest.raises(DataError, match="absent"):
-            load_dataset(path, label_column="label", name="data")
+            load_dataset(b"x0,x1\n0,0\n1,1\n", label_column="label", name="data")
 
-    def test_roundtrip(self, tmp_path, fix4):
-        path = tmp_path / "out.csv"
-        path.write_bytes(dataset_csv(fix4).encode())
-        back = load_dataset(path, label_column="label", name="data")
+    def test_roundtrip(self, fix4):
+        back = load_dataset(dataset_csv(fix4).encode(), label_column="label",
+                            name="data")
         assert np.array_equal(back.points, fix4.points)
         assert np.array_equal(back.labels, fix4.labels)
 

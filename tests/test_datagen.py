@@ -120,5 +120,5 @@ class TestGeneratorSpec:
         p1.write_bytes(dataset_csv(spec.build()).encode())
         p2.write_bytes(dataset_csv(spec.build()).encode())
         assert p1.read_bytes() == p2.read_bytes()
-        back = load_dataset(p1, label_column="label", name="nested")
+        back = load_dataset(p1.read_bytes(), label_column="label", name="nested")
         assert back.k_star == 5
