@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Time the layers that the benchmark workloads see only inside a stage:
-the geometry builds, decode, non-dominated sorting with crowding, and
-one EMOC generation, on the spiralsquare generator at each ``--n``.
+the geometry builds, each initializer, decode, non-dominated sorting with
+crowding, and one EMOC generation, on the spiralsquare generator at each
+``--n``.
 
 Every figure is the best of REPEAT calls, in seconds per call:
 - ``distances_s``, ``neighbor_index_s``, ``neighbor_rank_s``, ``mst_s``:
   one build on a fresh dataset with the distances (and, for the ranks,
   the MST) already built, so a rank build that reads the neighbor index
   includes building it;
+- ``km_population_s``, ``al_population_s``, ``sl_population_s``,
+  ``snn_population_s``, ``mst_population_s``: one ``generate_population``
+  call of that initializer, on the dataset with its geometry built;
 - ``decode_s``: one genotype of the mst-seeded population;
 - ``sort_crowding_s``: ``_rank_population`` on the (2P x 2) value array
   of a generation's members (fronts and crowding, P = POPULATION), as
@@ -35,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from admissa import (Dataset, EmocConfig, decode, delta_relevant_loci,
+from admissa import (ALGORITHMS, Dataset, EmocConfig, decode, delta_relevant_loci,
                      encode, evaluate_vector, evolve, gen_mixed,
                      generate_population, objective, objectives)
 from admissa.components import ComponentGeometry
@@ -81,6 +85,9 @@ def time_layers(n):
     }
 
     pop = generate_population(ds, "mst", master_seed=SEED)
+    for alg in ALGORITHMS:
+        out[f"{alg}_population_s"] = best_of(
+            lambda: ds, lambda d, a=alg: generate_population(d, a, master_seed=SEED))
     scheme = delta_relevant_loci(ds)
     rng = np.random.default_rng(SEED)
     rows = [encode(pi, scheme) for pi in pop.partitions]

@@ -230,12 +230,15 @@ def _digest(data: bytes | None) -> str | None:
     return None if data is None else hashlib.sha256(data).hexdigest()
 
 
-def _write(path: Path, text: str) -> str:
+def _write(path: Path, text: str, old: bytes | None = None) -> str:
     """Write ``text`` to ``path`` as UTF-8, and return the sha256 of its
     bytes. A file that holds those bytes already is left untouched;
-    otherwise it is replaced atomically."""
+    otherwise it is replaced atomically. ``old``, unless None, is the bytes
+    the caller read from ``path`` already, which spares a second read."""
     data = text.encode()
-    if _read(path) != data:
+    if old is None:
+        old = _read(path)
+    if old != data:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
         tmp.write_bytes(data)
@@ -386,13 +389,14 @@ def cmd_init(cfg: CampaignConfig, out: Path) -> int:
         for init in cfg.initializers:
             path = population_path(out, entry.name, init)
             stamp = _population_stamp(cfg, entry, init, digest)
-            if _json_doc(_read(path), dict).get("inputs") == stamp:
+            old = _read(path)
+            if _json_doc(old, dict).get("inputs") == stamp:
                 continue
             if ds is None:
                 ds = _dataset(entry, csv, data, digest)
             pop = generate_population(ds, init, master_seed=cfg.seed)
             doc = {**pop.to_dict(), "inputs": stamp}
-            _write(path, json.dumps(doc, indent=1) + "\n")
+            _write(path, json.dumps(doc, indent=1) + "\n", old)
             written += 1
     _write_manifest(out, "init", cfg)
     print(f"init: {written} population files written, "
@@ -429,9 +433,12 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
     every file written; when both still hold, nothing is recomputed."""
     csvs, csv_data, csv_digests = zip(*materialize_datasets(out, cfg))
     config = asdict(cfg)
+    specs = [cfg.spec_for(c) for c in cfg.objectives]
     config_slice = {key: config[key] for key in ("datasets", "initializers",
-                                                 "objectives", "criteria_params",
                                                  "formats", "seed")}
+    # each objective with the criteria_params it reads, so a parameter that
+    # no objective reads leaves the stamp alone
+    config_slice["objectives"] = [asdict(spec) for spec in specs]
     pop_files = {init: [_read(population_path(out, e.name, init)) for e in cfg.datasets]
                  for init in cfg.initializers}
     pop_digests = [_digest(data) for files in pop_files.values() for data in files]
@@ -446,7 +453,6 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
               f"{out / 'admissibility'} kept")
         return 0
 
-    specs = [cfg.spec_for(c) for c in cfg.objectives]
     datasets = list(map(_dataset, cfg.datasets, csvs, csv_data, csv_digests))
     pops = {init: [_load_population(out, cfg, e, init, digest, data, ds.n)
                    for e, digest, data, ds in zip(cfg.datasets, csv_digests, files,
@@ -495,7 +501,7 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
         run_aris, run_flags = [], []  # the summary's lists, filled run by run below
         summaries.append(RunSummary(dataset=entry.name, group=entry.group, pair=label,
                                     run_aris=run_aris, truth_dominated_runs=run_flags))
-        todo = []  # (run index, derived seed, stamp, path under out) of runs to compute
+        todo = []  # (run index, derived seed, stamp, path under out, old bytes) to compute
         for run_idx in range(cfg.runs):
             seed = derive_seed(cfg.seed, "optimize", entry.name, label, run_idx)
             stamp = _stamp(asdict(cfg.emoc_config(pair, seed)), files)
@@ -504,7 +510,7 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
             doc = _json_doc(data, dict)
             if (doc.get("inputs") != stamp or not isinstance(doc.get("best_ari"), float)
                     or not isinstance(doc.get("truth_dominated"), bool)):
-                todo.append((run_idx, seed, stamp, rel))
+                todo.append((run_idx, seed, stamp, rel, data))
             digests[rel] = _digest(data)
             run_aris.append(doc.get("best_ari"))
             run_flags.append(doc.get("truth_dominated"))
@@ -519,7 +525,7 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
             truth_vec = evaluate_vector(ds, truth, tuple(cfg.spec_for(c) for c in pair))
         except CriterionError:
             truth_vec = None
-        for run_idx, seed, stamp, rel in todo:
+        for run_idx, seed, stamp, rel, old in todo:
             try:
                 front = evolve(ds, cfg.emoc_config(pair, seed), pop)
             except DataError as err:
@@ -544,7 +550,7 @@ def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
                 "selection_rule": evaluation.SELECTION_RULE,
                 "inputs": stamp,
             }
-            digests[rel] = _write(out / rel, _json_text(doc))
+            digests[rel] = _write(out / rel, _json_text(doc), old)
             run_aris[run_idx] = doc["best_ari"]
             run_flags[run_idx] = doc["truth_dominated"]
     return digests, summaries

@@ -30,42 +30,69 @@ SNN_GRID = {
 # k-means
 
 
-def _seed_centroids(ds: Dataset, k: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_centroids(ds: Dataset, ks: list[int],
+                    rngs: list[np.random.Generator]) -> list[np.ndarray]:
     """Distance-squared weighted random seeding over the data points
-    (k-means++). Each draw is ``rng.choice(n, p=d2 / total)`` written out:
-    one uniform variate located in the normalised cumulative weights, so
-    the index and the generator state are the ones ``choice`` gives."""
-    n = ds.n
-    chosen = [int(rng.integers(n))]
-    d2 = ds.distances[chosen[0]] ** 2
-    while len(chosen) < k:
-        total = d2.sum()
-        if total <= 0.0:
-            # remaining mass is zero (duplicate-heavy data): first unchosen index
-            mask = np.ones(n, dtype=bool)
-            mask[chosen] = False
-            nxt = int(np.flatnonzero(mask)[0])
-        else:
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            nxt = int(cdf.searchsorted(rng.random(), side="right"))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, ds.distances[nxt] ** 2)
-    return ds.points[chosen].copy()
+    (k-means++) of several runs at once: the indices of the ``ks[i]``
+    points that run i draws with ``rngs[i]``. Each draw is
+    ``rng.choice(n, p=d2 / total)`` written out: one uniform variate
+    located in the normalised cumulative weights (on the non-decreasing
+    row, ``count_nonzero(cdf <= u)`` is ``searchsorted(side="right")``), so
+    the index and the generator state are the ones ``choice`` gives. The
+    runs draw in lockstep, one round per draw, in order of descending k,
+    so the runs still drawing are a leading slice of each array."""
+    n, runs = ds.n, len(ks)
+    order = sorted(range(runs), key=lambda i: -ks[i])
+    gens = [rngs[i] for i in order]
+    draws = np.array([ks[i] for i in order])
+    chosen = np.empty((runs, draws[0]), dtype=np.int64)
+    chosen[:, 0] = [g.integers(n) for g in gens]
+    taken = np.zeros((runs, n), dtype=bool)
+    taken[np.arange(runs), chosen[:, 0]] = True
+    d2 = ds.distances[chosen[:, 0]] ** 2
+    for j in range(1, draws[0]):
+        m = int(np.count_nonzero(draws > j))
+        total = d2[:m].sum(axis=1)
+        live = np.flatnonzero(total > 0.0)
+        # a run whose remaining mass is zero (duplicate-heavy data) takes
+        # its first unchosen index and draws nothing
+        nxt = taken[:m].argmin(axis=1)
+        cdf = (d2[live] / total[live, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([gens[i].random() for i in live])
+        nxt[live] = np.count_nonzero(cdf <= u[:, None], axis=1)
+        chosen[:m, j] = nxt
+        taken[np.arange(m), nxt] = True
+        np.minimum(d2[:m], ds.distances[nxt] ** 2, out=d2[:m])
+    picks = [None] * runs
+    for row, i in enumerate(order):
+        picks[i] = chosen[row, :ks[i]]
+    return picks
 
 
-def lloyd_run(ds: Dataset, k: int,
-              rng: np.random.Generator) -> tuple[Partition, list[float]]:
-    """One Lloyd descent of at most ``KMEANS_MAX_ITER`` iterations; returns
-    the partition and the TWCV after each iteration (non-increasing).
-    Emptied clusters are repaired by reseeding the centroid at the point
-    farthest from its assigned centroid."""
-    cents = _seed_centroids(ds, k, rng)
+def _centroid_d2(points: np.ndarray, cents: np.ndarray,
+                 diff: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances of the points to the centroids. The
+    (n, k, d) differences go into ``diff`` one column at a time: the
+    broadcast over all d columns at once runs a d-long inner loop, and
+    writing by column gives the same bits several times faster."""
+    for j in range(points.shape[1]):
+        np.subtract(points[:, j, None], cents[:, j], out=diff[:, :, j])
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def lloyd_run(ds: Dataset, cents: np.ndarray) -> tuple[Partition, list[float]]:
+    """One Lloyd descent of at most ``KMEANS_MAX_ITER`` iterations from the
+    (k, d) centroids ``cents`` (updated in place); returns the partition and
+    the TWCV after each iteration (non-increasing). Emptied clusters are
+    repaired by reseeding the centroid at the point farthest from its
+    assigned centroid."""
+    k = len(cents)
     assignment = None
     history: list[float] = []
+    diff = np.empty((ds.n, k, ds.dim))
     for _ in range(KMEANS_MAX_ITER):
-        diff = ds.points[:, None, :] - cents[None, :, :]
-        d2 = np.einsum("nkd,nkd->nk", diff, diff)
+        d2 = _centroid_d2(ds.points, cents, diff)
         new_assignment = d2.argmin(axis=1)
         for _repair in range(k):
             counts = np.bincount(new_assignment, minlength=k)
@@ -91,19 +118,28 @@ def lloyd_run(ds: Dataset, k: int,
     return Partition(canonical_labels(assignment)), history
 
 
+def _kmeans_sweep(ds: Dataset, seeds: dict[int, int]) -> dict[int, Partition]:
+    """For each k of ``seeds``, the best of ``KMEANS_RESTARTS`` Lloyd runs
+    by TWCV (ties keep the earlier run), restart r seeded from
+    ``rng_for(seeds[k], "kmeans-restart", r)``. Lloyd's loop draws nothing,
+    so every run's centroids are seeded first, all runs together."""
+    runs = [(k, r) for k in seeds for r in range(KMEANS_RESTARTS)]
+    picks = _seed_centroids(ds, [k for k, _ in runs],
+                            [rng_for(seeds[k], "kmeans-restart", r) for k, r in runs])
+    best: dict[int, tuple[float, Partition]] = {}
+    for (k, _), chosen in zip(runs, picks):
+        part, history = lloyd_run(ds, ds.points[chosen])
+        if k not in best or history[-1] < best[k][0]:
+            best[k] = (history[-1], part)
+    return {k: part for k, (_, part) in best.items()}
+
+
 def kmeans(ds: Dataset, k: int, seed: int) -> Partition:
     """Best of ``KMEANS_RESTARTS`` Lloyd runs by TWCV (ties keep the
     earlier run)."""
     if not 2 <= k <= ds.n:
         raise ValueError(f"kmeans needs 2 <= k <= n, got k={k}, n={ds.n}")
-    best = None
-    best_twcv = np.inf
-    for r in range(KMEANS_RESTARTS):
-        rng = rng_for(seed, "kmeans-restart", r)
-        part, history = lloyd_run(ds, k, rng)
-        if history[-1] < best_twcv:
-            best, best_twcv = part, history[-1]
-    return best
+    return _kmeans_sweep(ds, {k: seed})[k]
 
 
 # --------------------------------------------------------------------------
@@ -306,9 +342,10 @@ def generate_population(ds: Dataset, algorithm: str,
                                        "out_of_range": not in_range}))
 
     if algorithm == "km":
+        seeds = {k: derive_seed(master_seed, "init-km", ds.name, k) for k in ks}
+        parts = _kmeans_sweep(ds, seeds)
         for k in ks:
-            seed = derive_seed(master_seed, "init-km", ds.name, k)
-            keep(kmeans(ds, k, seed=seed), seed, {"k": k})
+            keep(parts[k], seeds[k], {"k": k})
     elif algorithm in ("al", "sl"):
         mode = "average" if algorithm == "al" else "single"
         snaps = _linkage_snapshots(ds, mode, set(ks))

@@ -269,6 +269,24 @@ class TestPipeline:
         assert {rel: reads[rel] for rel in files} == dict.fromkeys(files, 1)
         assert reads["datasets/manifest.json"] == 1
 
+    def test_stale_files_are_read_once_per_stage(self, tmp_path, monkeypatch):
+        # A new seed makes every population and run file stale; the stage
+        # that rewrites one reads it once, for its stamp, not again to
+        # compare its bytes with the new ones.
+        out = tmp_path / "out"
+        run_all(tiny_config(tmp_path), out)
+        cfg = tiny_config(tmp_path, seed=8)
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        reads = count_reads(monkeypatch, out)
+        for command, files in (("init", "populations"), ("optimize", "optimize/runs")):
+            before = {p: p.read_bytes() for p in (out / files).iterdir()}
+            reads.clear()
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            rels = [p.relative_to(out).as_posix() for p in before]
+            assert {rel: reads[rel] for rel in rels} == dict.fromkeys(rels, 1)
+            assert all(p.read_bytes() != data for p, data in before.items())
+            assert len(before) == (2 if command == "init" else 4)
+
     @pytest.mark.parametrize("command, read", [
         ("admissibility", ["blobs3__km.json", "blobs3__mst.json"]),
         ("optimize", ["blobs3__mst.json"]),
@@ -529,6 +547,21 @@ class TestStamps:
         assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in runs} == before
         run_all(tiny_config(tmp_path, pairs=pairs, criteria_params={"L": 5}), out)
         assert len(runs) == 2 and all(p.read_bytes() != before[p][0] for p in runs)
+
+    def test_criterion_param_no_objective_reads_keeps_the_tables(
+            self, tmp_path, monkeypatch, capsys):
+        # Neither var nor con reads k_size, so the admissibility tables are
+        # kept; con reads L, so an L change recomputes them.
+        out = tmp_path / "out"
+        objectives = ["var", "con"]
+        run_all(tiny_config(tmp_path, objectives=objectives), out)
+        calls = count_calls(monkeypatch, (admissibility, "evaluate"))
+        for params, kept in (({"k_size": 5}, True), ({"L": 5}, False)):
+            cfg = tiny_config(tmp_path, objectives=objectives, criteria_params=params)
+            capsys.readouterr()
+            assert main(["admissibility", "--config", str(cfg), "--out", str(out)]) == 0
+            assert ("inputs unchanged" in capsys.readouterr().out) == kept
+            assert (calls == []) == kept
 
     def test_csv_edited_in_place_between_campaigns_is_loaded_again(
             self, tmp_path, monkeypatch):

@@ -9,9 +9,10 @@ from admissa import (ALGORITHMS, DataError, Dataset, Partition, ari,
                      canonical_labels, gen_blobs, gen_elongated,
                      generate_population, kmeans, linkage, mst_cluster,
                      snn_cluster)
-from admissa.initializers import (SNN_GRID, InitPopulation, _seed_centroids,
+from admissa.initializers import (KMEANS_RESTARTS, SNN_GRID, InitPopulation,
+                                  _centroid_d2, _seed_centroids,
                                   interesting_mst_edges, lloyd_run)
-from admissa.seeding import rng_for
+from admissa.seeding import derive_seed, rng_for
 from conftest import one_class, tie_grids
 from oracles import (oracle_lloyd, oracle_seed_centroids,
                      oracle_single_linkage, oracle_snn)
@@ -34,6 +35,11 @@ def pcg64_with_second_output(x, hi):
     doc["has_uint32"] = doc["uinteger"] = 0
     rng.bit_generator.state = doc
     return rng
+
+
+def seeded(ds, k, rng):
+    """The k-means++ centroids of one run."""
+    return ds.points[_seed_centroids(ds, [k], [rng])[0]]
 
 
 def enumerate_bipartitions(n):
@@ -69,7 +75,7 @@ class TestKmeans:
     def test_twcv_monotone_within_run(self):
         ds = gen_blobs(3, 25, 4.0, seed=5)
         for seed in range(3):
-            _, history = lloyd_run(ds, 3, rng_for(seed, "t"))
+            _, history = lloyd_run(ds, seeded(ds, 3, rng_for(seed, "t")))
             diffs = np.diff(history)
             assert np.all(diffs <= 1e-9)
 
@@ -95,7 +101,7 @@ class TestKmeans:
             assert probe.random() == u
             replay = np.random.Generator(np.random.PCG64())
             replay.bit_generator.state = rng.bit_generator.state
-            assert np.array_equal(_seed_centroids(ds, 2, rng),
+            assert np.array_equal(seeded(ds, 2, rng),
                                   oracle_seed_centroids(ds.points, ds.distances, 2, replay))
             assert rng.bit_generator.state == replay.bit_generator.state
         assert plateau >= 3
@@ -121,7 +127,7 @@ class TestKmeans:
             ds = one_class(pts)
             for k in sorted({2, 3, 7, ds.n} & set(range(2, ds.n + 1))):
                 for r in range(2):
-                    part, history = lloyd_run(ds, k, rng_for(r, "lloyd", k))
+                    part, history = lloyd_run(ds, seeded(ds, k, rng_for(r, "lloyd", k)))
                     want, want_history = oracle_lloyd(ds.points, ds.distances, k,
                                                       rng_for(r, "lloyd", k))
                     assert part.same_as(Partition(want))
@@ -135,7 +141,7 @@ class TestKmeans:
         for pts in self.random_sets(rng, (1,), count=20):
             ds = one_class(pts)
             for k in sorted({2, 3, 7, ds.n} & set(range(2, ds.n + 1))):
-                part, _ = lloyd_run(ds, k, rng_for(seed, "lloyd", k))
+                part, _ = lloyd_run(ds, seeded(ds, k, rng_for(seed, "lloyd", k)))
                 want, _ = oracle_lloyd(ds.points, ds.distances, k,
                                        rng_for(seed, "lloyd", k))
                 assert part.same_as(Partition(want))
@@ -152,10 +158,67 @@ class TestKmeans:
             ds = one_class(pts)
             for k in range(1, ds.n + 1):
                 got, want = rng_for(seed, "seeding", k), rng_for(seed, "seeding", k)
-                assert np.array_equal(_seed_centroids(ds, k, got),
+                assert np.array_equal(seeded(ds, k, got),
                                       oracle_seed_centroids(ds.points, ds.distances,
                                                             k, want))
                 assert got.bit_generator.state == want.bit_generator.state
+
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_lockstep_seeding_equals_separate_runs(self, seed):
+        # One batch of runs with mixed k, some drawing more centroids than
+        # the set has distinct points (they reach the zero-mass rule) and
+        # some fewer, gives each run the indices and the generator state
+        # of its own oracle call. The oracle, handed the indices as its
+        # points, returns the indices it chose.
+        zero_mass = positive = 0
+        for pts in tie_grids(seed):
+            ds = one_class(pts)
+            distinct = len(np.unique(pts, axis=0))
+            ks = [int(k) for k in np.random.default_rng(ds.n).integers(1, ds.n + 1, 12)]
+            got = [rng_for(seed, "batch", i) for i in range(len(ks))]
+            want = [rng_for(seed, "batch", i) for i in range(len(ks))]
+            picks = _seed_centroids(ds, ks, got)
+            for k, chosen, g, w in zip(ks, picks, got, want):
+                oracle = oracle_seed_centroids(np.arange(ds.n), ds.distances, k, w)
+                assert chosen.tolist() == oracle.tolist()
+                assert g.bit_generator.state == w.bit_generator.state
+                zero_mass += k > distinct
+                positive += k <= distinct
+        assert zero_mass >= 20 and positive >= 20
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_columnwise_difference_equals_broadcast(self, d):
+        rng = np.random.default_rng(d)
+        for k in (1, 2, 7, 31, 90):
+            points = rng.normal(size=(120, d)) * 10.0 ** rng.uniform(-2, 3)
+            cents = points[rng.choice(120, k, replace=False)] + rng.normal(size=(k, d))
+            diff = points[:, None, :] - cents[None, :, :]
+            want = np.einsum("nkd,nkd->nk", diff, diff)
+            got = _centroid_d2(points, cents, np.empty((120, k, d)))
+            assert got.tobytes() == want.tobytes()
+
+    def test_population_equals_oracle_best_of_restarts(self):
+        # Each k keeps the first restart of least final TWCV; of equal
+        # partitions the smaller k is kept.
+        ds = gen_blobs(4, 12, 2.0, seed=3)
+        pop = generate_population(ds, "km", master_seed=5)
+        found = {}
+        for k in range(2, 2 * ds.k_star + 1):
+            seed = derive_seed(5, "init-km", ds.name, k)
+            best, best_twcv = None, np.inf
+            for r in range(KMEANS_RESTARTS):
+                labels, history = oracle_lloyd(ds.points, ds.distances, k,
+                                               rng_for(seed, "kmeans-restart", r))
+                if history[-1] < best_twcv:
+                    best, best_twcv = Partition(canonical_labels(labels)), history[-1]
+            found.setdefault(best.key, (best, {"seed": seed, "params": {"k": k},
+                                               "out_of_range": False}))
+        want = sorted(found.values(), key=lambda m: m[0].k)
+        assert len(want) > 4
+        assert [p.assignment.tolist() for p in pop.partitions] == \
+            [p.assignment.tolist() for p, _ in want]
+        assert pop.records == [rec for _, rec in want]
 
 
 class TestLinkage:
