@@ -33,8 +33,9 @@ import os
 import sys
 import types
 import typing
+import unicodedata
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from . import __version__, evaluation
@@ -103,7 +104,10 @@ class DatasetEntry:
     def from_dict(cls, doc: dict, master_seed: int) -> "DatasetEntry":
         where = f"dataset {doc.get('name')!r}"
         name = _checked(cls, doc, where).get("name")
-        if not name or Path(name).name != name or "\0" in name:
+        for key in ("name", "group"):
+            if any(unicodedata.category(c) == "Cc" for c in doc.get(key, "")):
+                raise ConfigError(f"{where}: the {key} holds a control character")
+        if not name or Path(name).name != name:
             raise ConfigError(f"{where}: a dataset needs a name that is one file name")
         try:
             name.encode()
@@ -481,102 +485,90 @@ def cmd_admissibility(cfg: CampaignConfig, out: Path) -> int:
     return 0
 
 
-def _optimize_dataset(out: Path, cfg: CampaignConfig, entry: DatasetEntry,
-                      csv: Path, csv_bytes: bytes, csv_digest: str):
-    """Worker: the missing or stale seeded runs of one dataset, for every
-    pair. A run's stamp covers the dataset CSV, the population file and
-    the run's EmocConfig (the pair's specs, the emoc settings and the
-    run's derived seed); a run is stale unless its stamp matches and its
-    best ARI is a float and its truth-dominated flag a bool. Reads each
-    file once and parses the dataset and population only for a run to
-    compute. Returns the sha256 of each run file by its path under out,
-    and one RunSummary per pair."""
-    pop_data = _read(population_path(out, entry.name, cfg.optimize_initializer))
-    files = [csv_digest, _digest(pop_data)]
+def _optimize_cell(out: Path, cfg: CampaignConfig, entry: DatasetEntry, pair,
+                   csv: Path, csv_bytes: bytes, csv_digest: str,
+                   pop_bytes: bytes | None):
+    """Worker: the missing or stale seeded runs of one (dataset, pair)
+    cell. ``csv_bytes`` (sha256 ``csv_digest``) and ``pop_bytes`` are the
+    bytes the stage read of the dataset CSV and of its population file. A
+    run's stamp covers both files and the run's EmocConfig (the pair's
+    specs, the emoc settings and the run's derived seed); a run is stale
+    unless its stamp matches, its best ARI is a finite float in [-1, 1] and
+    its truth-dominated flag a bool. Reads each run file once, and parses
+    the dataset (once per process) and the population only when a run is
+    stale. Returns the sha256 of each run file by its path under out, and
+    the cell's RunSummary, built from the run documents."""
+    label = pair_label(pair)
+    files = [csv_digest, _digest(pop_bytes)]
+    digests, docs = {}, []
     ds = None
-    digests = {}
-    summaries = []
-    for pair in cfg.pairs:
-        label = pair_label(pair)
-        run_aris, run_flags = [], []  # the summary's lists, filled run by run below
-        summaries.append(RunSummary(dataset=entry.name, group=entry.group, pair=label,
-                                    run_aris=run_aris, truth_dominated_runs=run_flags))
-        todo = []  # (run index, derived seed, stamp, path under out, old bytes) to compute
-        for run_idx in range(cfg.runs):
-            seed = derive_seed(cfg.seed, "optimize", entry.name, label, run_idx)
-            stamp = _stamp(asdict(cfg.emoc_config(pair, seed)), files)
-            rel = run_path(out, entry.name, pair, run_idx).relative_to(out).as_posix()
-            data = _read(out / rel)
-            doc = _json_doc(data, dict)
-            if (doc.get("inputs") != stamp or not isinstance(doc.get("best_ari"), float)
-                    or not isinstance(doc.get("truth_dominated"), bool)):
-                todo.append((run_idx, seed, stamp, rel, data))
-            digests[rel] = _digest(data)
-            run_aris.append(doc.get("best_ari"))
-            run_flags.append(doc.get("truth_dominated"))
-        if not todo:
-            continue
-        if ds is None:
-            ds = _dataset(entry, csv, csv_bytes, csv_digest)
-            truth = ds.true_partition()
-            pop = _load_population(out, cfg, entry, cfg.optimize_initializer,
-                                   csv_digest, pop_data, ds.n)
-        try:
-            truth_vec = evaluate_vector(ds, truth, tuple(cfg.spec_for(c) for c in pair))
-        except CriterionError:
-            truth_vec = None
-        for run_idx, seed, stamp, rel, old in todo:
+    for run_idx in range(cfg.runs):
+        seed = derive_seed(cfg.seed, "optimize", entry.name, label, run_idx)
+        stamp = _stamp(asdict(cfg.emoc_config(pair, seed)), files)
+        rel = run_path(out, entry.name, pair, run_idx).relative_to(out).as_posix()
+        old = _read(out / rel)
+        doc = _json_doc(old, dict)
+        digests[rel] = _digest(old)
+        best = doc.get("best_ari")
+        if (doc.get("inputs") != stamp or not isinstance(best, float)
+                or not -1.0 <= best <= 1.0
+                or not isinstance(doc.get("truth_dominated"), bool)):
+            if ds is None:
+                ds = _dataset(entry, csv, csv_bytes, csv_digest)
+                truth = ds.true_partition()
+                pop = _load_population(out, cfg, entry, cfg.optimize_initializer,
+                                       csv_digest, pop_bytes, ds.n)
+                try:
+                    truth_vec = evaluate_vector(ds, truth,
+                                                tuple(cfg.spec_for(c) for c in pair))
+                except CriterionError:
+                    truth_vec = None
             try:
                 front = evolve(ds, cfg.emoc_config(pair, seed), pop)
             except DataError as err:
                 raise DataError(f"dataset {entry.name!r}, pair {label}: {err}") from None
             aris = [ari(m.partition, truth) for m in front.members]
-            dominated = (truth_vec is not None
-                         and truth_dominated(front, truth_vec))
             doc = {
-                "dataset": entry.name,
-                "pair": label,
-                "run": run_idx,
-                "seed": seed,
-                "front": [
-                    {"assignment": m.partition.assignment.tolist(),
-                     "k": m.partition.k,
-                     "values": list(m.vector.values)}
-                    for m in front.members
-                ],
+                "dataset": entry.name, "pair": label, "run": run_idx, "seed": seed,
+                "front": [{"assignment": m.partition.assignment.tolist(),
+                           "k": m.partition.k, "values": list(m.vector.values)}
+                          for m in front.members],
                 "ari": aris,
                 "best_ari": max(aris),
-                "truth_dominated": bool(dominated),
+                "truth_dominated": (truth_vec is not None
+                                    and truth_dominated(front, truth_vec)),
                 "selection_rule": evaluation.SELECTION_RULE,
                 "inputs": stamp,
             }
             digests[rel] = _write(out / rel, _json_text(doc), old)
-            run_aris[run_idx] = doc["best_ari"]
-            run_flags[run_idx] = doc["truth_dominated"]
-    return digests, summaries
+        docs.append(doc)
+    return digests, RunSummary(
+        dataset=entry.name, group=entry.group, pair=label,
+        run_aris=[doc["best_ari"] for doc in docs],
+        truth_dominated_runs=[doc["truth_dominated"] for doc in docs])
 
 
 def cmd_optimize(cfg: CampaignConfig, out: Path, jobs: int = 1) -> int:
     """The runs of every (dataset, pair) cell, then the summaries and box
-    plots of the runs. One process works one dataset at a time, loading it
-    once for all its pairs; ``jobs`` > 1 processes take one cell each, so
-    the pairs of a large dataset run side by side."""
-    csvs = materialize_datasets(out, cfg) if cfg.pairs else []
-    cells = [(replace(cfg, pairs=[pair]), entry, *csv)
-             for entry, csv in zip(cfg.datasets, csvs) for pair in cfg.pairs]
+    plots of the runs. The stage reads each dataset's CSV and population
+    file once and hands their bytes to ``_optimize_cell``, once per cell:
+    in this process when ``jobs`` is 1, else in up to ``jobs`` worker
+    processes, so the pairs of a large dataset run side by side."""
+    cells = []  # the arguments of _optimize_cell after out and cfg
+    if cfg.pairs:
+        for entry, csv in zip(cfg.datasets, materialize_datasets(out, cfg)):
+            pop_bytes = _read(population_path(out, entry.name, cfg.optimize_initializer))
+            cells += [(entry, pair, *csv, pop_bytes) for pair in cfg.pairs]
+    work = functools.partial(_optimize_cell, out, cfg)
     if jobs > 1 and cells:
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            results = list(pool.map(functools.partial(_optimize_dataset, out),
-                                    *zip(*cells)))
+            results = list(pool.map(work, *zip(*cells)))
     else:
-        results = [_optimize_dataset(out, cfg, entry, *csv)
-                   for entry, csv in zip(cfg.datasets, csvs)]
+        results = list(itertools.starmap(work, cells))
 
-    outputs = {}  # path under out -> sha256 of each run, summary and box plot
-    summaries = []  # per pair of each dataset, in config order
-    for digests, cell_summaries in results:
-        outputs.update(digests)
-        summaries += cell_summaries
+    # path under out -> sha256 of each run, summary and box plot
+    outputs = {rel: sha for digests, _ in results for rel, sha in digests.items()}
+    summaries = [summary for _, summary in results]  # in config order
     for name, pairs in itertools.groupby(summaries, key=lambda s: s.dataset):
         box = {s.pair: five_number_summary(s.run_aris) for s in pairs}
         rel = f"optimize/boxplots/{name}.json"

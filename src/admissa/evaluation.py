@@ -8,6 +8,8 @@ differently). Standard deviations are population (not sample) values.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,15 +124,17 @@ SUMMARY_CSV_COLUMNS = ("dataset", "group", "pair", "mean_ari", "std_ari",
 
 
 def csv_grid(header, rows) -> str:
-    """A header line and one line per row, cells joined by commas."""
-    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+    """A header line and one line per row, each cell quoted where needed."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    return text.getvalue()
 
 
 def markdown_grid(header, rows) -> str:
-    """A markdown table: header, separator and one line per row."""
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    lines += ["| " + " | ".join(map(str, row)) + " |" for row in rows]
-    return "\n".join(lines) + "\n"
+    """A markdown table: header, separator and one line per row, ``|`` escaped."""
+    lines = ["| " + " | ".join(str(c).replace("|", "\\|") for c in row) + " |"
+             for row in [header, *rows]]
+    return "\n".join([lines[0], "|" + "---|" * len(header), *lines[1:]]) + "\n"
 
 
 def summaries_to_csv(summaries) -> str:

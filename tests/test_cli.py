@@ -1,10 +1,13 @@
 import argparse
 import builtins
 import collections
+import csv
 import functools
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,6 +193,8 @@ class TestPipeline:
 
     def test_cold_optimize_loads_dataset_and_population_once(self, tmp_path,
                                                              monkeypatch):
+        # The dataset is parsed once per process; the population, read once
+        # by the stage, is parsed once per cell with a stale run.
         cfg = tiny_config(tmp_path)  # one dataset, two pairs
         out = tmp_path / "out"
         for cmd in ("gen", "init"):
@@ -198,7 +203,7 @@ class TestPipeline:
         calls = count_calls(monkeypatch, (cli, "load_dataset"),
                             (cli, "_load_population"))
         assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
-        assert sorted(calls) == ["_load_population", "load_dataset"]
+        assert sorted(calls) == ["_load_population"] * 2 + ["load_dataset"]
 
     def test_cold_campaign_in_one_process_loads_each_dataset_once(self, tmp_path,
                                                                   monkeypatch):
@@ -349,6 +354,31 @@ class TestPipeline:
         assert others in report
         assert report.replace(others, "") == (fresh / "report.md").read_text()
 
+    def test_csv_tables_quote_names_with_commas(self, tmp_path):
+        out = tmp_path / "out"
+        run_all(tiny_config(tmp_path, datasets=[
+            blobs("blobs,3", 3) | {"group": "G1, small"}]), out)
+        for rel in ("optimize/optimization_summary.csv",
+                    "admissibility/admissibility_mst.csv"):
+            header, *rows = csv.reader(io.StringIO((out / rel).read_text()))
+            assert rows and all(len(row) == len(header) for row in rows)
+            assert all(row[0] == "blobs,3" for row in rows)
+
+    def test_markdown_tables_escape_pipes(self, tmp_path):
+        out = tmp_path / "out"
+        run_all(tiny_config(tmp_path, datasets=[
+            blobs("blobs|3", 3) | {"group": "G1|small"}]), out)
+        report = (out / "report.md").read_text()
+        for text in [report, *((out / rel).read_text() for rel in (
+                "optimize/optimization_summary.md", "admissibility/admissibility_mst.md"))]:
+            # each table is a run of lines that start with "|"
+            tables = re.findall(r"(?m)(?:^\|.*\n)+", text)
+            assert tables and "blobs\\|3" in text
+            for table in tables:
+                pipes = {len(re.findall(r"(?<!\\)\|", row)) for row in table.splitlines()}
+                assert len(pipes) == 1, table
+        assert "| blobs\\|3 | G1\\|small | 30 |" in report
+
     def test_optimize_manifest_lists_its_files(self, tmp_path):
         out = tmp_path / "out"
         run_all(tiny_config(tmp_path), out)
@@ -366,6 +396,13 @@ class TestPipeline:
             assert main(["init", "--config", str(cfg), "--out", str(out)]) == 0
             assert main(["optimize", "--config", str(cfg), "--out", str(out)]
                         + flags) == 0
+        assert tree_bytes(out1) == tree_bytes(out2)
+        # A partial resume: one whole cell of "a" and one run of "b" are gone.
+        runs = out2 / "optimize" / "runs"
+        for name in ("a__var+con__r000", "a__var+con__r001", "b__var+sep_cl__r001"):
+            (runs / f"{name}.json").unlink()
+        assert main(["optimize", "--config", str(cfg), "--out", str(out2),
+                     "--jobs", "2"]) == 0
         assert tree_bytes(out1) == tree_bytes(out2)
 
 
@@ -426,7 +463,9 @@ class TestStamps:
         assert tree_bytes(out) == before
 
     @pytest.mark.parametrize("key, value", [("best_ari", "x"),
-                                            ("truth_dominated", "yes")])
+                                            ("truth_dominated", "yes"),
+                                            ("best_ari", float("nan")),
+                                            ("best_ari", 1.5)])
     def test_damaged_run_file_is_recomputed(self, tmp_path, key, value):
         cfg = tiny_config(tmp_path)
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -929,6 +968,8 @@ class TestErrors:
         {"datasets": [blobs("/abs", 3)]},
         {"datasets": [blobs("a\u0000b", 3)]},
         {"datasets": [blobs(".", 3)]},
+        {"datasets": [blobs("line\nbreak", 3)]},
+        {"datasets": [blobs("a", 3) | {"group": "G1\tsmall"}]},
         {"pairs": [["var"]]},
         {"pairs": [["var", "con", "sep_cl"]]},
         {"seed": -1},
@@ -939,8 +980,8 @@ class TestErrors:
             "dup-objectives", "dup-pairs", "generator-and-csv",
             "generator-and-label-column", "optimize-initializer-not-built",
             "name-parent", "name-subdir", "name-absolute", "name-nul",
-            "name-dot", "pair-of-one", "pair-of-three", "seed-negative",
-            "seed-past-64-bits"])
+            "name-dot", "name-line-break", "group-tab", "pair-of-one",
+            "pair-of-three", "seed-negative", "seed-past-64-bits"])
     def test_config_values_checked_against_their_fields(self, tmp_path, capsys, over):
         cfg = tiny_config(tmp_path, **over)
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
