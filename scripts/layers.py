@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Time the layers that the benchmark workloads see only inside a stage:
-the geometry builds, each initializer, decode, non-dominated sorting with
-crowding, and one EMOC generation, on the spiralsquare generator at each
-``--n``.
+the geometry builds, each initializer, the four O(n^2) criteria, decode,
+non-dominated sorting with crowding, and one EMOC generation, on the
+spiralsquare generator at each ``--n``.
 
 Every figure is the best time, in seconds per call, of at least REPEAT
 calls that together take at least MIN_TIMED seconds, so a figure at the
-millisecond scale is the best of many calls:
+millisecond scale is the best of many calls. One geometry build runs
+untimed first, so the first figure is not paying for a cold process:
 - ``distances_s``, ``neighbor_index_s``, ``neighbor_rank_s``, ``mst_s``:
   one build on a fresh dataset with the distances (and, for the ranks,
   the MST) already built, so a rank build that reads the neighbor index
@@ -14,6 +15,10 @@ millisecond scale is the best of many calls:
 - ``km_population_s``, ``al_population_s``, ``sl_population_s``,
   ``snn_population_s``, ``mst_population_s``: one ``generate_population``
   call of that initializer, on the dataset with its geometry built;
+- ``sil_s``, ``mod_s``, ``sep_cl_s``, ``dunn_s``: one point-level
+  evaluation of that criterion on a fresh copy of the true (k*)
+  partition, so no block sums cached on an earlier copy are reused; the
+  dataset's own caches (the distance total, the MST) are built;
 - ``decode_s``: one genotype of the mst-seeded population;
 - ``sort_crowding_s``: ``_rank_population`` on the (2P x 2) value array
   of a generation's members (fronts and crowding, P = POPULATION), as
@@ -41,9 +46,10 @@ from pathlib import Path
 
 import numpy as np
 
-from admissa import (ALGORITHMS, Dataset, EmocConfig, decode, delta_relevant_loci,
-                     encode, evaluate_vector, evolve, gen_mixed,
-                     generate_population, objective, objectives)
+from admissa import (ALGORITHMS, Dataset, EmocConfig, Partition, decode,
+                     delta_relevant_loci, encode, evaluate, evaluate_vector,
+                     evolve, gen_mixed, generate_population, objective,
+                     objectives)
 from admissa.components import ComponentGeometry
 from admissa.emoc import _rank_population, mutate
 
@@ -80,6 +86,7 @@ def fresh(ds, *built):
 
 def time_layers(n):
     ds = gen_mixed("spiralsquare", seed=SEED, n=n)
+    fresh(ds, "distances", "neighbor_index")  # warm-up, untimed
     out = {
         "distances_s": best_of(lambda: fresh(ds), lambda d: d.distances),
         "neighbor_index_s": best_of(lambda: fresh(ds, "distances"),
@@ -94,6 +101,12 @@ def time_layers(n):
     for alg in ALGORITHMS:
         out[f"{alg}_population_s"] = best_of(
             lambda: ds, lambda d, a=alg: generate_population(d, a, master_seed=SEED))
+    truth = ds.true_partition()
+    for crit in ("sil", "mod", "sep_cl", "dunn"):
+        spec = objective(crit)
+        evaluate(ds, truth, spec)  # builds the dataset's caches
+        out[f"{crit}_s"] = best_of(lambda: Partition(truth.assignment),
+                                   lambda pi, s=spec: evaluate(ds, pi, s))
     scheme = delta_relevant_loci(ds)
     rng = np.random.default_rng(SEED)
     rows = [encode(pi, scheme) for pi in pop.partitions]

@@ -234,13 +234,17 @@ def _digest(data: bytes | None) -> str | None:
     return None if data is None else hashlib.sha256(data).hexdigest()
 
 
-def _write(path: Path, text: str, old: bytes | None = None) -> str:
+_UNREAD = object()  # the caller of _write has not read the file
+
+
+def _write(path: Path, text: str, old: bytes | None = _UNREAD) -> str:
     """Write ``text`` to ``path`` as UTF-8, and return the sha256 of its
     bytes. A file that holds those bytes already is left untouched;
-    otherwise it is replaced atomically. ``old``, unless None, is the bytes
-    the caller read from ``path`` already, which spares a second read."""
+    otherwise it is replaced atomically. ``old``, when given, is what the
+    caller's ``_read`` of ``path`` returned already (None for a missing
+    file), which spares a second read."""
     data = text.encode()
-    if old is None:
+    if old is _UNREAD:
         old = _read(path)
     if old != data:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -161,6 +161,26 @@ def ksize_graph(ds: Dataset, k_size: int):
     return cache[k_size]
 
 
+def _distance_total(ds: Dataset) -> float:
+    """Sum of the whole distance matrix, cached per dataset."""
+    cache = ds.__dict__
+    if "_distance_total" not in cache:
+        cache["_distance_total"] = ds.distances.sum()
+    return cache["_distance_total"]
+
+
+def _block_sums(ds: Dataset, pi: Partition) -> np.ndarray:
+    """Summed distance over the ordered point pairs inside each cluster,
+    shared by sep_cl and mod. Cached on ``pi`` for ``ds`` only; one
+    cluster's block is gathered at a time."""
+    cached = pi.__dict__.get("_block_sums")
+    if cached is None or cached[0] is not ds:
+        D = ds.distances
+        cached = pi.__dict__["_block_sums"] = (
+            ds, np.array([D[np.ix_(idx, idx)].sum() for idx in pi.members]))
+    return cached[1]
+
+
 def _binary_entropy(g: float) -> float:
     # 0*log0 := 0 at both ends
     h = 0.0
@@ -279,13 +299,10 @@ def eval_sep_al(ds: Dataset, pi: Partition) -> float:
 def eval_sep_cl(ds: Dataset, pi: Partition) -> float:
     """Summed distance over point pairs in different clusters; maximized."""
     _require_k_at_least_2(pi, "sep_cl")
-    D = ds.distances
-    total = D.sum() / 2.0
     intra = 0.0
-    for idx in pi.members:
-        if idx.size > 1:
-            intra += D[np.ix_(idx, idx)].sum() / 2.0
-    return float(total - intra)
+    for block in _block_sums(ds, pi):
+        intra += block / 2.0  # a singleton's block is 0.0, which adds exactly
+    return float(_distance_total(ds) / 2.0 - intra)
 
 
 def eval_sep_graph(ds: Dataset, pi: Partition, k_size: int = 10) -> float:
@@ -349,23 +366,27 @@ def eval_dunn(ds: Dataset, pi: Partition) -> float:
     labels = pi.assignment
     same = labels[:, None] == labels[None, :]
     max_diam = float(D.max(where=same, initial=0.0))
+    del same
     if max_diam == 0.0:
         raise DegenerateError("dunn: every cluster has zero diameter")
-    cross = np.logical_not(same, out=same)  # in place: one n x n mask at a time
-    return float(D.min(where=cross, initial=np.inf)) / max_diam
+    # The path in the MST between the closest cross-cluster pair crosses
+    # clusters on an edge no longer than that pair (the cycle property),
+    # so the smallest cross-cluster MST edge is that distance.
+    a, b = ds.mst_edges.T
+    cross = labels[a] != labels[b]
+    return float(D[a[cross], b[cross]].min()) / max_diam
 
 
 def eval_mod(ds: Dataset, pi: Partition) -> float:
     """Distance-based modularity over ordered point pairs; maximized."""
-    D = ds.distances
-    total = float(D.sum())
+    total = float(_distance_total(ds))
     if total == 0.0:
         raise DegenerateError("mod: all points identical")
+    D = ds.distances
     value = 0.0
-    for idx in pi.members:
-        intra = float(D[np.ix_(idx, idx)].sum())
-        row = float(D[idx, :].sum())
-        value += intra / total - (row / total) ** 2
+    for idx, intra in zip(pi.members, _block_sums(ds, pi)):
+        row = float(D[idx].sum())
+        value += float(intra) / total - (row / total) ** 2
     return value
 
 
@@ -376,8 +397,10 @@ def eval_sil(ds: Dataset, pi: Partition) -> float:
     D = ds.distances
     n, k = ds.n, pi.k
     sums = np.zeros((n, k))
+    # D is exactly symmetric, so each cluster's rows, added one by one in
+    # index order, give the sums of its columns to the bit.
     for i, idx in enumerate(pi.members):
-        sums[:, i] = D[:, idx].sum(axis=1)
+        sums[:, i] = D[idx].sum(axis=0)
     own = pi.assignment
     own_size = pi.sizes[own]
     rows = np.arange(n)

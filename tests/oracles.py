@@ -8,9 +8,13 @@ the bit-level reference for its later form: the k-means pair (a
 ``rng.choice`` draw per seed, a per-cluster ``mean`` per iteration) for
 the one-call draw and centroid step, ``oracle_masked_dunn`` (a
 per-cluster diameter, a copy of the cross-cluster distances) for the
-masked reductions, ``oracle_dominance`` (``all``/``any`` over the
-objective axis) for the per-objective passes, the dominator-count sort
-and the per-front crowding array for EMOC's peel and crowding,
+masked diameter and the MST's cross-cluster edges, the gathered
+``oracle_gathered_sil`` (each cluster's columns), ``oracle_gathered_mod``
+and ``oracle_gathered_sep_cl`` (each cluster's block, every time) for
+the row gathers and the shared block sums, ``oracle_dominance``
+(``all``/``any`` over the objective axis) for the per-objective
+passes, the dominator-count sort and the per-front crowding array for
+EMOC's peel and crowding,
 ``oracle_cluster_means`` (``np.add.at``) for the one-``bincount`` means,
 and ``oracle_mutate`` (a scalar draw per mutated locus) for the one-call
 mutation draw.
@@ -257,6 +261,61 @@ def oracle_masked_dunn(distances, labels):
         return None
     cross = labels[:, None] != labels[None, :]
     return float(distances[cross].min()) / max_diam
+
+
+def oracle_gathered_sep_cl(distances, labels):
+    """sep_cl from the distance matrix: the whole sum halved, minus each
+    cluster's gathered block halved."""
+    labels = np.asarray(labels)
+    total = distances.sum() / 2.0
+    intra = 0.0
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        if idx.size > 1:
+            intra += distances[np.ix_(idx, idx)].sum() / 2.0
+    return float(total - intra)
+
+
+def oracle_gathered_mod(distances, labels):
+    """Modularity from the distance matrix, each cluster's block and rows
+    gathered in turn. None when every distance is zero."""
+    labels = np.asarray(labels)
+    total = float(distances.sum())
+    if total == 0.0:
+        return None
+    value = 0.0
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        intra = float(distances[np.ix_(idx, idx)].sum())
+        row = float(distances[idx, :].sum())
+        value += intra / total - (row / total) ** 2
+    return value
+
+
+def oracle_gathered_sil(distances, labels):
+    """Mean silhouette from the distance matrix, with each point's
+    distance sum to a cluster taken over that cluster's gathered
+    columns."""
+    labels = np.asarray(labels)
+    n = labels.size
+    clusters = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    sizes = np.array([idx.size for idx in clusters])
+    sums = np.zeros((n, len(clusters)))
+    for i, idx in enumerate(clusters):
+        sums[:, i] = distances[:, idx].sum(axis=1)
+    rows = np.arange(n)
+    own_size = sizes[labels]
+    a = np.zeros(n)
+    multi = own_size > 1
+    a[multi] = sums[rows[multi], labels[multi]] / (own_size[multi] - 1)
+    means = sums / sizes[None, :]
+    means[rows, labels] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    s = np.zeros(n)
+    ok = multi & (denom > 0)
+    s[ok] = (b[ok] - a[ok]) / denom[ok]
+    return float(s.mean())
 
 
 def oracle_mod(points, labels):

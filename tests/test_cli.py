@@ -292,6 +292,20 @@ class TestPipeline:
             assert all(p.read_bytes() != data for p, data in before.items())
             assert len(before) == (2 if command == "init" else 4)
 
+    def test_missing_files_are_read_once_per_stage(self, tmp_path, monkeypatch):
+        # A cold stage tries each population or run file once, finds it
+        # missing and writes it without trying again.
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        reads = count_reads(monkeypatch, out)
+        for command, files in (("init", "populations"), ("optimize", "optimize/runs")):
+            reads.clear()
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            rels = [p.relative_to(out).as_posix() for p in (out / files).iterdir()]
+            assert {rel: reads[rel] for rel in rels} == dict.fromkeys(rels, 1)
+            assert len(rels) == (2 if command == "init" else 4)
+
     @pytest.mark.parametrize("command, read", [
         ("admissibility", ["blobs3__km.json", "blobs3__mst.json"]),
         ("optimize", ["blobs3__mst.json"]),

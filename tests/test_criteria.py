@@ -15,7 +15,9 @@ from admissa.criteria import (ALL_IDS, DIRECTIONS, MAXIMIZE, MINIMIZE,
                               eval_sep_graph, eval_sil, eval_twcv, eval_var,
                               eval_xb)
 from conftest import one_class, random_instance, tie_grids, translated
-from oracles import ORACLES, oracle_dcd, oracle_ent, oracle_masked_dunn
+from oracles import (ORACLES, oracle_dcd, oracle_ent, oracle_gathered_mod,
+                     oracle_gathered_sep_cl, oracle_gathered_sil,
+                     oracle_masked_dunn)
 
 # Frozen reference values for the fix4 fixture, re-derived with the
 # brute-force oracles in oracles.py before being frozen here.
@@ -312,6 +314,67 @@ class TestDunn:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n ** 2
+
+
+GATHERED = {"sil": (eval_sil, oracle_gathered_sil),
+            "mod": (eval_mod, oracle_gathered_mod),
+            "sep_cl": (eval_sep_cl, oracle_gathered_sep_cl)}
+
+
+class TestGatheredCriteria:
+    """sil, mod and sep_cl against their gathered-matrix references: the
+    row gathers and the shared block sums add the same numbers in the
+    same order, so the values are equal to the bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_gathered_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        sets = tie_grids(seed) + [rng.normal(size=(int(rng.integers(2, 30)), 2))
+                                  for _ in range(10)]
+        sets += [pts[rng.integers(0, len(pts), 2 * len(pts))] for pts in sets[-5:]]
+        for pts in sets:
+            ds = one_class(pts)
+            for labels in TestDunn.labelings(rng, ds.n) + [np.zeros(ds.n, int)]:
+                pi = Partition(canonical_labels(labels))
+                for crit, (fn, reference) in GATHERED.items():
+                    if crit != "mod" and pi.k < 2:
+                        continue
+                    want = reference(ds.distances, pi.assignment)
+                    if want is None:
+                        with pytest.raises(DegenerateError):
+                            fn(ds, pi)
+                    else:
+                        assert fn(ds, pi) == want, crit
+
+    def test_block_sums_kept_per_dataset(self):
+        # One partition evaluated on two datasets of the same size, in
+        # turn: each value is the one of a partition seen only there.
+        rng = np.random.default_rng(3)
+        first, second = (one_class(rng.normal(size=(40, 2))) for _ in range(2))
+        pi = Partition(np.concatenate([np.arange(4), rng.integers(0, 4, 36)]))
+        for ds in (first, second, first, second):
+            for crit, (fn, reference) in GATHERED.items():
+                assert fn(ds, pi) == reference(ds.distances, pi.assignment), crit
+
+    @pytest.mark.parametrize("crit", sorted(GATHERED))
+    @pytest.mark.parametrize("k, share", [(2, 0.95), (7, 1 / 7)])
+    def test_memory_one_gathered_cluster_at_a_time(self, crit, k, share):
+        # Gathering the largest cluster's rows takes 8 m_max n bytes; a
+        # second gathered copy alive next to it would pass n^2 more.
+        rng = np.random.default_rng(5)
+        n = 1500
+        ds = one_class(rng.normal(size=(n, 2)))
+        labels = np.where(rng.random(n) < share, 0, rng.integers(1, k, n))
+        pi = Partition(canonical_labels(labels))
+        ds.distances  # the cached geometry is built outside the window
+        tracemalloc.start()
+        try:
+            GATHERED[crit][0](ds, pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pi.k == k
+        assert peak < 8 * pi.sizes.max() * n + n ** 2
 
 
 class TestEvaluateVector:
