@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Time the layers that the benchmark workloads see only inside a stage:
-the geometry builds, each initializer, the four O(n^2) criteria, decode,
-non-dominated sorting with crowding, and one EMOC generation, on the
-spiralsquare generator at each ``--n``.
+the geometry builds, each initializer, the four O(n^2) criteria, ent, db
+and all 17 criteria on one partition, decode, non-dominated sorting with
+crowding, and one EMOC generation, on the spiralsquare generator at each
+``--n``.
 
 Every figure is the best time, in seconds per call, of at least REPEAT
 calls that together take at least MIN_TIMED seconds, so a figure at the
-millisecond scale is the best of many calls. One geometry build runs
-untimed first, so the first figure is not paying for a cold process:
+millisecond scale is the best of many calls. It is kept to four
+significant figures, so a figure of microseconds never rounds to zero.
+One geometry build runs untimed first, so the first figure is not paying
+for a cold process:
 - ``distances_s``, ``neighbor_index_s``, ``neighbor_rank_s``, ``mst_s``:
   one build on a fresh dataset with the distances (and, for the ranks,
   the MST) already built, so a rank build that reads the neighbor index
@@ -15,10 +18,15 @@ untimed first, so the first figure is not paying for a cold process:
 - ``km_population_s``, ``al_population_s``, ``sl_population_s``,
   ``snn_population_s``, ``mst_population_s``: one ``generate_population``
   call of that initializer, on the dataset with its geometry built;
-- ``sil_s``, ``mod_s``, ``sep_cl_s``, ``dunn_s``: one point-level
-  evaluation of that criterion on a fresh copy of the true (k*)
-  partition, so no block sums cached on an earlier copy are reused; the
-  dataset's own caches (the distance total, the MST) are built;
+- ``sil_s``, ``mod_s``, ``sep_cl_s``, ``dunn_s``, ``ent_s``, ``db_s``:
+  one point-level evaluation of that criterion on a fresh copy of the
+  true (k*) partition, so no shared values (centroids, cluster blocks)
+  cached on an earlier copy are reused; the dataset's own caches (the
+  distance total, the MST) are built;
+- ``all_criteria_s``: the 17 criteria, one after another, on one fresh
+  copy of the true partition, so each later criterion reads the shared
+  values an earlier one built, as the admissibility stage evaluates a
+  partition;
 - ``decode_s``: one genotype of the mst-seeded population;
 - ``sort_crowding_s``: ``_rank_population`` on the (2P x 2) value array
   of a generation's members (fronts and crowding, P = POPULATION), as
@@ -46,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from admissa import (ALGORITHMS, Dataset, EmocConfig, Partition, decode,
+from admissa import (ALGORITHMS, ALL_IDS, Dataset, EmocConfig, Partition, decode,
                      delta_relevant_loci, encode, evaluate, evaluate_vector,
                      evolve, gen_mixed, generate_population, objective,
                      objectives)
@@ -57,9 +65,9 @@ REPEAT = 5
 MIN_TIMED = 0.2
 POPULATION = 100
 SEED = 0
-WHAT = ("Best seconds per call, over at least 5 calls and 0.2 s of timed "
-        "calls, on the spiralsquare generator (see scripts/layers.py), keyed "
-        "by side and then by n.")
+WHAT = ("Best seconds per call, to 4 significant figures, over at least 5 "
+        "calls and 0.2 s of timed calls, on the spiralsquare generator (see "
+        "scripts/layers.py), keyed by side and then by n.")
 
 
 def best_of(setup, call):
@@ -102,11 +110,14 @@ def time_layers(n):
         out[f"{alg}_population_s"] = best_of(
             lambda: ds, lambda d, a=alg: generate_population(d, a, master_seed=SEED))
     truth = ds.true_partition()
-    for crit in ("sil", "mod", "sep_cl", "dunn"):
-        spec = objective(crit)
+    every = objectives(*ALL_IDS)
+    for spec in every:
         evaluate(ds, truth, spec)  # builds the dataset's caches
-        out[f"{crit}_s"] = best_of(lambda: Partition(truth.assignment),
-                                   lambda pi, s=spec: evaluate(ds, pi, s))
+    for spec in objectives("sil", "mod", "sep_cl", "dunn", "ent", "db"):
+        out[f"{spec.id}_s"] = best_of(lambda: Partition(truth.assignment),
+                                      lambda pi, s=spec: evaluate(ds, pi, s))
+    out["all_criteria_s"] = best_of(lambda: Partition(truth.assignment),
+                                    lambda pi: [evaluate(ds, pi, s) for s in every])
     scheme = delta_relevant_loci(ds)
     rng = np.random.default_rng(SEED)
     rows = [encode(pi, scheme) for pi in pop.partitions]
@@ -140,7 +151,7 @@ def time_layers(n):
                          generations=generations, seed=SEED)
         return best_of(lambda: None, lambda _: evolve(ds, cfg, pop))
     out["generation_s"] = run(1) - run(0)
-    return {key: round(value, 6) for key, value in out.items()}
+    return {key: float(f"{value:.4g}") for key, value in out.items()}
 
 
 def main() -> int:

@@ -155,21 +155,40 @@ class AdmissibilityTable:
         }
 
 
-def _memo_evaluate(memo: dict, ds: Dataset, pi: Partition,
-                   spec: ObjectiveSpec) -> float | CriterionError:
-    """``evaluate`` through ``memo``, which maps a partition's label bytes
-    to its values by spec, on one dataset; a criterion error is stored and
-    returned like a value. Keys are the exact labels, not
-    ``Partition.key``, so every value is computed on the same labels as
-    without the memo, and each partition's bytes are held once."""
+def _memo_values(memo: dict, ds: Dataset, pi: Partition, specs) -> dict:
+    """The values of ``pi`` by spec from ``memo``, which maps a partition's
+    label bytes to its values on one dataset, after evaluating the
+    ``specs`` it lacks; a criterion error is stored like a value. They are
+    evaluated on a throwaway copy of ``pi``, so the values the criteria
+    share on a partition die with it and ``pi`` keeps none. Keys are the
+    exact labels, not ``Partition.key``, so every value is computed on the
+    same labels as without the memo, and each partition's bytes are held
+    once."""
     values = memo.setdefault(pi.assignment.tobytes(), {})
-    if spec not in values:
-        try:
-            values[spec] = evaluate(ds, pi, spec)
-        except CriterionError as err:
-            # a kept traceback would keep the failing call's arrays alive
-            values[spec] = err.with_traceback(None)
-    return values[spec]
+    missing = [spec for spec in specs if spec not in values]
+    if missing:
+        copy = Partition(pi.assignment)
+        for spec in missing:
+            try:
+                values[spec] = evaluate(ds, copy, spec)
+            except CriterionError as err:
+                # a kept traceback would keep the failing call's arrays alive
+                values[spec] = err.with_traceback(None)
+    return values
+
+
+def _fill_memo(memo: dict, ds: Dataset, pop: InitPopulation, specs,
+               truth: Partition) -> None:
+    """Evaluate into ``memo`` every value that ``classify_cell`` reads for
+    ``specs``, one partition at a time: the truth first, then each base
+    partition other than the truth under the objectives the truth can be
+    evaluated on. Only one partition's shared criterion values are alive
+    at a time."""
+    true_values = _memo_values(memo, ds, truth, specs)
+    specs = [s for s in specs if not isinstance(true_values[s], CriterionError)]
+    for pi in pop.partitions:
+        if not pi.same_as(truth):
+            _memo_values(memo, ds, pi, specs)
 
 
 def classify_cell(ds: Dataset, pop: InitPopulation, spec: ObjectiveSpec,
@@ -181,10 +200,10 @@ def classify_cell(ds: Dataset, pop: InitPopulation, spec: ObjectiveSpec,
     partitions identical to ``truth``, the dataset's true partition, are
     excluded from the strictness test but set the truth-found flag.
     ``memo`` holds the values already computed on ``ds`` (see
-    ``_memo_evaluate``); pass one dict per dataset to share them across
+    ``_memo_values``); pass one dict per dataset to share them across
     initializers."""
     skips: list[str] = []
-    true_value = _memo_evaluate(memo, ds, truth, spec)
+    true_value = _memo_values(memo, ds, truth, [spec])[spec]
     if isinstance(true_value, CriterionError):
         skips.append(f"{ds.name}/{spec.id}: true partition not evaluable ({true_value})")
         return None, skips
@@ -197,7 +216,7 @@ def classify_cell(ds: Dataset, pop: InitPopulation, spec: ObjectiveSpec,
             if truth_idx is None:
                 truth_idx = idx
             continue
-        value = _memo_evaluate(memo, ds, pi, spec)
+        value = _memo_values(memo, ds, pi, [spec])[spec]
         if isinstance(value, CriterionError):
             skips.append(f"{ds.name}/{spec.id}: partition {idx} skipped ({value})")
         else:
@@ -228,7 +247,9 @@ def build_admissibility_table(datasets, initializer: str, specs, populations,
     """Full verdict matrix for one initializer over a dataset suite, from
     ``populations``, one per dataset aligned with ``datasets``. ``memos``,
     one dict per dataset aligned the same way, carries criterion values
-    from one initializer's table to the next (see ``classify_cell``)."""
+    from one initializer's table to the next (see ``classify_cell``). Each
+    dataset's memo is filled partition by partition before its cells are
+    classified, so the cells only read it."""
     datasets = list(datasets)
     specs = list(specs)
     table = AdmissibilityTable(initializer=initializer,
@@ -238,6 +259,7 @@ def build_admissibility_table(datasets, initializer: str, specs, populations,
         truth = ds.true_partition()
         pop = populations[i]
         memo = memos[i] if memos is not None else {}
+        _fill_memo(memo, ds, pop, specs, truth)
         row: list[AdmissibilityVerdict | None] = []
         for spec in specs:
             verdict, skips = classify_cell(ds, pop, spec, initializer, truth, memo)

@@ -128,12 +128,6 @@ def _centroid_pair_distances(cents: np.ndarray) -> np.ndarray:
     return np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=2)
 
 
-def _own_centroid_distances(ds: Dataset, pi: Partition):
-    cents = centroids(ds, pi)
-    diffs = ds.points - cents[pi.assignment]
-    return np.linalg.norm(diffs, axis=1), cents
-
-
 def ksize_graph(ds: Dataset, k_size: int):
     """Undirected k_size-nearest-neighbor graph, shared by dcd/sep_graph.
 
@@ -169,24 +163,44 @@ def _distance_total(ds: Dataset) -> float:
     return cache["_distance_total"]
 
 
-def _block_sums(ds: Dataset, pi: Partition) -> np.ndarray:
-    """Summed distance over the ordered point pairs inside each cluster,
-    shared by sep_cl and mod. Cached on ``pi`` for ``ds`` only; one
-    cluster's block is gathered at a time."""
-    cached = pi.__dict__.get("_block_sums")
-    if cached is None or cached[0] is not ds:
-        D = ds.distances
-        cached = pi.__dict__["_block_sums"] = (
-            ds, np.array([D[np.ix_(idx, idx)].sum() for idx in pi.members]))
-    return cached[1]
+def _cluster_blocks(ds: Dataset, pi: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's summed distance over its ordered point pairs and its
+    diameter, from one gathered block at a time (the ``np.ix_`` gather,
+    without its per-call checks)."""
+    D = ds.distances
+    sums, diameters = np.empty(pi.k), np.empty(pi.k)
+    for i, idx in enumerate(pi.members):
+        block = D[idx[:, None], idx]
+        sums[i], diameters[i] = block.sum(), block.max()
+    return sums, diameters
 
 
-def _binary_entropy(g: float) -> float:
-    # 0*log0 := 0 at both ends
-    h = 0.0
-    if 0.0 < g < 1.0:
-        h = -(g * np.log2(g) + (1.0 - g) * np.log2(1.0 - g))
-    return float(h)
+_SHARED = {
+    "centroids": centroids,
+    "own_distances": lambda ds, pi: np.linalg.norm(
+        ds.points - _shared(ds, pi, "centroids")[pi.assignment], axis=1),
+    "pair_distances": lambda ds, pi: _centroid_pair_distances(
+        _shared(ds, pi, "centroids")),
+    "blocks": _cluster_blocks,
+}
+
+
+def _shared(ds: Dataset, pi: Partition, name: str):
+    """The one home of the values several criteria read on a partition:
+    its ``centroids``, each point's distance to its own centroid
+    (``own_distances``), the centroid-pair distances (``pair_distances``)
+    and the per-cluster block sums and diameters (``blocks``). Each is
+    built by its ``_SHARED`` entry on first use and kept on ``pi`` for
+    ``ds`` only, so a criterion computes it as it would alone, to the
+    bit, and the others read it; none is an n x n array."""
+    cache = pi.__dict__.get("_shared")
+    if cache is None or cache["dataset"] is not ds:
+        cache = pi.__dict__["_shared"] = {"dataset": ds}
+    if name not in cache:
+        value = cache[name] = _SHARED[name](ds, pi)
+        for array in value if isinstance(value, tuple) else (value,):
+            array.setflags(write=False)
+    return cache[name]
 
 
 # --------------------------------------------------------------------------
@@ -195,28 +209,41 @@ def _binary_entropy(g: float) -> float:
 
 def eval_ent(ds: Dataset, pi: Partition) -> float:
     """Intra-cluster entropy from cosine similarity between each centroid
-    and its members; maximized."""
+    and its members; maximized.
+
+    Each cluster keeps its own dot product and its own ``np.add.reduce``
+    (the sum ``np.mean`` takes): one batched product, or one reduction
+    over all clusters, changes the last bits. The cosine, the clip and the
+    entropy run once over the whole partition, and the k-th root stays
+    Python's ``pow``, which array ``np.power`` does not always equal."""
     norms = np.linalg.norm(ds.points, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVectorError("cosine similarity undefined for zero point vector")
-    cents = centroids(ds, pi)
+    cents = _shared(ds, pi, "centroids")
     cnorms = np.linalg.norm(cents, axis=1)
     if np.any(cnorms == 0.0):
         raise ZeroVectorError("cosine similarity undefined for zero centroid")
+    members = pi.members
+    dots = np.concatenate([ds.points[idx] @ cents[i] for i, idx in enumerate(members)])
+    cos = dots / (norms[np.concatenate(members)] * np.repeat(cnorms, pi.sizes))
+    np.clip(cos, -1.0, 1.0, out=cos)
+    sims = 0.5 + cos / 2.0
+    ends = np.cumsum(pi.sizes).tolist()
+    g = np.array([np.add.reduce(sims[lo:hi])
+                  for lo, hi in zip([0] + ends, ends)]) / pi.sizes
+    h = np.zeros(pi.k)  # 0*log0 := 0 at both ends
+    inner = (g > 0.0) & (g < 1.0)
+    gi = g[inner]
+    h[inner] = -(gi * np.log2(gi) + (1.0 - gi) * np.log2(1.0 - gi))
     total = 0.0
-    for i, idx in enumerate(pi.members):
-        cos = (ds.points[idx] @ cents[i]) / (norms[idx] * cnorms[i])
-        np.clip(cos, -1.0, 1.0, out=cos)
-        g = float(np.mean(0.5 + cos / 2.0))
-        term = (1.0 - _binary_entropy(g)) * g
+    for term in ((1.0 - h) * g).tolist():
         total += term ** (1.0 / pi.k)
     return total
 
 
 def eval_dev(ds: Dataset, pi: Partition) -> float:
     """Summed distance of every point to its cluster centroid; minimized."""
-    dists, _ = _own_centroid_distances(ds, pi)
-    return float(dists.sum())
+    return float(_shared(ds, pi, "own_distances").sum())
 
 
 def eval_var(ds: Dataset, pi: Partition) -> float:
@@ -226,8 +253,7 @@ def eval_var(ds: Dataset, pi: Partition) -> float:
 
 def eval_twcv(ds: Dataset, pi: Partition) -> float:
     """Total within-cluster variance (squared distances); minimized."""
-    dists, _ = _own_centroid_distances(ds, pi)
-    return float((dists ** 2).sum())
+    return float((_shared(ds, pi, "own_distances") ** 2).sum())
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +309,7 @@ def eval_dcd(ds: Dataset, pi: Partition, k_size: int = 10) -> float:
 def eval_abgss(ds: Dataset, pi: Partition) -> float:
     """Size-weighted mean distance of cluster centroids to the dataset
     centroid; maximized."""
-    cents = centroids(ds, pi)
+    cents = _shared(ds, pi, "centroids")
     d = np.linalg.norm(cents - ds.points.mean(axis=0), axis=1)
     return float((pi.sizes * d).sum() / pi.k)
 
@@ -291,8 +317,7 @@ def eval_abgss(ds: Dataset, pi: Partition) -> float:
 def eval_sep_al(ds: Dataset, pi: Partition) -> float:
     """Mean centroid-pair distance; maximized."""
     _require_k_at_least_2(pi, "sep_al")
-    cents = centroids(ds, pi)
-    sep = _centroid_pair_distances(cents)[np.triu_indices(pi.k, k=1)]
+    sep = _shared(ds, pi, "pair_distances")[np.triu_indices(pi.k, k=1)]
     return float(sep.mean())
 
 
@@ -300,7 +325,7 @@ def eval_sep_cl(ds: Dataset, pi: Partition) -> float:
     """Summed distance over point pairs in different clusters; maximized."""
     _require_k_at_least_2(pi, "sep_cl")
     intra = 0.0
-    for block in _block_sums(ds, pi):
+    for block in _shared(ds, pi, "blocks")[0]:
         intra += block / 2.0  # a singleton's block is 0.0, which adds exactly
     return float(_distance_total(ds) / 2.0 - intra)
 
@@ -333,11 +358,11 @@ def eval_ch(ds: Dataset, pi: Partition) -> float:
     (non-squared) distances; maximized."""
     if pi.k < 2 or pi.k >= ds.n:
         raise KTooSmallError(f"ch needs 2 <= k <= n-1, got k={pi.k}")
-    dists, cents = _own_centroid_distances(ds, pi)
-    within = float(dists.sum())
+    within = float(_shared(ds, pi, "own_distances").sum())
     if within == 0.0:
         raise DegenerateError("ch: zero within-cluster dispersion")
     gbar = ds.points.mean(axis=0)
+    cents = _shared(ds, pi, "centroids")
     between = float((pi.sizes * np.linalg.norm(cents - gbar, axis=1)).sum())
     return (between / within) * (ds.n - pi.k) / (pi.k - 1)
 
@@ -346,11 +371,10 @@ def eval_db(ds: Dataset, pi: Partition) -> float:
     """Davies-Bouldin: mean over clusters of the worst scatter-to-separation
     ratio; minimized."""
     _require_k_at_least_2(pi, "db")
-    dists, cents = _own_centroid_distances(ds, pi)
     scatter = np.zeros(pi.k)
-    np.add.at(scatter, pi.assignment, dists)
+    np.add.at(scatter, pi.assignment, _shared(ds, pi, "own_distances"))
     scatter /= pi.sizes
-    sep = _centroid_pair_distances(cents)
+    sep = _shared(ds, pi, "pair_distances")
     if np.any(sep[np.triu_indices(pi.k, k=1)] == 0.0):
         raise DegenerateError("db: coincident centroids")
     ratio = (scatter[:, None] + scatter[None, :]) / np.where(sep > 0, sep, 1.0)
@@ -362,19 +386,16 @@ def eval_dunn(ds: Dataset, pi: Partition) -> float:
     """Minimum cross-cluster distance over maximum cluster diameter;
     maximized."""
     _require_k_at_least_2(pi, "dunn")
-    D = ds.distances
-    labels = pi.assignment
-    same = labels[:, None] == labels[None, :]
-    max_diam = float(D.max(where=same, initial=0.0))
-    del same
+    max_diam = float(_shared(ds, pi, "blocks")[1].max())
     if max_diam == 0.0:
         raise DegenerateError("dunn: every cluster has zero diameter")
     # The path in the MST between the closest cross-cluster pair crosses
     # clusters on an edge no longer than that pair (the cycle property),
     # so the smallest cross-cluster MST edge is that distance.
     a, b = ds.mst_edges.T
+    labels = pi.assignment
     cross = labels[a] != labels[b]
-    return float(D[a[cross], b[cross]].min()) / max_diam
+    return float(ds.distances[a[cross], b[cross]].min()) / max_diam
 
 
 def eval_mod(ds: Dataset, pi: Partition) -> float:
@@ -384,7 +405,9 @@ def eval_mod(ds: Dataset, pi: Partition) -> float:
         raise DegenerateError("mod: all points identical")
     D = ds.distances
     value = 0.0
-    for idx, intra in zip(pi.members, _block_sums(ds, pi)):
+    # Every block is gathered and freed before the first row gather, so a
+    # block and a cluster's rows are never held at once.
+    for idx, intra in zip(pi.members, _shared(ds, pi, "blocks")[0]):
         row = float(D[idx].sum())
         value += float(intra) / total - (row / total) ** 2
     return value
@@ -423,12 +446,11 @@ def eval_sil(ds: Dataset, pi: Partition) -> float:
 def eval_pbm(ds: Dataset, pi: Partition) -> float:
     """PBM index with hard memberships: (1/k) * (E0/Ek) * Dk; maximized."""
     _require_k_at_least_2(pi, "pbm")
-    dists, cents = _own_centroid_distances(ds, pi)
     e0 = float(np.linalg.norm(ds.points - ds.points.mean(axis=0), axis=1).sum())
-    ek = float((dists ** 2).sum())
+    ek = float((_shared(ds, pi, "own_distances") ** 2).sum())
     if ek == 0.0:
         raise DegenerateError("pbm: zero within-cluster scatter")
-    dk = float(_centroid_pair_distances(cents).max())
+    dk = float(_shared(ds, pi, "pair_distances").max())
     return (e0 / ek) * dk / pi.k
 
 
@@ -436,12 +458,11 @@ def eval_xb(ds: Dataset, pi: Partition) -> float:
     """Xie-Beni-style ratio with hard memberships and non-squared
     distances; minimized."""
     _require_k_at_least_2(pi, "xb")
-    dists, cents = _own_centroid_distances(ds, pi)
-    sep = _centroid_pair_distances(cents)[np.triu_indices(pi.k, k=1)]
+    sep = _shared(ds, pi, "pair_distances")[np.triu_indices(pi.k, k=1)]
     min_sep = float(sep.min())
     if min_sep == 0.0:
         raise DegenerateError("xb: coincident centroids")
-    return float(dists.sum()) / (ds.n * min_sep)
+    return float(_shared(ds, pi, "own_distances").sum()) / (ds.n * min_sep)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,9 @@ the bit-level reference for its later form: the k-means pair (a
 ``rng.choice`` draw per seed, a per-cluster ``mean`` per iteration) for
 the one-call draw and centroid step, ``oracle_masked_dunn`` (a
 per-cluster diameter, a copy of the cross-cluster distances) for the
-masked diameter and the MST's cross-cluster edges, the gathered
+masked diameter and the MST's cross-cluster edges,
+``oracle_looped_ent`` (every step one cluster at a time) for the
+partition-wide cosine and entropy, the gathered
 ``oracle_gathered_sil`` (each cluster's columns), ``oracle_gathered_mod``
 and ``oracle_gathered_sep_cl`` (each cluster's block, every time) for
 the row gathers and the shared block sums, ``oracle_dominance``
@@ -245,6 +247,31 @@ def oracle_dunn(points, labels):
                     for i in range(k) for j in range(i + 1, k)
                     for a in clusters[i] for b in clusters[j])
     return min_cross / max_diam
+
+
+def oracle_looped_ent(points, labels):
+    """ent one cluster at a time, each cluster's cosines, mean and entropy
+    on their own, over the ``np.add.at`` centroids. None when a point or a
+    centroid is the zero vector."""
+    labels = np.asarray(labels)
+    sizes = np.bincount(labels)
+    k = sizes.size
+    norms = np.linalg.norm(points, axis=1)
+    cents = oracle_cluster_means(points, labels, sizes)
+    cnorms = np.linalg.norm(cents, axis=1)
+    if np.any(norms == 0.0) or np.any(cnorms == 0.0):
+        return None
+    total = 0.0
+    for i in range(k):
+        idx = np.flatnonzero(labels == i)
+        cos = (points[idx] @ cents[i]) / (norms[idx] * cnorms[i])
+        np.clip(cos, -1.0, 1.0, out=cos)
+        g = float(np.mean(0.5 + cos / 2.0))
+        h = 0.0
+        if 0.0 < g < 1.0:
+            h = float(-(g * np.log2(g) + (1.0 - g) * np.log2(1.0 - g)))
+        total += ((1.0 - h) * g) ** (1.0 / k)
+    return total
 
 
 def oracle_masked_dunn(distances, labels):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -291,6 +293,59 @@ class TestBuildTable:
         assert any(rec["skips"] for rec in shared)  # dunn errors are replayed
         stored = sum(len(values) for m in memos for values in m.values())
         assert shared_calls == stored < fresh_calls
+
+    def test_memo_filled_partition_by_partition(self, fix4):
+        # The table evaluates each partition's objectives together, the
+        # truth first; classifying the cells one objective at a time, each
+        # evaluating what it reads, gives the same verdicts and skips, and
+        # a memo holding the same values and errors. fix4 holds the zero
+        # vector, so its truth cannot be evaluated under ent.
+        datasets = [fix4, gen_blobs(3, 8, 6.0, seed=4), gen_mixed("3mc", seed=14, n=60)]
+        specs = objectives(*ALL_IDS)
+
+        def contents(memo):
+            return {key: {spec: (type(v), str(v)) if isinstance(v, Exception) else v
+                          for spec, v in values.items()}
+                    for key, values in memo.items()}
+
+        all_skips = []
+        for ds in datasets:
+            truth = ds.true_partition()
+            for init in ("mst", "sl"):
+                pop = generate_population(ds, init, master_seed=0)
+                memo = {}
+                table = build_admissibility_table([ds], init, specs, [pop], [memo])
+                cell_memo, cells, skips = {}, [], []
+                all_skips += table.skips
+                for spec in specs:
+                    verdict, cell_skips = classify_cell(ds, pop, spec, init, truth,
+                                                        cell_memo)
+                    cells.append(verdict)
+                    skips += cell_skips
+                assert table.cells == [cells] and table.skips == skips
+                assert contents(memo) == contents(cell_memo)
+        assert any("not evaluable" in s for s in all_skips)
+        assert any("skipped" in s for s in all_skips)
+
+    def test_population_partitions_keep_no_shared_values(self, monkeypatch):
+        # Each partition is evaluated on a throwaway copy, and the copy is
+        # gone before the next partition's first evaluation.
+        ds = gen_mixed("3mc", seed=14, n=60)
+        pop = generate_population(ds, "mst", master_seed=0)
+        evaluated = []
+        original = admissibility.evaluate
+
+        def tracking(ds, pi, spec):
+            alive = [ref() for ref in evaluated if ref() is not None]
+            assert all(other is pi for other in alive)
+            assert all(pi is not member for member in pop.partitions)
+            evaluated.append(weakref.ref(pi))
+            return original(ds, pi, spec)
+
+        monkeypatch.setattr(admissibility, "evaluate", tracking)
+        build_admissibility_table([ds], "mst", objectives(*ALL_IDS), [pop])
+        assert len(evaluated) > len(ALL_IDS) * len(pop.partitions) / 2
+        assert all("_shared" not in vars(pi) for pi in pop.partitions)
 
     def test_witness_points_at_proof(self, fix4):
         pop = generate_population(fix4, "mst", master_seed=0)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from admissa import criteria
-from admissa import (DataError, Dataset, DegenerateError, KTooSmallError,
-                     Partition, ZeroVectorError, canonical_labels, evaluate,
-                     evaluate_vector, gen_blobs, mst_cluster, objective,
-                     objectives)
+from admissa import (CriterionError, DataError, Dataset, DegenerateError,
+                     KTooSmallError, Partition, ZeroVectorError,
+                     canonical_labels, evaluate, evaluate_vector, gen_blobs,
+                     mst_cluster, objective, objectives)
 from admissa.criteria import (ALL_IDS, DIRECTIONS, MAXIMIZE, MINIMIZE,
                               eval_abgss, eval_ch, eval_con, eval_db,
                               eval_dcd, eval_dev, eval_dunn, eval_ent,
@@ -17,7 +17,7 @@ from admissa.criteria import (ALL_IDS, DIRECTIONS, MAXIMIZE, MINIMIZE,
 from conftest import one_class, random_instance, tie_grids, translated
 from oracles import (ORACLES, oracle_dcd, oracle_ent, oracle_gathered_mod,
                      oracle_gathered_sep_cl, oracle_gathered_sil,
-                     oracle_masked_dunn)
+                     oracle_looped_ent, oracle_masked_dunn)
 
 # Frozen reference values for the fix4 fixture, re-derived with the
 # brute-force oracles in oracles.py before being frozen here.
@@ -318,21 +318,35 @@ class TestDunn:
 
 GATHERED = {"sil": (eval_sil, oracle_gathered_sil),
             "mod": (eval_mod, oracle_gathered_mod),
-            "sep_cl": (eval_sep_cl, oracle_gathered_sep_cl)}
+            "sep_cl": (eval_sep_cl, oracle_gathered_sep_cl),
+            "dunn": (eval_dunn, oracle_masked_dunn)}
+
+
+def reference_sets(rng, seed):
+    """Tie grids, random sets and random sets with every point doubled."""
+    sets = tie_grids(seed) + [rng.normal(size=(int(rng.integers(2, 30)), 2))
+                              for _ in range(10)]
+    return sets + [pts[rng.integers(0, len(pts), 2 * len(pts))] for pts in sets[-5:]]
+
+
+def outcome(ds, pi, spec):
+    """The value of ``spec`` on ``pi``, or the type and text of its error."""
+    try:
+        return evaluate(ds, pi, spec)
+    except CriterionError as err:
+        return type(err), str(err)
 
 
 class TestGatheredCriteria:
-    """sil, mod and sep_cl against their gathered-matrix references: the
-    row gathers and the shared block sums add the same numbers in the
-    same order, so the values are equal to the bit."""
+    """sil, mod, sep_cl and dunn against their gathered-matrix references:
+    the row gathers and the shared cluster blocks add the same numbers in
+    the same order, and max is exact, so the values are equal to the
+    bit."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equal_gathered_reference(self, seed):
         rng = np.random.default_rng(seed)
-        sets = tie_grids(seed) + [rng.normal(size=(int(rng.integers(2, 30)), 2))
-                                  for _ in range(10)]
-        sets += [pts[rng.integers(0, len(pts), 2 * len(pts))] for pts in sets[-5:]]
-        for pts in sets:
+        for pts in reference_sets(rng, seed):
             ds = one_class(pts)
             for labels in TestDunn.labelings(rng, ds.n) + [np.zeros(ds.n, int)]:
                 pi = Partition(canonical_labels(labels))
@@ -348,13 +362,18 @@ class TestGatheredCriteria:
 
     def test_block_sums_kept_per_dataset(self):
         # One partition evaluated on two datasets of the same size, in
-        # turn: each value is the one of a partition seen only there.
+        # turn: each value is the one of a partition seen only there, for
+        # every shared value (centroids, own-centroid and centroid-pair
+        # distances, cluster blocks) and every criterion that reads one.
         rng = np.random.default_rng(3)
         first, second = (one_class(rng.normal(size=(40, 2))) for _ in range(2))
         pi = Partition(np.concatenate([np.arange(4), rng.integers(0, 4, 36)]))
         for ds in (first, second, first, second):
             for crit, (fn, reference) in GATHERED.items():
                 assert fn(ds, pi) == reference(ds.distances, pi.assignment), crit
+            for spec in objectives(*ALL_IDS):
+                assert (evaluate(ds, pi, spec)
+                        == evaluate(ds, Partition(pi.assignment), spec)), spec.id
 
     @pytest.mark.parametrize("crit", sorted(GATHERED))
     @pytest.mark.parametrize("k, share", [(2, 0.95), (7, 1 / 7)])
@@ -375,6 +394,76 @@ class TestGatheredCriteria:
             tracemalloc.stop()
         assert pi.k == k
         assert peak < 8 * pi.sizes.max() * n + n ** 2
+
+
+class TestSharedValues:
+    """The values the criteria share on a partition are built once, kept
+    for one dataset, and read by each criterion with the bits it would
+    compute alone."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_any_order_equals_fresh_partitions(self, seed):
+        rng = np.random.default_rng(seed)
+        specs = objectives(*ALL_IDS, L=3, k_size=3)
+        for pts in reference_sets(rng, seed):
+            ds = one_class(pts)
+            for labels in TestDunn.labelings(rng, ds.n) + [np.zeros(ds.n, int)]:
+                labels = canonical_labels(labels)
+                fresh = [outcome(ds, Partition(labels), spec) for spec in specs]
+                forward = list(range(len(specs)))
+                for order in (forward, forward[::-1], rng.permutation(forward)):
+                    pi = Partition(labels)
+                    got = {j: outcome(ds, pi, specs[j]) for j in order}
+                    assert [got[j] for j in forward] == fresh, order
+
+    @pytest.mark.parametrize("k", [2, 7, 40])
+    def test_one_partition_holds_no_n_squared_array(self, k):
+        # What stays allocated after all 17 criteria ran on a partition
+        # is its shared values: n own-centroid distances, the k x d
+        # centroids, the k x k centroid-pair distances and 2k block
+        # figures, against 8 n^2 bytes for one distance-sized array.
+        rng = np.random.default_rng(7)
+        n = 1500
+        ds = one_class(rng.normal(size=(n, 2)))
+        labels = canonical_labels(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+        specs = objectives(*ALL_IDS)
+        for spec in specs:  # the dataset's caches are built outside the window
+            evaluate(ds, Partition(labels), spec)
+        pi = Partition(labels)
+        pi.members
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for spec in specs:
+                evaluate(ds, pi, spec)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 8 * (2 * n + 2 * k * k) + 4096
+
+
+class TestLoopedEnt:
+    """ent against its one-cluster-at-a-time reference: each cluster keeps
+    its own dot product and its own sum, and the partition-wide cosine
+    and entropy repeat the per-cluster arithmetic element by element, so
+    the values are equal to the bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_looped_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        sets = reference_sets(rng, seed)
+        sets += [rng.normal(loc=3.0, size=(int(rng.integers(2, 60)), int(d)))
+                 for d in rng.integers(1, 6, 10)]
+        for pts in sets:
+            ds = one_class(pts)
+            for labels in TestDunn.labelings(rng, ds.n) + [np.zeros(ds.n, int)]:
+                pi = Partition(canonical_labels(labels))
+                want = oracle_looped_ent(ds.points, pi.assignment)
+                if want is None:
+                    with pytest.raises(ZeroVectorError):
+                        eval_ent(ds, pi)
+                else:
+                    assert eval_ent(ds, pi) == want
 
 
 class TestEvaluateVector:
